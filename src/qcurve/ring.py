@@ -20,6 +20,13 @@ Canonical RatFun form: the denominator is monic in its single symbol, has
 no negative exponents and a nonzero constant term (monomial content is
 pushed into the numerator), and shares no nontrivial univariate factor
 with the numerator.  Equal values therefore compare equal structurally.
+
+Normalization runs on a univariate integer kernel: coefficient slices are
+read in as Fractions, scaled to integer lists once, and the gcd (primitive
+pseudo-remainder sequence) and exact division run on Python ints; Fractions
+reappear only when LaurentPoly terms are written out.  Invariant: every
+divisor handed to ``_dense_divexact`` is a primitive integer polynomial, so
+by Gauss's lemma exact division over Q never leaves Z.
 """
 
 from __future__ import annotations
@@ -219,11 +226,13 @@ class LaurentPoly:
         c = _coerce(coeff)
         if not c or not self.terms:
             return _LP_ZERO
-        shift = _mono_key(powers)
+        s0, s1, s2, s3 = _mono_key(powers)
+        items = self.terms.items()
+        if c != 1:
+            items = [(m, v * c) for m, v in items]
         res = LaurentPoly.__new__(LaurentPoly)
         res.terms = {
-            (m[0] + shift[0], m[1] + shift[1], m[2] + shift[2], m[3] + shift[3]): v * c
-            for m, v in self.terms.items()
+            (m[0] + s0, m[1] + s1, m[2] + s2, m[3] + s3): v for m, v in items
         }
         return res
 
@@ -330,6 +339,10 @@ _LP_ONE = LaurentPoly({_ZERO_MONO: _ONE})
 # dense univariate helpers (ascending coefficient lists)
 # ---------------------------------------------------------------------------
 
+# (monomial in the other symbols, lowest exponent, ascending coefficients)
+_Slice = tuple[tuple[int, ...], int, list[Fraction]]
+
+
 def _dense_strip(cs: list) -> None:
     while cs and not cs[-1]:
         cs.pop()
@@ -359,12 +372,17 @@ def _from_dense(cs: list[Fraction], sidx: int, shift: int = 0) -> LaurentPoly:
     return LaurentPoly(terms)
 
 
-def _dense_primitive_int(cs: list[Fraction]) -> list[int]:
-    """Primitive integer multiple of a rational coefficient list."""
+def _dense_scale_int(cs: list[Fraction]) -> tuple[list[int], int]:
+    """(den * cs, den) with den the lcm of the coefficient denominators."""
     den = 1
     for c in cs:
         den = _int_lcm(den, c.denominator)
-    ints = [int(c * den) for c in cs]
+    return [c.numerator * (den // c.denominator) for c in cs], den
+
+
+def _dense_primitive_int(cs: list[Fraction]) -> list[int]:
+    """Primitive integer multiple of a rational coefficient list."""
+    ints, _ = _dense_scale_int(cs)
     g = 0
     for v in ints:
         g = _int_gcd(g, v)
@@ -414,30 +432,39 @@ def _dense_gcd_int(f: list[int], g: list[int]) -> list[int]:
 
 
 def _dense_divexact(f: list[Fraction], g: list[int]) -> list[Fraction] | None:
-    """f / g (ascending dense), or None when the division is not exact."""
+    """f / g (ascending dense) for a primitive integer g, or None if inexact.
+
+    f is scaled once to integers.  By Gauss's lemma a primitive integer
+    polynomial that divides an integer polynomial over Q divides it over Z,
+    so the long division runs in int and any remainder, at a leading
+    coefficient or at the end, means g does not divide f.
+    """
     if not f:
         return []
-    if len(f) < len(g):
-        return None
     dg = len(g) - 1
-    lg = Fraction(g[-1])
-    q = [_ZERO] * (len(f) - dg)
-    r = f[:]
-    for k in range(len(f) - dg - 1, -1, -1):
-        c = r[dg + k] / lg
+    n = len(f) - dg
+    if n < 1:
+        return None
+    r, den = _dense_scale_int(f)
+    lg = g[-1]
+    low = g[:dg]
+    q = [0] * n
+    for k in range(n - 1, -1, -1):
+        c, rem = divmod(r[dg + k], lg)
+        if rem:
+            return None
         if c:
             q[k] = c
-            for i in range(dg + 1):
-                r[i + k] -= c * g[i]
+            r[k:dg + k] = [a - c * b for a, b in zip(r[k:dg + k], low)]
     if any(r[:dg]):
         return None
-    return q
+    return [Fraction(c, den) for c in q]
 
 
-def _content_gcd(slices: list[list[Fraction]]) -> list[int]:
-    """gcd (primitive integer form) of a family of dense rational polys."""
+def _content_gcd(slices: list[_Slice]) -> list[int]:
+    """gcd (primitive integer form) of the dense rational slices."""
     g: list[int] = []
-    for cs in slices:
+    for _, _, cs in slices:
         gi = _dense_primitive_int(cs)
         g = gi if not g else _dense_gcd_int(g, gi)
         if len(g) == 1:
@@ -464,38 +491,34 @@ def _extract_monomial(p: LaurentPoly) -> tuple[tuple[int, ...], LaurentPoly]:
     return shift, core
 
 
-def _slices_by_others(p: LaurentPoly, sidx: int) -> list[list[Fraction]]:
+def _slices_by_others(p: LaurentPoly, sidx: int) -> list[_Slice]:
     """Dense views in symbol sidx, one per monomial in the other symbols.
 
-    Each slice is shifted to minimum exponent 0; the dropped unit factor
-    cannot affect divisibility by polynomials with nonzero constant term.
+    Each slice is (that monomial, its lowest exponent of sidx, ascending
+    coefficients from there).  Shifting to exponent 0 drops a unit factor,
+    which cannot affect divisibility by polynomials with nonzero constant
+    term.
     """
     groups: dict[tuple[int, ...], dict[int, Fraction]] = {}
     for mono, c in p.terms.items():
         key = mono[:sidx] + (0,) + mono[sidx + 1:]
         groups.setdefault(key, {})[mono[sidx]] = c
     out = []
-    for exps in groups.values():
-        lo, hi = min(exps), max(exps)
-        cs = [_ZERO] * (hi - lo + 1)
-        for e, c in exps.items():
-            cs[e - lo] = c
-        out.append(cs)
-    return out
-
-
-def _divexact_poly(p: LaurentPoly, g_dense: list[int], sidx: int) -> LaurentPoly:
-    """Divide p by a univariate (in sidx) integer poly; must be exact."""
-    groups: dict[tuple[int, ...], dict[int, Fraction]] = {}
-    for mono, c in p.terms.items():
-        key = mono[:sidx] + (0,) + mono[sidx + 1:]
-        groups.setdefault(key, {})[mono[sidx]] = c
-    terms: dict[tuple[int, ...], Fraction] = {}
     for key, exps in groups.items():
         lo, hi = min(exps), max(exps)
         cs = [_ZERO] * (hi - lo + 1)
         for e, c in exps.items():
             cs[e - lo] = c
+        out.append((key, lo, cs))
+    return out
+
+
+def _divexact_slices(
+    slices: list[_Slice], g_dense: list[int], sidx: int
+) -> LaurentPoly:
+    """Divide the sliced poly by an integer poly in sidx; must be exact."""
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for key, lo, cs in slices:
         q = _dense_divexact(cs, g_dense)
         if q is None:
             raise ArithmeticError("inexact division in rational normalization")
@@ -641,16 +664,15 @@ class RatFun:
             sidx = s1[0]
             _, c1 = _to_dense(d1, sidx)
             _, c2 = _to_dense(d2, sidx)
-            if len(c2) <= len(c1):
-                q = _dense_divexact(c1, c2)
-                if q is not None:
-                    qp = _from_dense(q, sidx)
+            big, small = (c1, c2) if len(c2) <= len(c1) else (c2, c1)
+            # small is monic, so big / small = (big / P) * P[-1]
+            p = _dense_primitive_int(small)
+            q = _dense_divexact(big, p)
+            if q is not None:
+                qp = _from_dense([c * p[-1] for c in q], sidx)
+                if big is c1:
                     return RatFun(self.num + other.num * qp, d1)
-            else:
-                q = _dense_divexact(c2, c1)
-                if q is not None:
-                    qp = _from_dense(q, sidx)
-                    return RatFun(self.num * qp + other.num, d2)
+                return RatFun(self.num * qp + other.num, d2)
         return RatFun(self.num * d2 + other.num * d1, d1 * d2)
 
     def __sub__(self, other: RatFun) -> RatFun:
@@ -745,11 +767,12 @@ def _normalize_ratfun(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, 
         )
     sidx = used[0]
     _, den_dense = _to_dense(core, sidx)
-    content = _content_gcd(_slices_by_others(num, sidx))
+    slices = _slices_by_others(num, sidx)
+    content = _content_gcd(slices)
     if len(content) > 1:
         g = _dense_gcd_int(content, _dense_primitive_int(den_dense))
         if len(g) > 1:
-            num = _divexact_poly(num, g, sidx)
+            num = _divexact_slices(slices, g, sidx)
             q = _dense_divexact(den_dense, g)
             if q is None:
                 raise ArithmeticError("gcd does not divide denominator")

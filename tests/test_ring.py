@@ -2,10 +2,13 @@
 
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from qcurve import ring
 from qcurve.ring import (
     LaurentPoly,
     MultivariateDenominatorError,
@@ -292,6 +295,117 @@ def test_gcd_laurent_inputs():
     a = LaurentPoly.term(1, u=-2) * (ONE - sym("u", 4))
     b = LaurentPoly.term(3, u=5) * (ONE - sym("u", 2))
     assert gcd_univariate(a, b) == sym("u", 2) - ONE
+
+
+# ---------------------------------------------------------------------------
+# integer division kernel
+# ---------------------------------------------------------------------------
+
+def _dense_mul(f, g):
+    out = [Fraction(0)] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def _from_coeffs(cs, name="u"):
+    return sum(
+        (LaurentPoly.term(c, **{name: i}) for i, c in enumerate(cs)),
+        LaurentPoly.zero(),
+    )
+
+
+small_fracs = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+rational_polys = st.lists(small_fracs, min_size=1, max_size=6).filter(
+    lambda cs: cs[-1] != 0
+)
+
+
+@st.composite
+def primitive_int_polys(draw, min_degree=1):
+    cs = draw(st.lists(st.integers(-6, 6), min_size=min_degree + 1, max_size=4))
+    cs[-1] = cs[-1] or draw(st.sampled_from([-3, -2, 2, 3]))
+    g = 0
+    for c in cs:
+        g = gcd(g, c)
+    return [c // g for c in cs]
+
+
+@settings(deadline=None)
+@given(rational_polys, primitive_int_polys())
+@example([Fraction(1, 2), Fraction(-5, 3)], [3, 2])  # 2u + 3
+@example([Fraction(7), Fraction(0), Fraction(1, 4)], [2, 0, -3])  # -3u^2 + 2
+def test_divexact_recovers_quotient(f, g):
+    assert ring._dense_divexact(_dense_mul(f, g), g) == f
+
+
+@settings(deadline=None)
+@given(rational_polys, primitive_int_polys(), st.data())
+def test_divexact_rejects_remainder(f, g, data):
+    r = data.draw(
+        st.lists(small_fracs, min_size=len(g) - 1, max_size=len(g) - 1).filter(any)
+    )
+    prod = _dense_mul(f, g)
+    for i, c in enumerate(r):
+        prod[i] += c
+    assert ring._dense_divexact(prod, g) is None
+
+
+def _fraction_divmod(f, g):
+    """Reference long division over Fraction on ascending dense lists."""
+    r = f[:]
+    q = [Fraction(0)] * (len(f) - len(g) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = r[k + len(g) - 1] / g[-1]
+        for i, gi in enumerate(g):
+            r[k + i] -= q[k] * gi
+    return q, r
+
+
+@settings(deadline=None)
+@given(rational_polys, primitive_int_polys())
+@example([Fraction(0), Fraction(1)], [1, 2])  # u / (2u + 1)
+def test_divexact_agrees_with_fraction_division(f, g):
+    # arbitrary f: the integer kernel is exact exactly when Q-division is
+    got = ring._dense_divexact(f, g)
+    if len(f) < len(g):
+        assert got is None
+        return
+    q, r = _fraction_divmod(f, g)
+    assert got == (None if any(r) else q)
+
+
+@settings(deadline=None)
+@given(
+    rational_polys,
+    primitive_int_polys(min_degree=0),
+    primitive_int_polys(),
+    st.integers(-3, 3),
+)
+@example([Fraction(1, 2), Fraction(-1)], [1, 1], [2, 0, -3], 1)  # c = -3u^2 + 2
+def test_rf_common_factor_cancels(a, b, c, qh):
+    # c is a non-monic integer factor in u; a carries a Qh slice as well
+    num = _from_coeffs(a) * (ONE + LaurentPoly.term(1, Qh=2, u=qh))
+    den, common = _from_coeffs(b), _from_coeffs(c)
+    assert RatFun(num * common, den * common) == RatFun(num, den)
+
+
+def test_rf_add_shared_denominator_non_integer(monkeypatch):
+    # canonical denominators u + 1/2 and (u + 1/2)(u + 1) are not integer
+    d1 = sym("u") + LaurentPoly.scalar(Fraction(1, 2))
+    d2 = d1 * (sym("u") + ONE)
+    a = RatFun(sym("Qh", 2), d1)
+    b = RatFun(sym("u") - ONE, d2)
+    assert a.den == d1 and b.den == d2
+    seen = []
+    normalize = ring._normalize_ratfun
+    monkeypatch.setattr(
+        ring, "_normalize_ratfun", lambda n, d: seen.append(d) or normalize(n, d)
+    )
+    for total in (a + b, b + a):
+        assert seen.pop() == d2  # no product of the denominators was formed
+        assert total.equals_cross(RatFun._raw(a.num * d2 + b.num * d1, d1 * d2))
 
 
 # ---------------------------------------------------------------------------
