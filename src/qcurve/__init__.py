@@ -18,7 +18,7 @@ from .curves import (
     z_from_characters,
 )
 from .hurwitz import elsv_genus0, hurwitz_table, verify_cut_and_join
-from .ring import LaurentPoly, RatFun, XSeries, gcd_univariate
+from .ring import LaurentPoly, RatFun, XSeries
 from .symfun import (
     Specialization,
     SymFunc,
@@ -43,7 +43,6 @@ __all__ = [
     "cut_and_join",
     "elsv_genus0",
     "framed_c3",
-    "gcd_univariate",
     "hurwitz_table",
     "lambert",
     "quantum_dimension",

@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .curves import (
@@ -66,6 +65,16 @@ def _table_text(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _render(args, payload, rows: list[dict]) -> None:
+    """Emit payload as JSON, or its flat rows as CSV or a text table."""
+    if args.format == "json":
+        _emit(_json_text(payload), args.out)
+    elif args.format == "csv":
+        _emit(_csv_text(rows), args.out)
+    else:
+        _emit(_table_text(rows), args.out)
+
+
 def _cases_for(label: str, framings: list[int] | None) -> list[CurveCase]:
     kind = CurveKind(label)
     if kind is CurveKind.LAMBERT:
@@ -77,53 +86,31 @@ def _cases_for(label: str, framings: list[int] | None) -> list[CurveCase]:
 
 def cmd_partitions(args) -> int:
     rows = partitions_payload(args.n)
-    if args.format == "json":
-        _emit(_json_text(rows), args.out)
-    elif args.format == "csv":
-        _emit(_csv_text(rows), args.out)
-    else:
-        _emit(_table_text(rows), args.out)
+    _render(args, rows, rows)
     return 0
 
 
 def cmd_hurwitz(args) -> int:
     rows = hurwitz_payload(args.dmax, args.gmax)
-    if args.format == "json":
-        _emit(_json_text(rows), args.out)
-    elif args.format == "csv":
-        _emit(_csv_text(rows), args.out)
-    else:
-        _emit(_table_text(rows), args.out)
+    _render(args, rows, rows)
     return 0
 
 
 def cmd_zclosed(args) -> int:
     payload = zclosed_payload(args.case, args.framing, args.xorder)
-    if args.format == "json":
-        _emit(_json_text(payload), args.out)
-    elif args.format == "csv":
-        rows = [
-            {"degree": c["degree"], "coefficient": c["text"]}
-            for c in payload["coefficients"]
-        ]
-        _emit(_csv_text(rows), args.out)
-    else:
-        rows = [
-            {"degree": c["degree"], "coefficient": c["text"]}
-            for c in payload["coefficients"]
-        ]
-        _emit(_table_text(rows), args.out)
+    rows = [
+        {"degree": c["degree"], "coefficient": c["text"]}
+        for c in payload["coefficients"]
+    ]
+    _render(args, payload, rows)
     return 0
 
 
 def cmd_verify_curve(args) -> int:
     cases = _cases_for(args.case, args.framing)
-    runner = lambda case: verify_annihilation(case, args.xorder, args.y_direction)
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            reports = list(pool.map(runner, cases))
-    else:
-        reports = [runner(case) for case in cases]
+    reports = [
+        verify_annihilation(case, args.xorder, args.y_direction) for case in cases
+    ]
     if args.format == "json":
         _emit(_json_text([r.to_json() for r in reports]), args.out)
     else:
@@ -229,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, formats=("text", "json", "csv")):
         p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", help="write output to a file instead of stdout")
-        p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("partitions", help="list partitions with z, aut, kappa, dim")
     p.add_argument("n", type=int)
@@ -285,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.add_argument("--golden-dir", dest="golden_dir")
     p.add_argument("--out")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(fn=cmd_selftest)
 
     return parser
@@ -301,12 +286,12 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
             parser.error("the lambert case has no framing parameter")
     if args.command in ("zclosed", "verify-curve") and args.xorder < 0:
         parser.error("--xorder must be >= 0")
+    if getattr(args, "y_direction", None) == "inverse" and args.case != "conifold":
+        parser.error("--y-direction inverse applies to the conifold case only")
     if args.command == "recurrence" and args.xorder < 1:
         parser.error("--xorder must be >= 1")
     if args.command == "cutjoin-check" and (args.dmax < 0 or args.lam_order < 1):
         parser.error("need --dmax >= 0 and --lam-order >= 1")
-    if getattr(args, "threads", 1) < 1:
-        parser.error("--threads must be >= 1")
 
 
 def main(argv: list[str] | None = None) -> int:

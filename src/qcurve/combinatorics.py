@@ -52,21 +52,6 @@ def format_partition(mu: Partition) -> str:
     return "[" + ",".join(str(p) for p in mu) + "]"
 
 
-def parse_partition(text: str) -> Partition:
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ValueError(f"not a partition literal: {text!r}")
-    body = text[1:-1].strip()
-    if not body:
-        return ()
-    parts = tuple(int(p) for p in body.split(","))
-    if any(p <= 0 for p in parts) or any(
-        parts[i] < parts[i + 1] for i in range(len(parts) - 1)
-    ):
-        raise ValueError(f"parts must be positive and weakly decreasing: {text!r}")
-    return parts
-
-
 def centralizer_order(mu: Partition) -> int:
     """z_mu = prod_i i^(m_i) * m_i!  (m_i = multiplicity of part i)."""
     z = 1

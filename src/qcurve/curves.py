@@ -122,11 +122,13 @@ def curve_operator(case: CurveCase, y_direction: str = "forward") -> QOp:
     """The annihilating operator for the case, in normal-ordered terms.
 
     ``y_direction`` selects the dilation direction of the conifold y^
-    ("forward" is the adopted reading, see module docstring); the other
-    cases are unambiguous and ignore it.
+    ("forward" is the adopted reading, see module docstring).  The other
+    cases have a single reading, so only "forward" is accepted for them.
     """
     if y_direction not in ("forward", "inverse"):
         raise ValueError(f"unknown y_direction {y_direction!r}")
+    if y_direction == "inverse" and case.kind is not CurveKind.CONIFOLD:
+        raise ValueError("y_direction 'inverse' applies to the conifold only")
     one = RatFun.one()
     a = case.framing
     if case.kind is CurveKind.LAMBERT:
@@ -352,6 +354,9 @@ def recurrence_check(case: CurveCase, order: int) -> RecurrenceReport:
     c3:        (1 - E^(2(n+1))) a_{n+1} - E^(1 - 2an) a_n = 0
     conifold:  (1 - u^(2(n+1))) a_{n+1} + u^(2(a+1)n + 1) a_n
                                         - Qh^2 u^(2an + 1) a_n = 0
+
+    Each line is a deliberately independent restatement of the operator,
+    written by hand and not derived from ``curve_operator``: an oracle.
     """
     if order < 1:
         raise ValueError("order must be >= 1")

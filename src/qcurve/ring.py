@@ -362,12 +362,12 @@ def _to_dense(p: LaurentPoly, sidx: int) -> tuple[int, list[Fraction]]:
     return lo, cs
 
 
-def _from_dense(cs: list[Fraction], sidx: int, shift: int = 0) -> LaurentPoly:
+def _from_dense(cs: list[Fraction], sidx: int) -> LaurentPoly:
     terms = {}
     for k, c in enumerate(cs):
         if c:
             mono = [0] * _NSYM
-            mono[sidx] = k + shift
+            mono[sidx] = k
             terms[tuple(mono)] = c
     return LaurentPoly(terms)
 
@@ -380,17 +380,19 @@ def _dense_scale_int(cs: list[Fraction]) -> tuple[list[int], int]:
     return [c.numerator * (den // c.denominator) for c in cs], den
 
 
-def _dense_primitive_int(cs: list[Fraction]) -> list[int]:
-    """Primitive integer multiple of a rational coefficient list."""
-    ints, _ = _dense_scale_int(cs)
+def _int_primitive(ints: list[int]) -> list[int]:
+    """ints divided by their content; the scan stops once the gcd is 1."""
     g = 0
     for v in ints:
         g = _int_gcd(g, v)
         if g == 1:
-            break
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
+            return ints
+    return [v // g for v in ints] if g else ints
+
+
+def _dense_primitive_int(cs: list[Fraction]) -> list[int]:
+    """Primitive integer multiple of a rational coefficient list."""
+    return _int_primitive(_dense_scale_int(cs)[0])
 
 
 def _dense_prem_int(f: list[int], g: list[int]) -> list[int]:
@@ -417,15 +419,7 @@ def _dense_gcd_int(f: list[int], g: list[int]) -> list[int]:
     if len(f) < len(g):
         f, g = g, f
     while g:
-        r = _dense_prem_int(f, g)
-        ig = 0
-        for v in r:
-            ig = _int_gcd(ig, v)
-            if ig == 1:
-                break
-        if ig > 1:
-            r = [v // ig for v in r]
-        f, g = g, r
+        f, g = g, _int_primitive(_dense_prem_int(f, g))
     if f and f[-1] < 0:
         f = [-v for v in f]
     return f
@@ -528,45 +522,6 @@ def _divexact_slices(
     res = LaurentPoly.__new__(LaurentPoly)
     res.terms = terms
     return res
-
-
-def gcd_univariate(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Monic gcd of two univariate Laurent polynomials.
-
-    Monomial content (a unit in the Laurent ring) is discarded first, so
-    the result is an honest polynomial with nonzero constant term, monic
-    in its symbol.  gcd(a, 0) is the monic normalization of a.
-    """
-    if a.is_zero() and b.is_zero():
-        return _LP_ZERO
-    polys = []
-    sidx = None
-    for p in (a, b):
-        if p.is_zero():
-            continue
-        _, core = _extract_monomial(p)
-        used = core.symbols_used()
-        if len(used) > 1:
-            raise MultivariateInputError(f"not univariate: {p}")
-        if used:
-            if sidx is None:
-                sidx = used[0]
-            elif sidx != used[0]:
-                raise MultivariateInputError(
-                    f"mixed symbols {SYMBOLS[sidx]} and {SYMBOLS[used[0]]}"
-                )
-        polys.append(core)
-    if sidx is None:
-        return _LP_ONE
-    denses = []
-    for core in polys:
-        _, cs = _to_dense(core, sidx)
-        if len(cs) == 1:
-            return _LP_ONE
-        denses.append(_dense_primitive_int(cs))
-    g = denses[0] if len(denses) == 1 else _dense_gcd_int(*denses)
-    lead = Fraction(g[-1])
-    return _from_dense([c / lead for c in g], sidx)
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,6 @@ from .symfun import (
     specialize,
 )
 
-GOLDEN_ENV = "QCURVE_GOLDEN_DIR"
 FAULT_ENV = "QCURVE_FAULT_INJECT"
 
 
@@ -62,9 +61,6 @@ class SuiteResult:
 
 
 def default_golden_dir() -> Path:
-    override = os.environ.get(GOLDEN_ENV)
-    if override:
-        return Path(override)
     return Path(__file__).parent / "golden" / "v1"
 
 
@@ -114,6 +110,16 @@ def zclosed_payload(label: str, framing: int, order: int) -> dict:
             for n in range(order + 1)
         ],
     }
+
+
+# golden file name -> builder of its payload
+GOLDEN = {
+    "partitions_n6.json": lambda: partitions_payload(6),
+    "hurwitz_d4_g2.json": lambda: hurwitz_payload(4, 2),
+    "zclosed_lambert_n6.json": lambda: zclosed_payload("lambert", 0, 6),
+    "zclosed_c3_a1_n6.json": lambda: zclosed_payload("c3", 1, 6),
+    "zclosed_conifold_a1_n6.json": lambda: zclosed_payload("conifold", 1, 6),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -228,14 +234,7 @@ def _suite_classical_limits() -> str | None:
 
 
 def _suite_golden(golden_dir: Path) -> str | None:
-    expected = {
-        "partitions_n6.json": lambda: partitions_payload(6),
-        "hurwitz_d4_g2.json": lambda: hurwitz_payload(4, 2),
-        "zclosed_lambert_n6.json": lambda: zclosed_payload("lambert", 0, 6),
-        "zclosed_c3_a1_n6.json": lambda: zclosed_payload("c3", 1, 6),
-        "zclosed_conifold_a1_n6.json": lambda: zclosed_payload("conifold", 1, 6),
-    }
-    for name, build in expected.items():
+    for name, build in GOLDEN.items():
         path = golden_dir / name
         if not path.exists():
             return f"missing golden file {path}"
@@ -280,12 +279,5 @@ def run_selftest(
 def write_golden_files(golden_dir: Path) -> None:
     """Regenerate the golden payloads (maintenance helper)."""
     golden_dir.mkdir(parents=True, exist_ok=True)
-    payloads = {
-        "partitions_n6.json": partitions_payload(6),
-        "hurwitz_d4_g2.json": hurwitz_payload(4, 2),
-        "zclosed_lambert_n6.json": zclosed_payload("lambert", 0, 6),
-        "zclosed_c3_a1_n6.json": zclosed_payload("c3", 1, 6),
-        "zclosed_conifold_a1_n6.json": zclosed_payload("conifold", 1, 6),
-    }
-    for name, payload in payloads.items():
-        (golden_dir / name).write_text(json.dumps(payload, indent=2) + "\n")
+    for name, build in GOLDEN.items():
+        (golden_dir / name).write_text(json.dumps(build(), indent=2) + "\n")

@@ -4,13 +4,12 @@ A ``SymFunc`` stores coefficients of the monomials p_mu = prod_i p_{mu_i},
 indexed by partitions mu with |mu| <= degree cap; arithmetic truncates
 above the cap.  On top of that sit the Schur expansion through symmetric
 group characters, the cut-and-join operator (whose eigenfunctions are the
-Schur functions, with eigenvalue kappa/2), graded log/exp, and the three
+Schur functions, with eigenvalue kappa/2), graded log/exp, and the two
 evaluation homomorphisms used by the curve constructions:
 
   PRINCIPAL        p_m -> 1/[m], the principal specialization at
                    (q^(-1/2), q^(-3/2), ...) summed as a geometric series
   CONIFOLD_Y       p_m -> (Qh^-m - Qh^m)/[m]
-  SINGLE_VARIABLE  p_m -> x^m, evaluation at a single variable x
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from .combinatorics import (
     hooks_and_contents,
     partitions_of,
 )
-from .ring import LaurentPoly, RatFun, XSeries
+from .ring import LaurentPoly, RatFun
 
 
 class DegreeCapExceededError(ValueError):
@@ -40,7 +39,6 @@ class BadConstantTermError(ValueError):
 class Specialization(enum.Enum):
     PRINCIPAL = "principal"
     CONIFOLD_Y = "conifold-y"
-    SINGLE_VARIABLE = "single-variable"
 
 
 def _sorted_merge(mu: Partition, nu: Partition) -> Partition:
@@ -313,18 +311,8 @@ def _powersum_product_image(mu: Partition, kind: Specialization) -> RatFun:
     return acc
 
 
-def specialize(f: SymFunc, kind: Specialization):
-    """Apply one of the evaluation homomorphisms to the p-basis.
-
-    PRINCIPAL and CONIFOLD_Y return a RatFun; SINGLE_VARIABLE returns an
-    XSeries in the evaluation variable x (p_mu evaluates to x^|mu|).
-    """
-    if kind is Specialization.SINGLE_VARIABLE:
-        coeffs = [RatFun.zero() for _ in range(f.cap + 1)]
-        for mu, c in f.terms.items():
-            d = sum(mu)
-            coeffs[d] = coeffs[d] + c
-        return XSeries(f.cap, coeffs)
+def specialize(f: SymFunc, kind: Specialization) -> RatFun:
+    """Apply one of the evaluation homomorphisms to the p-basis."""
     acc = RatFun.zero()
     for mu, c in f.terms.items():
         acc = acc + c * _powersum_product_image(mu, kind)

@@ -18,7 +18,6 @@ from qcurve.combinatorics import (
     hooks_and_contents,
     irrep_dimension,
     kappa,
-    parse_partition,
     partitions_of,
 )
 
@@ -70,12 +69,6 @@ def test_partition_counts_against_pentagonal_recurrence():
 def test_partition_text_forms():
     assert format_partition((3, 1, 1)) == "[3,1,1]"
     assert format_partition(()) == "[]"
-    assert parse_partition("[3,1,1]") == (3, 1, 1)
-    assert parse_partition("[]") == ()
-    with pytest.raises(ValueError):
-        parse_partition("[1,2]")
-    with pytest.raises(ValueError):
-        parse_partition("3,1")
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,15 @@ def test_unknown_y_direction_rejected():
         curve_operator(conifold(0), "sideways")
 
 
+@pytest.mark.parametrize("case", [lambert(), framed_c3(1)])
+def test_inverse_y_direction_is_conifold_only(case):
+    # lambert and c3 have one reading; "inverse" must not pass silently
+    with pytest.raises(ValueError):
+        curve_operator(case, "inverse")
+    with pytest.raises(ValueError):
+        verify_annihilation(case, 4, y_direction="inverse")
+
+
 # ---------------------------------------------------------------------------
 # recurrences
 # ---------------------------------------------------------------------------

@@ -12,12 +12,10 @@ from qcurve import ring
 from qcurve.ring import (
     LaurentPoly,
     MultivariateDenominatorError,
-    MultivariateInputError,
     OrderMismatchError,
     RatFun,
     XSeries,
     ZeroDenominatorError,
-    gcd_univariate,
 )
 
 ONE = LaurentPoly.one()
@@ -215,18 +213,21 @@ def test_rf_laurent_denominator():
 
 
 # ---------------------------------------------------------------------------
-# univariate gcd
+# univariate gcd (integer kernel)
 # ---------------------------------------------------------------------------
 
+def _kernel_gcd_monic(a, b):
+    """Monic gcd of two ascending Fraction lists through the int kernel."""
+    g = ring._dense_gcd_int(
+        ring._dense_primitive_int(a), ring._dense_primitive_int(b)
+    )
+    return [Fraction(c, g[-1]) for c in g]
+
+
 def test_gcd_basic():
-    g = gcd_univariate(ONE - sym("u", 2), ONE - sym("u", 4))
-    assert g == sym("u", 2) - ONE  # monic normalization
-
-
-def test_gcd_with_zero():
-    a = (ONE - sym("u", 2)) * LaurentPoly.scalar(3)
-    assert gcd_univariate(a, LaurentPoly.zero()) == sym("u", 2) - ONE
-    assert gcd_univariate(LaurentPoly.zero(), LaurentPoly.zero()).is_zero()
+    # gcd(1 - u^2, 1 - u^4): primitive, with a positive leading coefficient
+    g = ring._dense_gcd_int([1, 0, -1], [1, 0, 0, 0, -1])
+    assert g == [-1, 0, 1]
 
 
 def _euclid_fraction_oracle(a, b):
@@ -259,8 +260,7 @@ def test_gcd_euclid_by_hand():
     b = [Fraction(1), 0, 0, 0, Fraction(-1)]  # 1 - u^4
     expect = _euclid_fraction_oracle(a, b)
     assert expect == [Fraction(-1), 0, Fraction(1)]  # u^2 - 1 monic
-    g = gcd_univariate(ONE - sym("u", 6), ONE - sym("u", 4))
-    assert g == sym("u", 2) - ONE
+    assert _kernel_gcd_monic(a, b) == expect
 
 
 def test_gcd_random_against_oracle():
@@ -275,26 +275,16 @@ def test_gcd_random_against_oracle():
             b.pop()
         if not a or not b:
             continue
-        pa = sum((LaurentPoly.term(c, u=i) for i, c in enumerate(a)), LaurentPoly.zero())
-        pb = sum((LaurentPoly.term(c, u=i) for i, c in enumerate(b)), LaurentPoly.zero())
         expect = _euclid_fraction_oracle(a[:], b[:])
-        got = gcd_univariate(pa, pb)
-        want = sum((LaurentPoly.term(c, u=i) for i, c in enumerate(expect)), LaurentPoly.zero())
-        assert got == want
-
-
-def test_gcd_multivariate_error():
-    with pytest.raises(MultivariateInputError):
-        gcd_univariate(ONE - sym("u") * sym("E"), ONE - sym("u", 2))
-    with pytest.raises(MultivariateInputError):
-        gcd_univariate(ONE - sym("u", 2), ONE - sym("E", 2))
+        assert _kernel_gcd_monic(a, b) == expect, (a, b)
 
 
 def test_gcd_laurent_inputs():
-    # unit monomial content is irrelevant to the gcd
+    # unit monomial content is irrelevant to the gcd that RatFun cancels
     a = LaurentPoly.term(1, u=-2) * (ONE - sym("u", 4))
     b = LaurentPoly.term(3, u=5) * (ONE - sym("u", 2))
-    assert gcd_univariate(a, b) == sym("u", 2) - ONE
+    want = LaurentPoly.term(Fraction(1, 3), u=-7) * (ONE + sym("u", 2))
+    assert RatFun(a, b) == RatFun.from_poly(want)
 
 
 # ---------------------------------------------------------------------------

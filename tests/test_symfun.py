@@ -116,20 +116,6 @@ def test_principal_single_row_identity():
         assert got == want, n
 
 
-def test_single_variable_kills_two_rows():
-    assert specialize(
-        schur_to_powersums((1, 1), 2), Specialization.SINGLE_VARIABLE
-    ).is_zero()
-    for n in range(1, 7):
-        for nu in partitions_of(n):
-            xs = specialize(schur_to_powersums(nu, n), Specialization.SINGLE_VARIABLE)
-            if len(nu) >= 2:
-                assert xs.is_zero(), nu
-            else:
-                expected = [RatFun.zero()] * n + [RatFun.one()]
-                assert list(xs.coeffs) == expected, nu
-
-
 def test_specialize_is_multiplicative():
     rng = random.Random(424242)
     for kind in (Specialization.PRINCIPAL, Specialization.CONIFOLD_Y):
