@@ -1,0 +1,6 @@
+"""``python -m qcurve``: the ``qcurve`` command line without the script."""
+
+from .cli import main_entry
+
+if __name__ == "__main__":
+    main_entry()

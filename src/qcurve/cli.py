@@ -277,6 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(parser: argparse.ArgumentParser, args) -> None:
+    if args.out:
+        out = Path(args.out)
+        if out.is_dir():
+            parser.error(f"--out {args.out} is a directory")
+        if not out.parent.is_dir():
+            parser.error(f"--out {args.out}: directory {out.parent} does not exist")
     if args.command == "partitions" and args.n < 0:
         parser.error("n must be >= 0")
     if args.command == "hurwitz" and (args.dmax < 1 or args.gmax < 0):

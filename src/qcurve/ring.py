@@ -27,10 +27,17 @@ pseudo-remainder sequence) and exact division run on Python ints; Fractions
 reappear only when LaurentPoly terms are written out.  Invariant: every
 divisor handed to ``_dense_divexact`` is a primitive integer polynomial, so
 by Gauss's lemma exact division over Q never leaves Z.
+
+LaurentPoly products take the same route: each operand is scaled once to
+integer numerators over one common denominator (the lcm of its coefficient
+denominators), the exponent vectors are convolved with int products and
+sums, and each nonzero output term is written once as a Fraction over the
+product of the two denominators.
 """
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from fractions import Fraction
 from math import gcd as _int_gcd
 from math import lcm as _int_lcm
@@ -193,18 +200,22 @@ class LaurentPoly:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        out: dict[tuple[int, ...], Fraction] = {}
-        for ma, ca in a.items():
-            e0, e1, e2, e3 = ma
-            for mb, cb in b.items():
-                key = (e0 + mb[0], e1 + mb[1], e2 + mb[2], e3 + mb[3])
-                s = out.get(key, _ZERO) + ca * cb
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+        # convolve integer numerators over one common denominator per operand
+        ia, da = _dense_scale_int(a.values())
+        ib, db = _dense_scale_int(b.values())
+        bl = list(zip(b, ib))
+        out: dict[tuple[int, ...], int] = {}
+        get = out.get
+        for (e0, e1, e2, e3), ca in zip(a, ia):
+            for (f0, f1, f2, f3), cb in bl:
+                key = (e0 + f0, e1 + f1, e2 + f2, e3 + f3)
+                out[key] = get(key, 0) + ca * cb
+        den = da * db
         res = LaurentPoly.__new__(LaurentPoly)
-        res.terms = out
+        if den == 1:
+            res.terms = {m: Fraction(v) for m, v in out.items() if v}
+        else:
+            res.terms = {m: Fraction(v, den) for m, v in out.items() if v}
         return res
 
     __rmul__ = __mul__
@@ -372,7 +383,7 @@ def _from_dense(cs: list[Fraction], sidx: int) -> LaurentPoly:
     return LaurentPoly(terms)
 
 
-def _dense_scale_int(cs: list[Fraction]) -> tuple[list[int], int]:
+def _dense_scale_int(cs: Collection[Fraction]) -> tuple[list[int], int]:
     """(den * cs, den) with den the lcm of the coefficient denominators."""
     den = 1
     for c in cs:
@@ -714,7 +725,7 @@ def _normalize_ratfun(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, 
         num = num.mul_term(1, **{SYMBOLS[i]: -e for i, e in enumerate(mono) if e})
     c = core.as_scalar()
     if c is not None:
-        return num * (1 / c), _LP_ONE
+        return (num if c == 1 else num * (1 / c)), _LP_ONE
     used = core.symbols_used()
     if len(used) > 1:
         raise MultivariateDenominatorError(

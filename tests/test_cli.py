@@ -3,9 +3,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qcurve
+from qcurve import cli
 from qcurve.cli import main
 
 
@@ -311,3 +317,44 @@ def test_out_writes_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert len(json.loads(target.read_text())) == 5
+
+
+@pytest.mark.parametrize("target", ["missing/report.json", "."])
+@pytest.mark.parametrize(
+    "argv", [["verify-curve", "--case", "conifold", "--xorder", "2"], ["selftest"]]
+)
+def test_unwritable_out_exits_2_before_work(capsys, tmp_path, monkeypatch, argv, target):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the computation ran before --out was checked")
+
+    monkeypatch.setattr(cli, "verify_annihilation", no_work)
+    monkeypatch.setattr(cli, "run_selftest", no_work)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / target)])
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# python -m qcurve
+# ---------------------------------------------------------------------------
+
+def _python(*args):
+    src = str(Path(qcurve.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
+def test_python_m_qcurve_matches_main(capsys):
+    argv = ["partitions", "3", "--format", "json"]
+    proc = _python("-m", "qcurve", *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run(capsys, *argv)[1]
+
+
+def test_import_does_not_load_main_module():
+    proc = _python("-c", "import sys, qcurve; print('qcurve.__main__' in sys.modules)")
+    assert proc.stdout.strip() == "False", proc.stderr

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import factorial, gcd
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qcurve import ring
@@ -396,6 +396,95 @@ def test_rf_add_shared_denominator_non_integer(monkeypatch):
     for total in (a + b, b + a):
         assert seen.pop() == d2  # no product of the denominators was formed
         assert total.equals_cross(RatFun._raw(a.num * d2 + b.num * d1, d1 * d2))
+
+
+# ---------------------------------------------------------------------------
+# integer product kernel
+# ---------------------------------------------------------------------------
+
+def _fraction_convolution(a, b):
+    """Reference product over Fraction, term by term."""
+    out = {}
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            key = tuple(x + y for x, y in zip(ma, mb))
+            out[key] = out.get(key, Fraction(0)) + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+monos = st.tuples(*[st.integers(-2, 2)] * len(ring.SYMBOLS))
+laurent_polys = st.dictionaries(monos, small_fracs, max_size=5).map(LaurentPoly)
+U, HALF, THIRD = sym("u"), Fraction(1, 2), Fraction(1, 3)
+
+
+@settings(deadline=None)
+@given(laurent_polys, laurent_polys)
+@example(ONE + U, ONE - U)
+@example(U * HALF - LaurentPoly.scalar(THIRD), U * HALF + LaurentPoly.scalar(THIRD))
+@example(U * HALF + sym("E") * THIRD, LaurentPoly.term(Fraction(1, 5), Qh=-1) - sym("lam"))
+def test_product_matches_fraction_convolution(a, b):
+    p = a * b
+    assert p.terms == _fraction_convolution(a, b)
+    assert all(type(c) is Fraction and c for c in p.terms.values())
+
+
+def test_rf_unit_denominator_keeps_numerator():
+    p = sym("u", 2) - LaurentPoly.term(THIRD, Qh=1)
+    assert RatFun(p, ONE).num is p
+
+
+# ---------------------------------------------------------------------------
+# evaluation oracle (independent of the canonical form)
+# ---------------------------------------------------------------------------
+
+def _ev(x, point):
+    """Value of a LaurentPoly or RatFun at point: symbol -> nonzero Fraction."""
+    if isinstance(x, RatFun):
+        return _ev(x.num, point) / _ev(x.den, point)
+    total = Fraction(0)
+    for mono, c in x.terms.items():
+        for name, e in zip(ring.SYMBOLS, mono):
+            c *= point[name] ** e
+        total += c
+    return total
+
+
+nonzero_fracs = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 6))
+points = st.fixed_dictionaries({name: nonzero_fracs for name in ring.SYMBOLS})
+
+
+def _u_poly(draw):
+    """A nonzero Laurent polynomial in u alone."""
+    return _from_coeffs(draw(rational_polys)).mul_term(1, u=draw(st.integers(-2, 2)))
+
+
+@st.composite
+def ratfun_pairs(draw, u_only=False):
+    """(num, den), den in u alone; num too when u_only (a valid divisor)."""
+    num = _u_poly(draw) if u_only else draw(laurent_polys)
+    return num, _u_poly(draw)
+
+
+@settings(deadline=None)
+@given(laurent_polys, laurent_polys, points)
+def test_evaluation_respects_laurent_arithmetic(a, b, pt):
+    assert _ev(a * b, pt) == _ev(a, pt) * _ev(b, pt)
+    assert _ev(a + b, pt) == _ev(a, pt) + _ev(b, pt)
+    assert _ev(a - b, pt) == _ev(a, pt) - _ev(b, pt)
+
+
+@settings(deadline=None)
+@given(ratfun_pairs(), ratfun_pairs(), ratfun_pairs(u_only=True), points)
+def test_evaluation_respects_ratfun_arithmetic(fa, fb, fc, pt):
+    assume(_ev(fa[1], pt) and _ev(fb[1], pt) and _ev(fc[0], pt) and _ev(fc[1], pt))
+    f, g, h = RatFun(*fa), RatFun(*fb), RatFun(*fc)
+    ef, eg, eh = _ev(f, pt), _ev(g, pt), _ev(h, pt)
+    # normalization keeps the value of the unreduced quotient
+    assert ef == _ev(fa[0], pt) / _ev(fa[1], pt)
+    assert _ev(f * g, pt) == ef * eg
+    assert _ev(f + g, pt) == ef + eg
+    assert _ev(f - g, pt) == ef - eg
+    assert _ev(f / h, pt) == ef / eh
 
 
 # ---------------------------------------------------------------------------
