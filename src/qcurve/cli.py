@@ -273,10 +273,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(fn=cmd_selftest)
 
+    # usage errors found after parsing are reported with the subcommand's usage
+    for p in sub.choices.values():
+        p.set_defaults(subparser=p)
     return parser
 
 
-def _validate(parser: argparse.ArgumentParser, args) -> None:
+def _validate(args) -> None:
+    parser = args.subparser
     if args.out:
         out = Path(args.out)
         if out.is_dir():
@@ -303,7 +307,7 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _validate(parser, args)
+    _validate(args)
     return args.fn(args)
 
 

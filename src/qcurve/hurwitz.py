@@ -9,29 +9,37 @@ with the character-weighted Schur sum
 
   sum_nu  dim(nu)/|nu|! * e^(kappa_nu * lam / 2) * s_nu.
 
-We build the right-hand side exactly (Taylor-truncating the exponential
-prefactor in lam), take the graded log, and read off H_{g,mu} from the
-lam^b coefficient.  The same series satisfies the cut-and-join equation
-d/dlam = K, which ``verify_cut_and_join`` checks coefficient by
-coefficient; the genus-0 values with at least three parts also have an
-independent closed form, ``elsv_genus0``.
+We build the right-hand side exactly through lam^M from integer
+character moments.  Expanding s_nu = sum_mu chi_nu(mu)/z_mu * p_mu and
+the exponential, the coefficient of lam^k p_mu (|mu| = n) is
+
+  S_k(mu) / (z_mu * n! * 2^k * k!),
+  S_k(mu) = sum_nu chi_nu(mu) * dim(nu) * kappa_nu^k,
+
+where S_k(mu) is an integer.  We then take the graded log and read off
+H_{g,mu} from the lam^b coefficient.  The same series satisfies the
+cut-and-join equation d/dlam = K, which ``verify_cut_and_join`` checks
+coefficient by coefficient; the genus-0 values with at least three
+parts also have an independent closed form, ``elsv_genus0``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
 from .combinatorics import (
     Partition,
     automorphism_count,
+    centralizer_order,
+    character,
     irrep_dimension,
     kappa,
     partitions_of,
 )
 from .ring import LaurentPoly, RatFun
-from .symfun import SymFunc, cut_and_join, graded_log, schur_to_powersums
+from .symfun import SymFunc, cut_and_join, graded_log
 
 
 class LengthTooSmallError(ValueError):
@@ -78,31 +86,27 @@ class CutJoinReport:
     first_mismatch: tuple[Partition, int, str, str] | None = None
 
 
-def _exp_taylor(half_kappa: Fraction, order: int) -> LaurentPoly:
-    """Taylor expansion of e^(half_kappa * lam) through lam^order."""
-    terms = {}
-    acc = Fraction(1)
-    terms[(0, 0, 0, 0)] = acc
-    for k in range(1, order + 1):
-        acc = acc * half_kappa / k
-        if acc:
-            terms[(0, 0, k, 0)] = acc
-    return LaurentPoly(terms)
-
-
 def burnside_series(degree_cap: int, lam_order: int) -> BurnsideSeries:
-    """The Schur-side series, exact through the stated caps."""
+    """The Schur-side series, exact through the stated caps.
+
+    One pass per degree n: the integer moments S_k(mu) of the module
+    docstring, then one Fraction per nonzero lam^k p_mu coefficient.
+    """
     if degree_cap < 0 or lam_order < 0:
         raise ValueError("caps must be >= 0")
-    acc = SymFunc.one(degree_cap)
+    terms = {(): RatFun.one()}
     for n in range(1, degree_cap + 1):
-        for nu in partitions_of(n):
-            weight = Fraction(irrep_dimension(nu), factorial(n))
-            prefactor = _exp_taylor(Fraction(kappa(nu), 2), lam_order) * weight
-            acc = acc + schur_to_powersums(nu, degree_cap).scale(
-                RatFun.from_poly(prefactor)
-            )
-    return BurnsideSeries(acc, degree_cap, lam_order)
+        shapes = [(irrep_dimension(nu), kappa(nu), nu) for nu in partitions_of(n)]
+        for mu in partitions_of(n):
+            weights = [(dim * character(nu, mu), kap) for dim, kap, nu in shapes]
+            base = centralizer_order(mu) * factorial(n)
+            poly = {}
+            for k in range(lam_order + 1):
+                moment = sum(w * kap**k for w, kap in weights)
+                if moment:
+                    poly[(0, 0, k, 0)] = Fraction(moment, base * 2**k * factorial(k))
+            terms[mu] = RatFun.from_poly(LaurentPoly(poly))
+    return BurnsideSeries(SymFunc(degree_cap, terms), degree_cap, lam_order)
 
 
 def default_lam_order(degree_cap: int, genus_cap: int) -> int:

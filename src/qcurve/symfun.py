@@ -353,15 +353,32 @@ def graded_exp(f: SymFunc, lam_cap: int | None = None) -> SymFunc:
 
 
 def graded_log(f: SymFunc, lam_cap: int | None = None) -> SymFunc:
-    """log of a symmetric function with constant term 1, by grading."""
+    """log of a symmetric function with constant term 1, by grading.
+
+    The degree operator D (D p_mu = |mu| p_mu) is a derivation, so
+    F = exp(L) gives D F = F * D L, which degree by degree reads
+
+      n L_n = n F_n - sum_{0<k<n} k L_k * F_{n-k}.
+
+    One pass over the degrees yields every L_n.  With ``lam_cap`` the
+    coefficients must be polynomials in lam; F is truncated there first
+    and every product after, which is exact because truncation is the
+    quotient by the ideal (lam^(lam_cap+1)).
+    """
     if not f.constant_term().is_one():
         raise BadConstantTermError("log needs constant term 1")
-    g = f - SymFunc.one(f.cap)
+    if lam_cap is not None:
+        f = f.map_coeffs(lambda c: _truncate_lam(c, lam_cap))
+    comps = [  # comps[n] = F_n
+        SymFunc(f.cap, {mu: c for mu, c in f.terms.items() if sum(mu) == n})
+        for n in range(f.cap + 1)
+    ]
+    dlogs = [SymFunc.zero(f.cap)]  # dlogs[k] = k * L_k
     acc = SymFunc.zero(f.cap)
-    power = SymFunc.one(f.cap)
-    for k in range(1, f.cap + 1):
-        power = power.mul(g, lam_cap=lam_cap)
-        if power.is_zero():
-            break
-        acc = acc + power.scale(Fraction((-1) ** (k - 1), k))
+    for n in range(1, f.cap + 1):
+        dlog = comps[n].scale(n)
+        for k in range(1, n):
+            dlog = dlog - dlogs[k].mul(comps[n - k], lam_cap=lam_cap)
+        dlogs.append(dlog)
+        acc = acc + dlog.scale(Fraction(1, n))
     return acc

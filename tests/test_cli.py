@@ -115,6 +115,8 @@ def test_out_of_range_arguments_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+    # reported with the subcommand's usage line, not the top-level one
+    assert capsys.readouterr().err.startswith(f"usage: qcurve {argv[0]} ")
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +323,12 @@ def test_out_writes_file(capsys, tmp_path):
 
 @pytest.mark.parametrize("target", ["missing/report.json", "."])
 @pytest.mark.parametrize(
-    "argv", [["verify-curve", "--case", "conifold", "--xorder", "2"], ["selftest"]]
+    "argv",
+    [
+        ["verify-curve", "--case", "conifold", "--xorder", "2"],
+        ["selftest"],
+        ["partitions", "3"],
+    ],
 )
 def test_unwritable_out_exits_2_before_work(capsys, tmp_path, monkeypatch, argv, target):
     def no_work(*args, **kwargs):
@@ -329,10 +336,13 @@ def test_unwritable_out_exits_2_before_work(capsys, tmp_path, monkeypatch, argv,
 
     monkeypatch.setattr(cli, "verify_annihilation", no_work)
     monkeypatch.setattr(cli, "run_selftest", no_work)
+    monkeypatch.setattr(cli, "partitions_payload", no_work)
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--out", str(tmp_path / target)])
     assert exc.value.code == 2
-    assert "--out" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: qcurve {argv[0]} ")
+    assert "--out" in err
 
 
 # ---------------------------------------------------------------------------

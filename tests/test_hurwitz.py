@@ -13,7 +13,7 @@ from math import factorial
 
 import pytest
 
-from qcurve.combinatorics import partitions_of
+from qcurve.combinatorics import irrep_dimension, kappa, partitions_of
 from qcurve.hurwitz import (
     BurnsideSeries,
     LengthTooSmallError,
@@ -25,7 +25,7 @@ from qcurve.hurwitz import (
     verify_cut_and_join,
 )
 from qcurve.ring import LaurentPoly, RatFun
-from qcurve.symfun import SymFunc
+from qcurve.symfun import SymFunc, schur_to_powersums
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +50,30 @@ def test_series_p2_lambda_coefficient():
     assert c.coefficient_of("lam", 1).as_scalar() == Fraction(1, 2)
     assert c.coefficient_of("lam", 2).is_zero()
     assert c.coefficient_of("lam", 3).as_scalar() == Fraction(1, 12)
+
+
+def _schur_sum_series(degree_cap, lam_order):
+    """Reference: sum_nu dim(nu)/n! * e^(kappa_nu lam/2) * s_nu as SymFunc sums."""
+    acc = SymFunc.one(degree_cap)
+    for n in range(1, degree_cap + 1):
+        for nu in partitions_of(n):
+            half_kappa = Fraction(kappa(nu), 2)
+            taylor = {}
+            term = Fraction(irrep_dimension(nu), factorial(n))
+            for k in range(lam_order + 1):
+                taylor[(0, 0, k, 0)] = term
+                term = term * half_kappa / (k + 1)
+            prefactor = RatFun.from_poly(LaurentPoly(taylor))
+            acc = acc + schur_to_powersums(nu, degree_cap).scale(prefactor)
+    return acc
+
+
+def test_series_matches_schur_sum():
+    for degree_cap in range(6):
+        for lam_order in (0, 1, 2, 5, 10):
+            got = burnside_series(degree_cap, lam_order).sym
+            want = _schur_sum_series(degree_cap, lam_order)
+            assert got == want, (degree_cap, lam_order)
 
 
 # ---------------------------------------------------------------------------
@@ -184,14 +208,16 @@ def test_elsv_refuses_short_partitions():
 
 
 def test_elsv_matches_series_extraction():
-    tbl = hurwitz_table(5, 0)
-    checked = 0
-    for n in range(3, 6):
-        for mu in partitions_of(n):
-            if len(mu) >= 3:
-                assert tbl.value(0, mu) == elsv_genus0(mu), mu
-                checked += 1
-    assert checked == 7
+    # d = 9 is the paper's depth; (dmax, gmax, partitions with >= 3 parts)
+    for dmax, gmax, count in ((5, 0, 7), (9, 1, 67)):
+        tbl = hurwitz_table(dmax, gmax)
+        checked = 0
+        for n in range(3, dmax + 1):
+            for mu in partitions_of(n):
+                if len(mu) >= 3:
+                    assert tbl.value(0, mu) == elsv_genus0(mu), mu
+                    checked += 1
+        assert checked == count
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +227,7 @@ def test_elsv_matches_series_extraction():
 def test_cut_and_join_equation_holds():
     assert verify_cut_and_join(2, 4).ok
     assert verify_cut_and_join(4, 6).ok
+    assert verify_cut_and_join(6, 12).ok
 
 
 def test_cut_and_join_trivial_cap():

@@ -205,6 +205,53 @@ def test_graded_log_exp_round_trip():
         assert graded_exp(graded_log(g)) == g
 
 
+def _power_series_log(f, lam_cap=None):
+    """Reference: log(1 + g) = sum_k (-1)^(k-1) g^k / k, truncating each power."""
+    g = f - SymFunc.one(f.cap)
+    acc = SymFunc.zero(f.cap)
+    power = SymFunc.one(f.cap)
+    for k in range(1, f.cap + 1):
+        power = power.mul(g, lam_cap=lam_cap)
+        acc = acc + power.scale(Fraction((-1) ** (k - 1), k))
+    return acc
+
+
+def _random_lam_series(rng, cap, lam_degree, with_u):
+    terms = {(): RatFun.one()}
+    for n in range(1, cap + 1):
+        for mu in partitions_of(n):
+            if rng.random() < 0.5:
+                continue
+            poly = LaurentPoly.zero()
+            for _ in range(rng.randint(1, 3)):
+                coeff = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                lam = rng.randint(0, lam_degree)
+                u = rng.randint(-2, 2) if with_u else 0
+                poly = poly + LaurentPoly.term(coeff, lam=lam, u=u)
+            terms[mu] = RatFun.from_poly(poly)
+    return SymFunc(cap, terms)
+
+
+def test_graded_log_matches_power_series():
+    rng = random.Random(2024)
+    cases = 0
+    for lam_cap in (None, 0, 1, 3, 5):
+        for trial in range(8):
+            cap = rng.randint(1, 5)
+            # lam-degrees up to 6 exceed every finite cap below 6
+            f = _random_lam_series(rng, cap, 6, with_u=trial % 2 == 1)
+            assert graded_log(f, lam_cap=lam_cap) == _power_series_log(f, lam_cap), (
+                lam_cap, f
+            )
+            cases += 1
+    # a coefficient with a non-unit denominator is only allowed without a lam cap
+    pole = RatFun(LaurentPoly.term(2, lam=1), ONE - LaurentPoly.symbol("u", 2))
+    f = SymFunc(4, {(): RatFun.one(), (1,): pole, (2, 1): HALF, (2,): pole * pole})
+    assert not pole.den.is_one()
+    assert graded_log(f) == _power_series_log(f)
+    assert cases == 40
+
+
 def test_bad_constant_term_errors():
     with pytest.raises(BadConstantTermError):
         graded_log(SymFunc.zero(3))
