@@ -42,7 +42,7 @@ from .combinatorics import (
     kappa,
     partitions_of,
 )
-from .ring import SYMBOLS, LaurentPoly, OrderMismatchError, RatFun, XSeries
+from .ring import LaurentPoly, OrderMismatchError, RatFun, XSeries
 from .symfun import Specialization, quantum_dimension, schur_to_powersums, specialize
 
 
@@ -156,31 +156,28 @@ def curve_operator(case: CurveCase, y_direction: str = "forward") -> QOp:
 def apply_operator(op: QOp, series: XSeries, order: int) -> XSeries:
     """A(x^, y^) applied to a series, exact through x^order.
 
-    Terms raise the x-degree by at most one (asserted structurally), so a
-    series exact through x^order determines the result through x^order.
+    Works one degree at a time: the x^n coefficient of the result is the
+    sum, in term order, of coeff * action(z_(n - xpow)) over the terms
+    with xpow <= n.  Terms raise the x-degree by at most one (asserted
+    structurally), so a series exact through x^order determines the
+    result through x^order.
     """
-    if any(t.xpow > 1 for t in op.terms):
-        raise ValueError("operator terms must have x-power <= 1")
+    if any(not 0 <= t.xpow <= 1 for t in op.terms):
+        raise ValueError("operator terms must have x-power 0 or 1")
     if order > series.order:
         raise OrderMismatchError(
             f"series order {series.order} below requested {order}"
         )
-    z = series if series.order == order else series.truncate(order)
-    acc = XSeries.zero(order)
-    for term in op.terms:
-        part = z.map_coeffs(term.action.apply)
-        c = term.coeff
-        if not c.is_one():
-            if c.den.is_one() and len(c.num.terms) == 1:
-                ((mono, coeff),) = c.num.terms.items()
-                powers = {SYMBOLS[i]: e for i, e in enumerate(mono) if e}
-                part = part.map_coeffs(lambda _, v: v.mul_term(coeff, **powers))
-            else:
-                part = part.scale(c)
-        if term.xpow:
-            part = part.shift(term.xpow)
-        acc = acc.add(part)
-    return acc
+    z = series.coeffs
+    coeffs = []
+    for n in range(order + 1):
+        acc = RatFun.zero()
+        for t in op.terms:
+            if t.xpow <= n:
+                m = n - t.xpow
+                acc = acc + t.coeff * t.action.apply(m, z[m])
+        coeffs.append(acc)
+    return XSeries(order, coeffs)
 
 
 # ---------------------------------------------------------------------------

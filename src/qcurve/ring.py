@@ -21,6 +21,14 @@ no negative exponents and a nonzero constant term (monomial content is
 pushed into the numerator), and shares no nontrivial univariate factor
 with the numerator.  Equal values therefore compare equal structurally.
 
+Multiplying by a unit, one nonzero term c * monomial over denominator 1,
+is one rule kept in two places.  ``LaurentPoly.__mul__`` shifts the
+exponents of the other factor and scales its coefficients by c (a factor
+of exactly 1 returns the other operand).  ``RatFun.__mul__`` keeps the
+other factor's denominator and skips normalization: a unit adds no
+univariate factor, so the gcd with the denominator stays 1.  Scalar
+products, ``scale`` and ``mul_term`` all delegate to these two.
+
 Normalization runs on a univariate integer kernel: coefficient slices are
 read in as Fractions, scaled to integer lists once, and the gcd (primitive
 pseudo-remainder sequence) and exact division run on Python ints; Fractions
@@ -57,10 +65,6 @@ class ZeroDenominatorError(ZeroDivisionError):
 
 class MultivariateDenominatorError(ValueError):
     """Denominator involves more than one symbol after content extraction."""
-
-
-class MultivariateInputError(ValueError):
-    """A univariate-only operation received a multivariate polynomial."""
 
 
 class OrderMismatchError(ValueError):
@@ -187,19 +191,29 @@ class LaurentPoly:
 
     def __mul__(self, other) -> LaurentPoly:
         if isinstance(other, (int, Fraction)):
-            c = _coerce(other)
-            if not c:
-                return _LP_ZERO
-            res = LaurentPoly.__new__(LaurentPoly)
-            res.terms = {m: v * c for m, v in self.terms.items()}
-            return res
-        if not isinstance(other, LaurentPoly):
+            other = LaurentPoly.scalar(other)
+        elif not isinstance(other, LaurentPoly):
             return NotImplemented
         if not self.terms or not other.terms:
             return _LP_ZERO
+        if len(self.terms) > len(other.terms):
+            self, other = other, self
         a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
+        if len(a) == 1:
+            # a unit: shift the exponents of b and scale its coefficients
+            ((shift, c),) = a.items()
+            if c == 1:
+                if shift == _ZERO_MONO:
+                    return other
+                items = b.items()
+            else:
+                items = [(m, v * c) for m, v in b.items()]
+            s0, s1, s2, s3 = shift
+            res = LaurentPoly.__new__(LaurentPoly)
+            res.terms = {
+                (m[0] + s0, m[1] + s1, m[2] + s2, m[3] + s3): v for m, v in items
+            }
+            return res
         # convolve integer numerators over one common denominator per operand
         ia, da = _dense_scale_int(a.values())
         ib, db = _dense_scale_int(b.values())
@@ -234,18 +248,7 @@ class LaurentPoly:
 
     def mul_term(self, coeff, **powers: int) -> LaurentPoly:
         """Multiply by a single (possibly Laurent) term; stays canonical."""
-        c = _coerce(coeff)
-        if not c or not self.terms:
-            return _LP_ZERO
-        s0, s1, s2, s3 = _mono_key(powers)
-        items = self.terms.items()
-        if c != 1:
-            items = [(m, v * c) for m, v in items]
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.terms = {
-            (m[0] + s0, m[1] + s1, m[2] + s2, m[3] + s3): v for m, v in items
-        }
-        return res
+        return self * LaurentPoly.term(coeff, **powers)
 
     def diff(self, name: str) -> LaurentPoly:
         """Formal derivative with respect to one symbol (Laurent rule)."""
@@ -302,11 +305,6 @@ class LaurentPoly:
         }
         return res
 
-    def max_power(self, name: str) -> int:
-        """Largest exponent of ``name``; 0 for the zero polynomial."""
-        i = _SYM_INDEX[name]
-        return max((m[i] for m in self.terms), default=0)
-
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Terms in canonical order: (total degree, exponent vector)."""
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
@@ -357,20 +355,6 @@ _Slice = tuple[tuple[int, ...], int, list[Fraction]]
 def _dense_strip(cs: list) -> None:
     while cs and not cs[-1]:
         cs.pop()
-
-
-def _to_dense(p: LaurentPoly, sidx: int) -> tuple[int, list[Fraction]]:
-    """(min exponent, ascending coefficients) of a poly univariate in sidx."""
-    if not p.terms:
-        return 0, []
-    exps = {m[sidx]: c for m, c in p.terms.items()}
-    if len(exps) != len(p.terms):
-        raise MultivariateInputError(f"not univariate in {SYMBOLS[sidx]}: {p}")
-    lo, hi = min(exps), max(exps)
-    cs = [_ZERO] * (hi - lo + 1)
-    for e, c in exps.items():
-        cs[e - lo] = c
-    return lo, cs
 
 
 def _from_dense(cs: list[Fraction], sidx: int) -> LaurentPoly:
@@ -573,10 +557,7 @@ class RatFun:
 
     @classmethod
     def from_scalar(cls, c) -> RatFun:
-        c = _coerce(c)
-        if not c:
-            return _RF_ZERO
-        return cls._raw(LaurentPoly.scalar(c), _LP_ONE)
+        return cls.term(c)
 
     @classmethod
     def from_poly(cls, p: LaurentPoly) -> RatFun:
@@ -584,10 +565,7 @@ class RatFun:
 
     @classmethod
     def term(cls, coeff, **powers: int) -> RatFun:
-        c = _coerce(coeff)
-        if not c:
-            return _RF_ZERO
-        return cls._raw(LaurentPoly.term(c, **powers), _LP_ONE)
+        return cls._raw(LaurentPoly.term(coeff, **powers), _LP_ONE)
 
     def is_zero(self) -> bool:
         return not self.num.terms
@@ -620,16 +598,12 @@ class RatFun:
         d1, d2 = self.den, other.den
         if d1 == d2:
             return RatFun(self.num + other.num, d1)
-        if d1.is_one():
-            return RatFun(self.num * d2 + other.num, d2)
-        if d2.is_one():
-            return RatFun(self.num + other.num * d1, d1)
         s1 = d1.symbols_used()
         s2 = d2.symbols_used()
         if s1 == s2:
             sidx = s1[0]
-            _, c1 = _to_dense(d1, sidx)
-            _, c2 = _to_dense(d2, sidx)
+            ((_, _, c1),) = _slices_by_others(d1, sidx)
+            ((_, _, c2),) = _slices_by_others(d2, sidx)
             big, small = (c1, c2) if len(c2) <= len(c1) else (c2, c1)
             # small is monic, so big / small = (big / P) * P[-1]
             p = _dense_primitive_int(small)
@@ -646,14 +620,18 @@ class RatFun:
 
     def __mul__(self, other) -> RatFun:
         if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, RatFun):
+            other = RatFun.from_scalar(other)
+        elif not isinstance(other, RatFun):
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return _RF_ZERO
-        if self.den.is_one() and other.den.is_one():
-            return RatFun._raw(self.num * other.num, _LP_ONE)
-        return RatFun(self.num * other.num, self.den * other.den)
+        # a unit (one term over 1) keeps the other factor's form canonical
+        n1, n2 = self.num, other.num
+        if self.den.is_one() and (other.den.is_one() or len(n1.terms) == 1):
+            return RatFun._raw(n1 * n2, other.den)
+        if other.den.is_one() and len(n2.terms) == 1:
+            return RatFun._raw(n1 * n2, self.den)
+        return RatFun(n1 * n2, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -671,17 +649,11 @@ class RatFun:
         return res
 
     def scale(self, c) -> RatFun:
-        c = _coerce(c)
-        if not c:
-            return _RF_ZERO
-        return RatFun._raw(self.num * c, self.den)
+        return self * RatFun.from_scalar(c)
 
     def mul_term(self, coeff, **powers: int) -> RatFun:
         """Multiply by coeff * monomial; units keep the form canonical."""
-        c = _coerce(coeff)
-        if not c or self.is_zero():
-            return _RF_ZERO
-        return RatFun._raw(self.num.mul_term(c, **powers), self.den)
+        return self * RatFun.term(coeff, **powers)
 
     def diff(self, name: str) -> RatFun:
         if self.den.is_one():
@@ -725,14 +697,14 @@ def _normalize_ratfun(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, 
         num = num.mul_term(1, **{SYMBOLS[i]: -e for i, e in enumerate(mono) if e})
     c = core.as_scalar()
     if c is not None:
-        return (num if c == 1 else num * (1 / c)), _LP_ONE
+        return num * (1 / c), _LP_ONE
     used = core.symbols_used()
     if len(used) > 1:
         raise MultivariateDenominatorError(
             f"denominator mixes symbols {[SYMBOLS[i] for i in used]}: {den}"
         )
     sidx = used[0]
-    _, den_dense = _to_dense(core, sidx)
+    ((_, _, den_dense),) = _slices_by_others(core, sidx)
     slices = _slices_by_others(num, sidx)
     content = _content_gcd(slices)
     if len(content) > 1:
@@ -779,10 +751,6 @@ class XSeries:
                     f"expected {order + 1} coefficients, got {len(cs)}"
                 )
         self.coeffs = cs
-
-    @classmethod
-    def zero(cls, order: int) -> XSeries:
-        return cls(order)
 
     @classmethod
     def one(cls, order: int) -> XSeries:

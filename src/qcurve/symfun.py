@@ -376,9 +376,10 @@ def graded_log(f: SymFunc, lam_cap: int | None = None) -> SymFunc:
     dlogs = [SymFunc.zero(f.cap)]  # dlogs[k] = k * L_k
     acc = SymFunc.zero(f.cap)
     for n in range(1, f.cap + 1):
-        dlog = comps[n].scale(n)
+        products = SymFunc.zero(f.cap)
         for k in range(1, n):
-            dlog = dlog - dlogs[k].mul(comps[n - k], lam_cap=lam_cap)
+            products = products + dlogs[k].mul(comps[n - k], lam_cap=lam_cap)
+        dlog = comps[n].scale(n) - products
         dlogs.append(dlog)
         acc = acc + dlog.scale(Fraction(1, n))
     return acc

@@ -27,7 +27,7 @@ from qcurve.curves import (
     z_closed,
     z_from_characters,
 )
-from qcurve.ring import LaurentPoly, RatFun, XSeries
+from qcurve.ring import SYMBOLS, LaurentPoly, RatFun, XSeries
 
 ONE = LaurentPoly.one()
 
@@ -164,12 +164,63 @@ def test_dilation_x_commutation():
 
 
 def test_operator_with_large_xpow_refused():
-    bad = QOp(
-        lambert(), "forward", (QOpTerm(RatFun.one(), 2, Dilation("E", 0)),)
-    )
     z = z_closed(lambert(), 3)
-    with pytest.raises(ValueError):
-        apply_operator(bad, z, 3)
+    for xpow in (2, -1):  # x^-1 would read past the series
+        bad = QOp(
+            lambert(), "forward", (QOpTerm(RatFun.one(), xpow, Dilation("E", 0)),)
+        )
+        with pytest.raises(ValueError):
+            apply_operator(bad, z, 3)
+
+
+def _apply_by_whole_series(op, series, order):
+    """Reference: one whole-series pass per operator term (map the action,
+    multiply by the coefficient, shift by x^xpow, add)."""
+    z = series if series.order == order else series.truncate(order)
+    acc = XSeries(order)
+    for term in op.terms:
+        part = z.map_coeffs(term.action.apply)
+        c = term.coeff
+        if not c.is_one():
+            if c.den.is_one() and len(c.num.terms) == 1:
+                ((mono, coeff),) = c.num.terms.items()
+                powers = {SYMBOLS[i]: e for i, e in enumerate(mono) if e}
+                part = part.map_coeffs(lambda _, v: v.mul_term(coeff, **powers))
+            else:
+                part = part.scale(c)
+        part = part.shift(term.xpow)
+        acc = acc.add(part)
+    return acc
+
+
+@pytest.mark.parametrize(
+    "case, direction",
+    [(lambert(), "forward")]
+    + [(framed_c3(a), "forward") for a in range(-3, 4)]
+    + [(conifold(a), "forward") for a in range(-3, 4)]
+    + [(conifold(a), "inverse") for a in (-1, 1)],
+)
+def test_operator_matches_whole_series_reference(case, direction):
+    op = curve_operator(case, direction)
+    # a series longer than the requested order is cut to it
+    z = z_closed(case, 9)
+    assert apply_operator(op, z, 8) == _apply_by_whole_series(op, z, 8)
+
+
+def test_non_unit_coefficients_match_whole_series_reference():
+    op = QOp(
+        conifold(1),
+        "forward",
+        (
+            QOpTerm(RatFun(ONE + sym("u")), 0, Dilation("u", 2)),
+            QOpTerm(RatFun(ONE, ONE - sym("u", 2)), 1, Dilation("u", -2)),
+            QOpTerm(RatFun(sym("Qh", 2) - sym("u"), ONE + sym("u", 3)), 1, LambdaEuler()),
+        ),
+    )
+    z = z_closed(conifold(1), 8)
+    result = apply_operator(op, z, 8)
+    assert result == _apply_by_whole_series(op, z, 8)
+    assert not result.is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +248,9 @@ def test_conifold_inverse_direction_fails():
     report = verify_annihilation(conifold(1), 6, y_direction="inverse")
     assert not report.ok
     assert report.status == "failed"
-    degree, coefficient = report.first_failure
-    assert degree == 1
-    assert coefficient  # the offending coefficient is reported
+    assert report.first_failure == (
+        1, "(1)*u^-1 + (1)*u^1 + (-1)*Qh^2*u^-1 + (-1)*Qh^2*u^1"
+    )
     # the constant term is direction-independent
     assert report.degrees_ok[0]
 

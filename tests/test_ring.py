@@ -422,6 +422,10 @@ U, HALF, THIRD = sym("u"), Fraction(1, 2), Fraction(1, 3)
 @example(ONE + U, ONE - U)
 @example(U * HALF - LaurentPoly.scalar(THIRD), U * HALF + LaurentPoly.scalar(THIRD))
 @example(U * HALF + sym("E") * THIRD, LaurentPoly.term(Fraction(1, 5), Qh=-1) - sym("lam"))
+# one-term factors: a rational coefficient, negative exponents, exactly 1
+@example(LaurentPoly.term(Fraction(-3, 4), E=1, u=2), U * HALF + sym("Qh") * THIRD)
+@example(ONE - sym("u", -3) * THIRD, LaurentPoly.term(Fraction(2, 5), Qh=-2, lam=-1))
+@example(ONE, U * HALF - sym("lam", -1))
 def test_product_matches_fraction_convolution(a, b):
     p = a * b
     assert p.terms == _fraction_convolution(a, b)
@@ -473,18 +477,58 @@ def test_evaluation_respects_laurent_arithmetic(a, b, pt):
     assert _ev(a - b, pt) == _ev(a, pt) - _ev(b, pt)
 
 
+# a unit: one nonzero term c * monomial over denominator 1
+unit_powers = st.fixed_dictionaries({name: st.integers(-3, 3) for name in ring.SYMBOLS})
+units = st.tuples(nonzero_fracs, unit_powers)
+
+
 @settings(deadline=None)
-@given(ratfun_pairs(), ratfun_pairs(), ratfun_pairs(u_only=True), points)
-def test_evaluation_respects_ratfun_arithmetic(fa, fb, fc, pt):
+@given(ratfun_pairs(), ratfun_pairs(), ratfun_pairs(u_only=True), units, points)
+def test_evaluation_respects_ratfun_arithmetic(fa, fb, fc, unit, pt):
     assume(_ev(fa[1], pt) and _ev(fb[1], pt) and _ev(fc[0], pt) and _ev(fc[1], pt))
     f, g, h = RatFun(*fa), RatFun(*fb), RatFun(*fc)
+    w = RatFun.term(unit[0], **unit[1])
     ef, eg, eh = _ev(f, pt), _ev(g, pt), _ev(h, pt)
     # normalization keeps the value of the unreduced quotient
     assert ef == _ev(fa[0], pt) / _ev(fa[1], pt)
     assert _ev(f * g, pt) == ef * eg
+    assert _ev(w * f, pt) == _ev(w, pt) * ef
     assert _ev(f + g, pt) == ef + eg
     assert _ev(f - g, pt) == ef - eg
     assert _ev(f / h, pt) == ef / eh
+
+
+@settings(deadline=None)
+@given(units, ratfun_pairs())
+@example((Fraction(1), dict.fromkeys(ring.SYMBOLS, 0)), (U * HALF, ONE - U))
+def test_unit_product_keeps_the_other_denominator(unit, fa):
+    c, powers = unit
+    w, f = RatFun.term(c, **powers), RatFun(*fa)
+    # the normalizing constructor gives the same canonical form
+    want = RatFun(w.num * f.num, f.den)
+    assert w * f == f * w == want
+    assert (w * f).den == f.den
+    assert f.mul_term(c, **powers) == want
+    assert f.num.mul_term(c, **powers) == want.num
+    assert f.scale(c) == RatFun(f.num * LaurentPoly.scalar(c), f.den) == f * c
+
+
+def test_unit_zero_and_float_coefficients():
+    p = ONE + U
+    f = RatFun(p, ONE - sym("u", 3))
+    for zero in (f.mul_term(0, u=1), f.scale(0), f * 0, 0 * f):
+        assert zero.is_zero() and zero == RatFun.zero()
+    for zero in (p.mul_term(0, u=1), p * 0, p * Fraction(0)):
+        assert zero.is_zero()
+    for bad in (
+        lambda: f.scale(1.5),
+        lambda: f.mul_term(0.5, u=1),
+        lambda: f * 1.5,
+        lambda: p.mul_term(2.0, u=1),
+        lambda: p * 1.5,
+    ):
+        with pytest.raises(TypeError):
+            bad()
 
 
 # ---------------------------------------------------------------------------
