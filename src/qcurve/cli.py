@@ -287,6 +287,8 @@ def _validate(args) -> None:
             parser.error(f"--out {args.out} is a directory")
         if not out.parent.is_dir():
             parser.error(f"--out {args.out}: directory {out.parent} does not exist")
+    if getattr(args, "golden_dir", None) and not Path(args.golden_dir).is_dir():
+        parser.error(f"--golden-dir {args.golden_dir} is not a directory")
     if args.command == "partitions" and args.n < 0:
         parser.error("n must be >= 0")
     if args.command == "hurwitz" and (args.dmax < 1 or args.gmax < 0):

@@ -503,7 +503,7 @@ def classical_limit(op: QOp) -> ClassicalCurve:
                 ye = step // 2
         if not term.coeff.den.is_one():
             raise ValueError("operator coefficients are polynomial")
-        for mono, c in term.coeff.num.terms.items():
+        for mono, c in term.coeff.num.sorted_terms():
             e_exp, qh_exp, lam_exp, u_exp = mono
             if lam_exp:
                 raise ValueError("no lam in operator coefficients")

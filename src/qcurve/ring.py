@@ -2,8 +2,8 @@
 
 Three layers, all immutable and exact:
 
-  LaurentPoly  multivariate Laurent polynomial over Fraction in the fixed
-               symbol set ``SYMBOLS``
+  LaurentPoly  multivariate Laurent polynomial with rational coefficients
+               in the fixed symbol set ``SYMBOLS``
   RatFun       normalized quotient of Laurent polynomials whose denominator
                involves at most one symbol
   XSeries      power series in a formal variable x, truncated at a fixed
@@ -29,23 +29,20 @@ other factor's denominator and skips normalization: a unit adds no
 univariate factor, so the gcd with the denominator stays 1.  Scalar
 products, ``scale`` and ``mul_term`` all delegate to these two.
 
-Normalization runs on a univariate integer kernel: coefficient slices are
-read in as Fractions, scaled to integer lists once, and the gcd (primitive
-pseudo-remainder sequence) and exact division run on Python ints; Fractions
-reappear only when LaurentPoly terms are written out.  Invariant: every
-divisor handed to ``_dense_divexact`` is a primitive integer polynomial, so
-by Gauss's lemma exact division over Q never leaves Z.
-
-LaurentPoly products take the same route: each operand is scaled once to
-integer numerators over one common denominator (the lcm of its coefficient
-denominators), the exponent vectors are convolved with int products and
-sums, and each nonzero output term is written once as a Fraction over the
-product of the two denominators.
+Storage: a LaurentPoly holds int numerators over one positive int
+denominator, with no common factor, built through one canonicalizing
+constructor.  Products convolve the numerators and multiply the
+denominators; the gcd (primitive pseudo-remainder sequence) and exact
+division of normalization run on the numerators of dense slices, all in
+Python ints.  Fractions appear only at the edges: the public constructor,
+``sorted_terms`` (and so text and JSON), ``as_scalar`` and the one scalar
+that makes a denominator monic.  Invariant: every divisor handed to
+``_dense_divexact`` is a primitive integer polynomial, so by Gauss's lemma
+exact division over Q never leaves Z and keeps the numerators' content.
 """
 
 from __future__ import annotations
 
-from collections.abc import Collection
 from fractions import Fraction
 from math import gcd as _int_gcd
 from math import lcm as _int_lcm
@@ -93,23 +90,26 @@ def _mono_str(mono: tuple[int, ...]) -> str:
 
 
 class LaurentPoly:
-    """Laurent polynomial in the fixed symbols, exact Fraction coefficients.
+    """Laurent polynomial in the fixed symbols with rational coefficients.
 
-    Terms map exponent vectors (ordered as ``SYMBOLS``) to nonzero
-    coefficients.  Instances are value objects: hashable, comparable,
-    never mutated after construction.
+    Stored as int numerators over one positive int ``den``: ``terms`` maps
+    exponent vectors (ordered as ``SYMBOLS``) to nonzero ints, and
+    gcd(den, numerators) == 1, so equal values have equal fields.
+    Instances are value objects: hashable, comparable, never mutated after
+    construction.  Fractions appear only at the edges (the constructor,
+    ``sorted_terms`` and ``as_scalar``).
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "den")
 
     def __init__(self, terms: dict[tuple[int, ...], Fraction] | None = None):
-        clean: dict[tuple[int, ...], Fraction] = {}
-        if terms:
-            for mono, c in terms.items():
-                c = _coerce(c)
-                if c:
-                    clean[mono] = c
-        self.terms = clean
+        clean = {m: _coerce(c) for m, c in (terms or {}).items()}
+        # over the lcm of the denominators the numerators are already coprime
+        den = _int_lcm(*(c.denominator for c in clean.values()))
+        self.terms = {
+            m: c.numerator * (den // c.denominator) for m, c in clean.items() if c
+        }
+        self.den = den
 
     @classmethod
     def zero(cls) -> LaurentPoly:
@@ -136,14 +136,14 @@ class LaurentPoly:
         return not self.terms
 
     def is_one(self) -> bool:
-        return self.terms == {_ZERO_MONO: _ONE}
+        return self.den == 1 and self.terms == {_ZERO_MONO: 1}
 
     def as_scalar(self) -> Fraction | None:
         """The value as a plain Fraction, or None if any symbol appears."""
         if not self.terms:
             return _ZERO
         if len(self.terms) == 1 and _ZERO_MONO in self.terms:
-            return self.terms[_ZERO_MONO]
+            return Fraction(self.terms[_ZERO_MONO], self.den)
         return None
 
     def symbols_used(self) -> tuple[int, ...]:
@@ -158,10 +158,10 @@ class LaurentPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+        return hash((frozenset(self.terms.items()), self.den))
 
     def __add__(self, other: LaurentPoly) -> LaurentPoly:
         if not isinstance(other, LaurentPoly):
@@ -170,21 +170,21 @@ class LaurentPoly:
             return other
         if not other.terms:
             return self
-        out = dict(self.terms)
+        den = _int_lcm(self.den, other.den)
+        ka, kb = den // self.den, den // other.den
+        out = dict(self.terms) if ka == 1 else {
+            m: c * ka for m, c in self.terms.items()
+        }
         for mono, c in other.terms.items():
-            s = out.get(mono, _ZERO) + c
+            s = out.get(mono, 0) + c * kb
             if s:
                 out[mono] = s
             else:
                 out.pop(mono, None)
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.terms = out
-        return res
+        return _lp(out, den)
 
     def __neg__(self) -> LaurentPoly:
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.terms = {m: -c for m, c in self.terms.items()}
-        return res
+        return _lp({m: -c for m, c in self.terms.items()}, self.den)
 
     def __sub__(self, other: LaurentPoly) -> LaurentPoly:
         return self + (-other)
@@ -199,38 +199,26 @@ class LaurentPoly:
         if len(self.terms) > len(other.terms):
             self, other = other, self
         a, b = self.terms, other.terms
+        den = self.den * other.den
         if len(a) == 1:
-            # a unit: shift the exponents of b and scale its coefficients
+            # a unit: shift the exponents of b and scale its numerators
+            if self.is_one():
+                return other
             ((shift, c),) = a.items()
-            if c == 1:
-                if shift == _ZERO_MONO:
-                    return other
-                items = b.items()
-            else:
-                items = [(m, v * c) for m, v in b.items()]
+            items = b.items() if c == 1 else [(m, v * c) for m, v in b.items()]
             s0, s1, s2, s3 = shift
-            res = LaurentPoly.__new__(LaurentPoly)
-            res.terms = {
-                (m[0] + s0, m[1] + s1, m[2] + s2, m[3] + s3): v for m, v in items
-            }
-            return res
-        # convolve integer numerators over one common denominator per operand
-        ia, da = _dense_scale_int(a.values())
-        ib, db = _dense_scale_int(b.values())
-        bl = list(zip(b, ib))
+            return _lp(
+                {(m[0] + s0, m[1] + s1, m[2] + s2, m[3] + s3): v for m, v in items},
+                den,
+            )
+        bl = list(b.items())
         out: dict[tuple[int, ...], int] = {}
         get = out.get
-        for (e0, e1, e2, e3), ca in zip(a, ia):
+        for (e0, e1, e2, e3), ca in a.items():
             for (f0, f1, f2, f3), cb in bl:
                 key = (e0 + f0, e1 + f1, e2 + f2, e3 + f3)
                 out[key] = get(key, 0) + ca * cb
-        den = da * db
-        res = LaurentPoly.__new__(LaurentPoly)
-        if den == 1:
-            res.terms = {m: Fraction(v) for m, v in out.items() if v}
-        else:
-            res.terms = {m: Fraction(v, den) for m, v in out.items() if v}
-        return res
+        return _lp({m: v for m, v in out.items() if v}, den)
 
     __rmul__ = __mul__
 
@@ -253,61 +241,59 @@ class LaurentPoly:
     def diff(self, name: str) -> LaurentPoly:
         """Formal derivative with respect to one symbol (Laurent rule)."""
         i = _SYM_INDEX[name]
-        out: dict[tuple[int, ...], Fraction] = {}
-        for mono, c in self.terms.items():
-            e = mono[i]
-            if e == 0:
-                continue
-            key = mono[:i] + (e - 1,) + mono[i + 1:]
-            s = out.get(key, _ZERO) + c * e
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.terms = out
-        return res
+        # m -> m - e_i is injective, so no two terms meet
+        return _lp(
+            {
+                m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i]
+                for m, c in self.terms.items()
+                if m[i]
+            },
+            self.den,
+        )
 
     def subs_symbol_power(self, src: str, dst: str, k: int) -> LaurentPoly:
         """Replace src^e by dst^(k*e) in every term."""
         si, di = _SYM_INDEX[src], _SYM_INDEX[dst]
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], int] = {}
         for mono, c in self.terms.items():
             e = mono[si]
             exps = list(mono)
             exps[si] = 0
             exps[di] += k * e
             key = tuple(exps)
-            s = out.get(key, _ZERO) + c
+            s = out.get(key, 0) + c
             if s:
                 out[key] = s
             else:
                 out.pop(key, None)
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.terms = out
-        return res
+        return _lp(out, self.den)
 
     def truncate_symbol(self, name: str, max_power: int) -> LaurentPoly:
         """Drop terms whose exponent in ``name`` exceeds ``max_power``."""
         i = _SYM_INDEX[name]
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.terms = {m: c for m, c in self.terms.items() if m[i] <= max_power}
-        return res
+        return _lp(
+            {m: c for m, c in self.terms.items() if m[i] <= max_power}, self.den
+        )
 
     def coefficient_of(self, name: str, power: int) -> LaurentPoly:
         """Coefficient of name^power, as a polynomial in the other symbols."""
         i = _SYM_INDEX[name]
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.terms = {
-            m[:i] + (0,) + m[i + 1:]: c
-            for m, c in self.terms.items()
-            if m[i] == power
-        }
-        return res
+        return _lp(
+            {
+                m[:i] + (0,) + m[i + 1:]: c
+                for m, c in self.terms.items()
+                if m[i] == power
+            },
+            self.den,
+        )
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        """Terms in canonical order: (total degree, exponent vector)."""
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+        """Terms with their Fraction coefficients in canonical order:
+        (total degree, exponent vector)."""
+        return [
+            (m, Fraction(c, self.den))
+            for m, c in sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+        ]
 
     def __str__(self) -> str:
         if not self.terms:
@@ -340,6 +326,24 @@ class LaurentPoly:
         )
 
 
+def _lp(terms: dict[tuple[int, ...], int], den: int) -> LaurentPoly:
+    """LaurentPoly from nonzero int numerators over a positive den, with
+    the common factor of den and the numerators divided out."""
+    if den != 1:
+        g = den
+        for v in terms.values():
+            g = _int_gcd(g, v)
+            if g == 1:
+                break
+        if g != 1:
+            den //= g
+            terms = {m: v // g for m, v in terms.items()}
+    res = LaurentPoly.__new__(LaurentPoly)
+    res.terms = terms
+    res.den = den
+    return res
+
+
 _LP_ZERO = LaurentPoly()
 _LP_ONE = LaurentPoly({_ZERO_MONO: _ONE})
 
@@ -348,8 +352,8 @@ _LP_ONE = LaurentPoly({_ZERO_MONO: _ONE})
 # dense univariate helpers (ascending coefficient lists)
 # ---------------------------------------------------------------------------
 
-# (monomial in the other symbols, lowest exponent, ascending coefficients)
-_Slice = tuple[tuple[int, ...], int, list[Fraction]]
+# (monomial in the other symbols, lowest exponent, ascending numerators)
+_Slice = tuple[tuple[int, ...], int, list[int]]
 
 
 def _dense_strip(cs: list) -> None:
@@ -357,22 +361,14 @@ def _dense_strip(cs: list) -> None:
         cs.pop()
 
 
-def _from_dense(cs: list[Fraction], sidx: int) -> LaurentPoly:
+def _from_dense(cs: list[int], sidx: int, den: int = 1) -> LaurentPoly:
     terms = {}
     for k, c in enumerate(cs):
         if c:
             mono = [0] * _NSYM
             mono[sidx] = k
             terms[tuple(mono)] = c
-    return LaurentPoly(terms)
-
-
-def _dense_scale_int(cs: Collection[Fraction]) -> tuple[list[int], int]:
-    """(den * cs, den) with den the lcm of the coefficient denominators."""
-    den = 1
-    for c in cs:
-        den = _int_lcm(den, c.denominator)
-    return [c.numerator * (den // c.denominator) for c in cs], den
+    return _lp(terms, den)
 
 
 def _int_primitive(ints: list[int]) -> list[int]:
@@ -383,11 +379,6 @@ def _int_primitive(ints: list[int]) -> list[int]:
         if g == 1:
             return ints
     return [v // g for v in ints] if g else ints
-
-
-def _dense_primitive_int(cs: list[Fraction]) -> list[int]:
-    """Primitive integer multiple of a rational coefficient list."""
-    return _int_primitive(_dense_scale_int(cs)[0])
 
 
 def _dense_prem_int(f: list[int], g: list[int]) -> list[int]:
@@ -420,13 +411,13 @@ def _dense_gcd_int(f: list[int], g: list[int]) -> list[int]:
     return f
 
 
-def _dense_divexact(f: list[Fraction], g: list[int]) -> list[Fraction] | None:
-    """f / g (ascending dense) for a primitive integer g, or None if inexact.
+def _dense_divexact(f: list[int], g: list[int]) -> list[int] | None:
+    """f / g (ascending dense ints) for a primitive g, or None if inexact.
 
-    f is scaled once to integers.  By Gauss's lemma a primitive integer
-    polynomial that divides an integer polynomial over Q divides it over Z,
-    so the long division runs in int and any remainder, at a leading
-    coefficient or at the end, means g does not divide f.
+    By Gauss's lemma a primitive integer polynomial that divides an integer
+    polynomial over Q divides it over Z, so the long division runs in int
+    and any remainder, at a leading coefficient or at the end, means g does
+    not divide f.
     """
     if not f:
         return []
@@ -434,7 +425,7 @@ def _dense_divexact(f: list[Fraction], g: list[int]) -> list[Fraction] | None:
     n = len(f) - dg
     if n < 1:
         return None
-    r, den = _dense_scale_int(f)
+    r = f[:]
     lg = g[-1]
     low = g[:dg]
     q = [0] * n
@@ -447,14 +438,14 @@ def _dense_divexact(f: list[Fraction], g: list[int]) -> list[Fraction] | None:
             r[k:dg + k] = [a - c * b for a, b in zip(r[k:dg + k], low)]
     if any(r[:dg]):
         return None
-    return [Fraction(c, den) for c in q]
+    return q
 
 
 def _content_gcd(slices: list[_Slice]) -> list[int]:
-    """gcd (primitive integer form) of the dense rational slices."""
+    """gcd (primitive integer form) of the dense slices."""
     g: list[int] = []
     for _, _, cs in slices:
-        gi = _dense_primitive_int(cs)
+        gi = _int_primitive(cs)
         g = gi if not g else _dense_gcd_int(g, gi)
         if len(g) == 1:
             break
@@ -473,29 +464,26 @@ def _extract_monomial(p: LaurentPoly) -> tuple[tuple[int, ...], LaurentPoly]:
     shift = tuple(m if m else 0 for m in mins)
     if shift == _ZERO_MONO:
         return _ZERO_MONO, p
-    core = LaurentPoly.__new__(LaurentPoly)
-    core.terms = {
-        tuple(e - s for e, s in zip(m, shift)): c for m, c in p.terms.items()
-    }
-    return shift, core
+    core = {tuple(e - s for e, s in zip(m, shift)): c for m, c in p.terms.items()}
+    return shift, _lp(core, p.den)
 
 
 def _slices_by_others(p: LaurentPoly, sidx: int) -> list[_Slice]:
     """Dense views in symbol sidx, one per monomial in the other symbols.
 
     Each slice is (that monomial, its lowest exponent of sidx, ascending
-    coefficients from there).  Shifting to exponent 0 drops a unit factor,
-    which cannot affect divisibility by polynomials with nonzero constant
-    term.
+    numerators over ``p.den`` from there).  Shifting to exponent 0 drops a
+    unit factor, which cannot affect divisibility by polynomials with
+    nonzero constant term.
     """
-    groups: dict[tuple[int, ...], dict[int, Fraction]] = {}
+    groups: dict[tuple[int, ...], dict[int, int]] = {}
     for mono, c in p.terms.items():
         key = mono[:sidx] + (0,) + mono[sidx + 1:]
         groups.setdefault(key, {})[mono[sidx]] = c
     out = []
     for key, exps in groups.items():
         lo, hi = min(exps), max(exps)
-        cs = [_ZERO] * (hi - lo + 1)
+        cs = [0] * (hi - lo + 1)
         for e, c in exps.items():
             cs[e - lo] = c
         out.append((key, lo, cs))
@@ -503,10 +491,12 @@ def _slices_by_others(p: LaurentPoly, sidx: int) -> list[_Slice]:
 
 
 def _divexact_slices(
-    slices: list[_Slice], g_dense: list[int], sidx: int
+    slices: list[_Slice], g_dense: list[int], sidx: int, den: int
 ) -> LaurentPoly:
-    """Divide the sliced poly by an integer poly in sidx; must be exact."""
-    terms: dict[tuple[int, ...], Fraction] = {}
+    """Divide the sliced poly (numerators over den) by a primitive integer
+    poly in sidx; must be exact.  By Gauss's lemma the quotient keeps the
+    numerators' content, so den stays."""
+    terms: dict[tuple[int, ...], int] = {}
     for key, lo, cs in slices:
         q = _dense_divexact(cs, g_dense)
         if q is None:
@@ -514,9 +504,7 @@ def _divexact_slices(
         for k, c in enumerate(q):
             if c:
                 terms[key[:sidx] + (k + lo,) + key[sidx + 1:]] = c
-    res = LaurentPoly.__new__(LaurentPoly)
-    res.terms = terms
-    return res
+    return _lp(terms, den)
 
 
 # ---------------------------------------------------------------------------
@@ -604,13 +592,13 @@ class RatFun:
             sidx = s1[0]
             ((_, _, c1),) = _slices_by_others(d1, sidx)
             ((_, _, c2),) = _slices_by_others(d2, sidx)
-            big, small = (c1, c2) if len(c2) <= len(c1) else (c2, c1)
-            # small is monic, so big / small = (big / P) * P[-1]
-            p = _dense_primitive_int(small)
-            q = _dense_divexact(big, p)
+            big, cb, p = (d1, c1, c2) if len(c2) <= len(c1) else (d2, c2, c1)
+            # small is monic, so its numerators P are primitive with
+            # P[-1] = small.den, and big / small = (B / P) * P[-1] / big.den
+            q = _dense_divexact(cb, p)
             if q is not None:
-                qp = _from_dense([c * p[-1] for c in q], sidx)
-                if big is c1:
+                qp = _from_dense([c * p[-1] for c in q], sidx, big.den)
+                if big is d1:
                     return RatFun(self.num + other.num * qp, d1)
                 return RatFun(self.num * qp + other.num, d2)
         return RatFun(self.num * d2 + other.num * d1, d1 * d2)
@@ -695,34 +683,32 @@ def _normalize_ratfun(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, 
     mono, core = _extract_monomial(den)
     if mono != _ZERO_MONO:
         num = num.mul_term(1, **{SYMBOLS[i]: -e for i, e in enumerate(mono) if e})
-    c = core.as_scalar()
-    if c is not None:
-        return num * (1 / c), _LP_ONE
     used = core.symbols_used()
     if len(used) > 1:
         raise MultivariateDenominatorError(
             f"denominator mixes symbols {[SYMBOLS[i] for i in used]}: {den}"
         )
-    sidx = used[0]
+    sidx = used[0] if used else 0  # a constant is one slice in any symbol
     ((_, _, den_dense),) = _slices_by_others(core, sidx)
-    slices = _slices_by_others(num, sidx)
-    content = _content_gcd(slices)
-    if len(content) > 1:
-        g = _dense_gcd_int(content, _dense_primitive_int(den_dense))
-        if len(g) > 1:
-            num = _divexact_slices(slices, g, sidx)
-            q = _dense_divexact(den_dense, g)
-            if q is None:
-                raise ArithmeticError("gcd does not divide denominator")
-            den_dense = q
-            if len(den_dense) == 1:
-                return num * (1 / den_dense[0]), _LP_ONE
+    if used:
+        slices = _slices_by_others(num, sidx)
+        content = _content_gcd(slices)
+        if len(content) > 1:
+            g = _dense_gcd_int(content, _int_primitive(den_dense))
+            if len(g) > 1:
+                num = _divexact_slices(slices, g, sidx, num.den)
+                den_dense = _dense_divexact(den_dense, g)
+                if den_dense is None:
+                    raise ArithmeticError("gcd does not divide denominator")
+    # one scalar, the leading coefficient, makes the denominator monic
     lead = den_dense[-1]
-    if lead != 1:
-        inv = 1 / lead
-        num = num * inv
-        den_dense = [c * inv for c in den_dense]
-    return num, _from_dense(den_dense, sidx)
+    if lead != core.den:
+        num = num * Fraction(core.den, lead)
+    if len(den_dense) == 1:
+        return num, _LP_ONE
+    if lead < 0:
+        den_dense = [-c for c in den_dense]
+    return num, _from_dense(den_dense, sidx, abs(lead))
 
 
 _RF_ZERO = RatFun._raw(_LP_ZERO, _LP_ONE)

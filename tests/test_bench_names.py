@@ -40,3 +40,31 @@ def test_every_traced_name_resolves_and_is_restored():
     restore()
     assert all(p is not b for p, b in zip(patched, before))
     assert all(lookup(t) is b for t, b in zip(targets, before))
+
+
+def test_counters_still_read_the_ring():
+    from fractions import Fraction
+
+    from qcurve.ring import LaurentPoly, RatFun
+
+    tracing = _load_tracing()
+    u, one, half = (
+        LaurentPoly.symbol("u"), LaurentPoly.one(), LaurentPoly.scalar(Fraction(1, 2))
+    )
+    d1 = u + half
+    a = RatFun(LaurentPoly.symbol("Qh", 2), d1)
+    b = RatFun(u - one, d1 * (u + one))
+    c = one - u * u
+    tracer = tracing.Tracer()
+    restore = tracing.patch(tracer)
+    tracer.enabled = True
+    try:
+        a + b  # d1 divides the other denominator
+        (one + u) * (one - u)
+        RatFun((one + u) * c, (u + u + one) * c)
+    finally:
+        tracer.enabled = False
+        restore()
+    assert tracer.counts["ratfun_add.shared_den"] == 1
+    assert tracer.counts["laurent_mul.term_products"] >= 4
+    assert tracer.counts["ratfun_norm.cancelled"] == 1

@@ -109,6 +109,8 @@ def test_lambert_framing_rejected(capsys):
         ["recurrence", "--case", "c3", "--xorder", "0"],
         ["verify-curve", "--case", "c3", "--y-direction", "inverse"],
         ["verify-curve", "--case", "lambert", "--y-direction", "inverse"],
+        ["selftest", "--golden-dir", "no/such/golden/dir"],
+        ["selftest", "--golden-dir", __file__],
     ],
 )
 def test_out_of_range_arguments_exit_2(capsys, argv):

@@ -183,7 +183,7 @@ def _apply_by_whole_series(op, series, order):
         c = term.coeff
         if not c.is_one():
             if c.den.is_one() and len(c.num.terms) == 1:
-                ((mono, coeff),) = c.num.terms.items()
+                ((mono, coeff),) = c.num.sorted_terms()
                 powers = {SYMBOLS[i]: e for i, e in enumerate(mono) if e}
                 part = part.map_coeffs(lambda _, v: v.mul_term(coeff, **powers))
             else:

@@ -1,8 +1,9 @@
 """Ring kernel: Laurent polynomials, rational normalization, series."""
 
+import json
 import random
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -216,11 +217,17 @@ def test_rf_laurent_denominator():
 # univariate gcd (integer kernel)
 # ---------------------------------------------------------------------------
 
+def _to_ints(cs):
+    """(cs * d as ints, d) for d the lcm of the coefficient denominators."""
+    d = lcm(*(Fraction(c).denominator for c in cs))
+    return [int(c * d) for c in cs], d
+
+
 def _kernel_gcd_monic(a, b):
-    """Monic gcd of two ascending Fraction lists through the int kernel."""
-    g = ring._dense_gcd_int(
-        ring._dense_primitive_int(a), ring._dense_primitive_int(b)
-    )
+    """Monic gcd of two ascending integral lists through the int kernel."""
+    ia, ib = _to_ints(a)[0], _to_ints(b)[0]
+    assert ia == a and ib == b
+    g = ring._dense_gcd_int(ring._int_primitive(ia), ring._int_primitive(ib))
     return [Fraction(c, g[-1]) for c in g]
 
 
@@ -327,7 +334,9 @@ def primitive_int_polys(draw, min_degree=1):
 @example([Fraction(1, 2), Fraction(-5, 3)], [3, 2])  # 2u + 3
 @example([Fraction(7), Fraction(0), Fraction(1, 4)], [2, 0, -3])  # -3u^2 + 2
 def test_divexact_recovers_quotient(f, g):
-    assert ring._dense_divexact(_dense_mul(f, g), g) == f
+    ints, d = _to_ints(f)
+    prod = [int(c * d) for c in _dense_mul(f, g)]
+    assert ring._dense_divexact(prod, g) == ints
 
 
 @settings(deadline=None)
@@ -339,7 +348,7 @@ def test_divexact_rejects_remainder(f, g, data):
     prod = _dense_mul(f, g)
     for i, c in enumerate(r):
         prod[i] += c
-    assert ring._dense_divexact(prod, g) is None
+    assert ring._dense_divexact(_to_ints(prod)[0], g) is None
 
 
 def _fraction_divmod(f, g):
@@ -358,12 +367,13 @@ def _fraction_divmod(f, g):
 @example([Fraction(0), Fraction(1)], [1, 2])  # u / (2u + 1)
 def test_divexact_agrees_with_fraction_division(f, g):
     # arbitrary f: the integer kernel is exact exactly when Q-division is
-    got = ring._dense_divexact(f, g)
+    ints, d = _to_ints(f)
+    got = ring._dense_divexact(ints, g)
     if len(f) < len(g):
         assert got is None
         return
     q, r = _fraction_divmod(f, g)
-    assert got == (None if any(r) else q)
+    assert got == (None if any(r) else [c * d for c in q])
 
 
 @settings(deadline=None)
@@ -405,8 +415,8 @@ def test_rf_add_shared_denominator_non_integer(monkeypatch):
 def _fraction_convolution(a, b):
     """Reference product over Fraction, term by term."""
     out = {}
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
+    for ma, ca in a.sorted_terms():
+        for mb, cb in b.sorted_terms():
             key = tuple(x + y for x, y in zip(ma, mb))
             out[key] = out.get(key, Fraction(0)) + ca * cb
     return {m: c for m, c in out.items() if c}
@@ -428,13 +438,53 @@ U, HALF, THIRD = sym("u"), Fraction(1, 2), Fraction(1, 3)
 @example(ONE, U * HALF - sym("lam", -1))
 def test_product_matches_fraction_convolution(a, b):
     p = a * b
-    assert p.terms == _fraction_convolution(a, b)
-    assert all(type(c) is Fraction and c for c in p.terms.values())
+    assert dict(p.sorted_terms()) == _fraction_convolution(a, b)
+    assert all(type(c) is Fraction and c for _, c in p.sorted_terms())
 
 
 def test_rf_unit_denominator_keeps_numerator():
     p = sym("u", 2) - LaurentPoly.term(THIRD, Qh=1)
     assert RatFun(p, ONE).num is p
+
+
+# ---------------------------------------------------------------------------
+# canonical storage: int numerators over one denominator
+# ---------------------------------------------------------------------------
+
+def _fields(p):
+    return p.terms, p.den
+
+
+names = st.sampled_from(ring.SYMBOLS)
+
+
+@settings(deadline=None)
+@given(laurent_polys, laurent_polys, names, names, st.integers(-2, 2))
+@example(U * HALF + ONE * HALF, U * HALF - ONE * HALF, "u", "E", 1)  # sum 1*u
+def test_results_are_canonical_and_round_trip(a, b, src, dst, k):
+    for p in (
+        a, b, a + b, a - b, a * b, a.diff(src),
+        a.subs_symbol_power(src, dst, k), a.truncate_symbol(src, k),
+        a.coefficient_of(src, k),
+    ):
+        assert p.den > 0
+        assert all(type(c) is int and c for c in p.terms.values())
+        assert gcd(p.den, *p.terms.values()) == 1
+        text = json.dumps(p.to_json_terms())
+        assert _fields(LaurentPoly.from_json_terms(json.loads(text))) == _fields(p)
+
+
+@settings(deadline=None)
+@given(
+    st.dictionaries(monos, small_fracs, max_size=5),
+    st.integers(-12, 12).filter(bool),
+)
+@example({(0, 0, 0, 1): HALF, (0, 0, 0, 0): THIRD}, 6)
+def test_rescaled_input_gives_the_same_fields(terms, k):
+    big, want = LaurentPoly({m: c * k for m, c in terms.items()}), LaurentPoly(terms)
+    assert _fields(big * Fraction(1, k)) == _fields(want)
+    # values that differ by a scalar factor compare unequal
+    assert (big == want) == (k == 1 or want.is_zero())
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +496,7 @@ def _ev(x, point):
     if isinstance(x, RatFun):
         return _ev(x.num, point) / _ev(x.den, point)
     total = Fraction(0)
-    for mono, c in x.terms.items():
+    for mono, c in x.sorted_terms():
         for name, e in zip(ring.SYMBOLS, mono):
             c *= point[name] ** e
         total += c
@@ -630,8 +680,6 @@ def test_json_rendering():
 
 
 def test_json_round_trip():
-    import json
-
     rng = random.Random(77)
     for _ in range(15):
         num = random_poly(rng, symbols=("u", "Qh"))
