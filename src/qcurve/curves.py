@@ -156,11 +156,11 @@ def curve_operator(case: CurveCase, y_direction: str = "forward") -> QOp:
 def apply_operator(op: QOp, series: XSeries, order: int) -> XSeries:
     """A(x^, y^) applied to a series, exact through x^order.
 
-    Works one degree at a time: the x^n coefficient of the result is the
-    sum, in term order, of coeff * action(z_(n - xpow)) over the terms
-    with xpow <= n.  Terms raise the x-degree by at most one (asserted
-    structurally), so a series exact through x^order determines the
-    result through x^order.
+    Works one degree at a time: the x^n coefficient of the result is one
+    ``RatFun.sum`` of coeff * action(z_(n - xpow)) over the terms with
+    xpow <= n, so a degree that vanishes runs no gcd.  Terms raise the
+    x-degree by at most one (asserted structurally), so a series exact
+    through x^order determines the result through x^order.
     """
     if any(not 0 <= t.xpow <= 1 for t in op.terms):
         raise ValueError("operator terms must have x-power 0 or 1")
@@ -169,15 +169,14 @@ def apply_operator(op: QOp, series: XSeries, order: int) -> XSeries:
             f"series order {series.order} below requested {order}"
         )
     z = series.coeffs
-    coeffs = []
-    for n in range(order + 1):
-        acc = RatFun.zero()
-        for t in op.terms:
-            if t.xpow <= n:
-                m = n - t.xpow
-                acc = acc + t.coeff * t.action.apply(m, z[m])
-        coeffs.append(acc)
-    return XSeries(order, coeffs)
+    return XSeries(order, [
+        RatFun.sum(
+            t.coeff * t.action.apply(n - t.xpow, z[n - t.xpow])
+            for t in op.terms
+            if t.xpow <= n
+        )
+        for n in range(order + 1)
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +244,9 @@ def z_from_characters(case: CurveCase, order: int) -> XSeries:
     coeffs = [RatFun.one()]
     for n in range(1, order + 1):
         sums = _character_sum(n)
-        acc = RatFun.zero()
-        for nu in partitions_of(n):
-            acc = acc + _weight(case, nu, n).scale(sums[nu])
-        coeffs.append(acc)
+        coeffs.append(RatFun.sum(
+            _weight(case, nu, n).scale(sums[nu]) for nu in partitions_of(n)
+        ))
     return XSeries(order, coeffs)
 
 

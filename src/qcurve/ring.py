@@ -29,6 +29,14 @@ other factor's denominator and skips normalization: a unit adds no
 univariate factor, so the gcd with the denominator stays 1.  Scalar
 products, ``scale`` and ``mul_term`` all delegate to these two.
 
+Adding is one rule, ``RatFun.sum``, and ``+`` is its two-term case.  The
+lcm of the distinct denominators is built once; each numerator is brought
+over it by one exact division for its cofactor, and the numerators are
+added.  A total that is zero over the lcm is the answer, so no gcd runs
+(an annihilated degree costs exact divisions only); any other total is
+normalized once, and the canonical form makes the result the same as a
+pairwise fold would give.
+
 Storage: a LaurentPoly holds int numerators over one positive int
 denominator, with no common factor, built through one canonicalizing
 constructor.  Products convolve the numerators and multiply the
@@ -43,9 +51,11 @@ exact division over Q never leaves Z and keeps the numerators' content.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from math import gcd as _int_gcd
 from math import lcm as _int_lcm
+from operator import itemgetter
 
 SYMBOLS = ("E", "Qh", "lam", "u")
 _NSYM = len(SYMBOLS)
@@ -352,8 +362,10 @@ _LP_ONE = LaurentPoly({_ZERO_MONO: _ONE})
 # dense univariate helpers (ascending coefficient lists)
 # ---------------------------------------------------------------------------
 
-# (monomial in the other symbols, lowest exponent, ascending numerators)
+# (exponents of the other symbols, lowest exponent, ascending numerators)
 _Slice = tuple[tuple[int, ...], int, list[int]]
+# the exponents of the other symbols, per symbol index
+_OTHERS = [itemgetter(*(j for j in range(_NSYM) if j != i)) for i in range(_NSYM)]
 
 
 def _dense_strip(cs: list) -> None:
@@ -382,17 +394,23 @@ def _int_primitive(ints: list[int]) -> list[int]:
 
 
 def _dense_prem_int(f: list[int], g: list[int]) -> list[int]:
-    """Pseudo-remainder of integer dense polys (sign/scale irrelevant)."""
+    """Pseudo-remainder of integer dense polys (sign/scale irrelevant).
+
+    Each step cancels the leading term of r with lg * r - top * g; for a
+    unit lg = +-1 the step is r - (top * lg) * g, with no rescale of r.
+    """
     r = f[:]
     dg = len(g) - 1
     lg = g[-1]
-    while len(r) - 1 >= dg and r:
-        top = r[-1]
-        shift = len(r) - 1 - dg
-        r = [lg * c for c in r]
-        for i in range(dg + 1):
-            r[shift + i] -= top * g[i]
-        r.pop()
+    low = g[:dg]
+    while len(r) > dg:
+        top = r.pop()
+        k = len(r) - dg
+        if lg == 1 or lg == -1:
+            top *= lg
+        else:
+            r = [lg * c for c in r]
+        r[k:] = [a - top * b for a, b in zip(r[k:], low)]
         _dense_strip(r)
     return r
 
@@ -409,6 +427,15 @@ def _dense_gcd_int(f: list[int], g: list[int]) -> list[int]:
     if f and f[-1] < 0:
         f = [-v for v in f]
     return f
+
+
+def _dense_mul(f: list[int], g: list[int]) -> list[int]:
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+    return out
 
 
 def _dense_divexact(f: list[int], g: list[int]) -> list[int] | None:
@@ -468,18 +495,27 @@ def _extract_monomial(p: LaurentPoly) -> tuple[tuple[int, ...], LaurentPoly]:
     return shift, _lp(core, p.den)
 
 
+def _univariate_dense(p: LaurentPoly, sidx: int) -> list[int]:
+    """Ascending numerators of p, a polynomial in symbol sidx alone with
+    lowest exponent 0, as a denominator is after content extraction."""
+    cs = [0] * (max(p.terms)[sidx] + 1)  # the monomials differ only at sidx
+    for mono, c in p.terms.items():
+        cs[mono[sidx]] = c
+    return cs
+
+
 def _slices_by_others(p: LaurentPoly, sidx: int) -> list[_Slice]:
     """Dense views in symbol sidx, one per monomial in the other symbols.
 
-    Each slice is (that monomial, its lowest exponent of sidx, ascending
-    numerators over ``p.den`` from there).  Shifting to exponent 0 drops a
-    unit factor, which cannot affect divisibility by polynomials with
-    nonzero constant term.
+    Each slice is (that monomial, without the sidx entry; its lowest
+    exponent of sidx; ascending numerators over ``p.den`` from there).
+    Shifting to exponent 0 drops a unit factor, which cannot affect
+    divisibility by polynomials with nonzero constant term.
     """
+    others = _OTHERS[sidx]
     groups: dict[tuple[int, ...], dict[int, int]] = {}
     for mono, c in p.terms.items():
-        key = mono[:sidx] + (0,) + mono[sidx + 1:]
-        groups.setdefault(key, {})[mono[sidx]] = c
+        groups.setdefault(others(mono), {})[mono[sidx]] = c
     out = []
     for key, exps in groups.items():
         lo, hi = min(exps), max(exps)
@@ -503,7 +539,7 @@ def _divexact_slices(
             raise ArithmeticError("inexact division in rational normalization")
         for k, c in enumerate(q):
             if c:
-                terms[key[:sidx] + (k + lo,) + key[sidx + 1:]] = c
+                terms[key[:sidx] + (k + lo,) + key[sidx:]] = c
     return _lp(terms, den)
 
 
@@ -576,32 +612,74 @@ class RatFun:
     def __neg__(self) -> RatFun:
         return RatFun._raw(-self.num, self.den)
 
+    @staticmethod
+    def sum(terms: Iterable[RatFun]) -> RatFun:
+        """The sum of the terms, normalized once over one common denominator.
+
+        Numerators that share a denominator are added first.  The lcm of
+        the distinct denominators is built once, starting from the longest:
+        a denominator that divides it is skipped, any other d is multiplied
+        in as d / gcd.  Each numerator sum then takes its cofactor lcm / d
+        from one exact division (kept from the divisibility test while the
+        lcm has not grown), and a sum that is zero over the lcm is returned
+        before any gcd runs.
+        """
+        ts = [t for t in terms if t.num.terms]
+        if len(ts) < 2:
+            return ts[0] if ts else _RF_ZERO
+        groups: list[list] = []  # [denominator, numerator sum]
+        for t in ts:
+            for g in groups:
+                if g[0] is t.den or g[0] == t.den:
+                    g[1] = g[1] + t.num
+                    break
+            else:
+                groups.append([t.den, t.num])
+        if len(groups) == 1:
+            ((den, num),) = groups
+            return RatFun(num, den) if num.terms else _RF_ZERO
+        sidx = None
+        for d, _ in groups:
+            s = _den_symbol(d)
+            if s is None or s == sidx:
+                continue
+            if sidx is not None:
+                raise MultivariateDenominatorError(
+                    f"denominators in {SYMBOLS[sidx]} and {SYMBOLS[s]} have no"
+                    " univariate common denominator"
+                )
+            sidx = s
+        # a canonical denominator is monic, so its numerators are primitive
+        dense = [_univariate_dense(d, sidx) for d, _ in groups]
+        order = sorted(range(len(groups)), key=lambda i: -len(dense[i]))
+        big, lcm = dense[order[0]], groups[order[0]][0]
+        quot = {}  # i -> big / dense[i], while big is unchanged
+        for i in order[1:]:
+            cs = dense[i]
+            q = _dense_divexact(big, cs)
+            if q is not None:
+                quot[i] = q
+            else:
+                common = _dense_gcd_int(big, cs)
+                big, lcm, quot = _dense_mul(big, _dense_divexact(cs, common)), None, {}
+        if lcm is None:
+            lcm = _from_dense(big, sidx, big[-1])
+        num = _LP_ZERO
+        for i, (d, n) in enumerate(groups):
+            if d is lcm:
+                num = num + n
+                continue
+            q = quot[i] if i in quot else _dense_divexact(big, dense[i])
+            # lcm / d = (big / lcm.den) / (dense[i] / d.den)
+            num = num + n * _from_dense([c * d.den for c in q], sidx, lcm.den)
+        if not num.terms:
+            return _RF_ZERO
+        return RatFun(num, lcm)
+
     def __add__(self, other: RatFun) -> RatFun:
         if not isinstance(other, RatFun):
             return NotImplemented
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        d1, d2 = self.den, other.den
-        if d1 == d2:
-            return RatFun(self.num + other.num, d1)
-        s1 = d1.symbols_used()
-        s2 = d2.symbols_used()
-        if s1 == s2:
-            sidx = s1[0]
-            ((_, _, c1),) = _slices_by_others(d1, sidx)
-            ((_, _, c2),) = _slices_by_others(d2, sidx)
-            big, cb, p = (d1, c1, c2) if len(c2) <= len(c1) else (d2, c2, c1)
-            # small is monic, so its numerators P are primitive with
-            # P[-1] = small.den, and big / small = (B / P) * P[-1] / big.den
-            q = _dense_divexact(cb, p)
-            if q is not None:
-                qp = _from_dense([c * p[-1] for c in q], sidx, big.den)
-                if big is d1:
-                    return RatFun(self.num + other.num * qp, d1)
-                return RatFun(self.num * qp + other.num, d2)
-        return RatFun(self.num * d2 + other.num * d1, d1 * d2)
+        return RatFun.sum((self, other))
 
     def __sub__(self, other: RatFun) -> RatFun:
         return self + (-other)
@@ -675,6 +753,15 @@ class RatFun:
         )
 
 
+def _den_symbol(den: LaurentPoly) -> int | None:
+    """The one symbol of a canonical denominator, or None for a constant."""
+    for mono in den.terms:
+        for i, e in enumerate(mono):
+            if e:
+                return i
+    return None
+
+
 def _normalize_ratfun(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
     if den.is_zero():
         raise ZeroDenominatorError("zero denominator")
@@ -688,8 +775,8 @@ def _normalize_ratfun(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, 
         raise MultivariateDenominatorError(
             f"denominator mixes symbols {[SYMBOLS[i] for i in used]}: {den}"
         )
-    sidx = used[0] if used else 0  # a constant is one slice in any symbol
-    ((_, _, den_dense),) = _slices_by_others(core, sidx)
+    sidx = used[0] if used else 0  # a constant is dense in any symbol
+    den_dense = _univariate_dense(core, sidx)
     if used:
         slices = _slices_by_others(num, sidx)
         content = _content_gcd(slices)

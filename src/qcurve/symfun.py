@@ -313,10 +313,9 @@ def _powersum_product_image(mu: Partition, kind: Specialization) -> RatFun:
 
 def specialize(f: SymFunc, kind: Specialization) -> RatFun:
     """Apply one of the evaluation homomorphisms to the p-basis."""
-    acc = RatFun.zero()
-    for mu, c in f.terms.items():
-        acc = acc + c * _powersum_product_image(mu, kind)
-    return acc
+    return RatFun.sum(
+        c * _powersum_product_image(mu, kind) for mu, c in f.terms.items()
+    )
 
 
 @cache

@@ -6,6 +6,7 @@ from math import factorial
 
 import pytest
 
+from qcurve import ring
 from qcurve.curves import (
     ClassicalCurve,
     CurveCase,
@@ -198,13 +199,27 @@ def _apply_by_whole_series(op, series, order):
     [(lambert(), "forward")]
     + [(framed_c3(a), "forward") for a in range(-3, 4)]
     + [(conifold(a), "forward") for a in range(-3, 4)]
-    + [(conifold(a), "inverse") for a in (-1, 1)],
+    + [(conifold(a), "inverse") for a in range(-3, 4)],
 )
 def test_operator_matches_whole_series_reference(case, direction):
     op = curve_operator(case, direction)
     # a series longer than the requested order is cut to it
     z = z_closed(case, 9)
     assert apply_operator(op, z, 8) == _apply_by_whole_series(op, z, 8)
+
+
+def test_operator_on_its_partition_function_runs_no_gcd(monkeypatch):
+    cases = [framed_c3(a) for a in range(-3, 4)] + [conifold(a) for a in range(-3, 4)]
+    pairs = [(curve_operator(case), z_closed(case, 14)) for case in cases]
+    calls = []
+    gcd_int = ring._dense_gcd_int
+    monkeypatch.setattr(
+        ring, "_dense_gcd_int", lambda f, g: calls.append(1) or gcd_int(f, g)
+    )
+    for op, z in pairs:
+        assert apply_operator(op, z, 14).is_zero()
+    # every degree sums to zero over its common denominator
+    assert calls == []
 
 
 def test_non_unit_coefficients_match_whole_series_reference():

@@ -1,6 +1,8 @@
 """Ring kernel: Laurent polynomials, rational normalization, series."""
 
+import functools
 import json
+import operator
 import random
 from fractions import Fraction
 from math import factorial, gcd, lcm
@@ -579,6 +581,86 @@ def test_unit_zero_and_float_coefficients():
     ):
         with pytest.raises(TypeError):
             bad()
+
+
+# ---------------------------------------------------------------------------
+# one sum over the lcm of the denominators
+# ---------------------------------------------------------------------------
+
+# products of these give equal, nested, coprime, partly shared and
+# non-integer canonical denominators (u + 1/2)
+_DEN_FACTORS = (ONE - U, ONE + U, ONE + U + sym("u", 2), ONE + sym("u", 2), U + ONE * HALF)
+
+
+@st.composite
+def summands(draw):
+    """A RatFun with a Laurent numerator (possibly zero) over a product of
+    up to three of the factors (possibly none, a constant denominator)."""
+    den = ONE
+    for i in draw(st.lists(st.integers(0, len(_DEN_FACTORS) - 1), max_size=3)):
+        den = den * _DEN_FACTORS[i]
+    return RatFun(draw(laurent_polys), den)
+
+
+def _fold(xs):
+    return functools.reduce(operator.add, xs, RatFun.zero())
+
+
+def _over_product(xs):
+    """Reference: one quotient over the product of the denominators."""
+    num, den = LaurentPoly.zero(), ONE
+    for x in xs:
+        num, den = num * x.den + x.num * den, den * x.den
+    return RatFun(num, den)
+
+
+_A, _B = RatFun(ONE, ONE - U), RatFun(U, (ONE - U) * (ONE + U))
+
+
+@settings(deadline=None)
+@given(st.lists(summands(), max_size=6))
+# nested, constant, zero and coprime denominators
+@example([_A, _B, RatFun(sym("E")), RatFun.zero(), RatFun(sym("u", -1), ONE + U * U)])
+# zero over the lcm, which grows by a gcd
+@example([_A, RatFun(ONE, ONE + U), RatFun(LaurentPoly.scalar(-2), (ONE - U) * (ONE + U))])
+# a non-integer denominator, a coprime one and one the lcm divides
+@example([RatFun(ONE, U + ONE * HALF), _B, _A])
+def test_sum_is_the_pairwise_fold(xs):
+    total, fold = RatFun.sum(xs), _fold(xs)
+    assert _fields(total.num) == _fields(fold.num)
+    assert _fields(total.den) == _fields(fold.den)
+    assert str(total) == str(fold)
+    assert total == _over_product(xs)
+    assert RatFun.sum(iter(xs)) == total
+
+
+@settings(deadline=None)
+@given(st.lists(summands(), max_size=6), st.data())
+def test_sum_text_is_deterministic(xs, data):
+    shuffled = data.draw(st.permutations(xs))
+    assert str(RatFun.sum(xs)) == str(RatFun.sum(shuffled)) == str(_fold(xs))
+
+
+def test_sum_rejects_mixed_denominators():
+    a, b = RatFun(ONE, ONE - sym("u", 2)), RatFun(ONE, ONE - sym("E", 2))
+    with pytest.raises(MultivariateDenominatorError):
+        a + b
+    for xs in ([a, b], [b, RatFun.one(), a], [a, _A, b, -b]):
+        with pytest.raises(MultivariateDenominatorError):
+            RatFun.sum(xs)
+
+
+def test_zero_sum_over_nested_denominators_runs_no_gcd(monkeypatch):
+    calls = []
+    gcd_int = ring._dense_gcd_int
+    monkeypatch.setattr(
+        ring, "_dense_gcd_int", lambda f, g: calls.append(1) or gcd_int(f, g)
+    )
+    # 2/(1 - u^2) = 1/(1 - u) + 1/(1 + u): the longest denominator is the
+    # lcm, and the other two divide it
+    xs = [_A, RatFun(LaurentPoly.scalar(-2), (ONE - U) * (ONE + U)), RatFun(ONE, ONE + U)]
+    assert RatFun.sum(xs) is RatFun.zero()
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
