@@ -4,7 +4,8 @@ Partitions are plain tuples of weakly decreasing positive integers; the
 empty tuple is the unique partition of 0.  Character values are computed
 by the Murnaghan-Nakayama border-strip recursion, memoized on
 (shape, class); parts of the class are consumed largest-first so the
-memo table is hit as often as possible.
+memo table is hit as often as possible.  The border strips removable
+from a shape are memoized on (shape, strip length).
 """
 
 from __future__ import annotations
@@ -103,13 +104,16 @@ def irrep_dimension(mu: Partition) -> int:
     return factorial(n) // denom
 
 
-def _strip_removals(nu: Partition, length: int) -> list[tuple[Partition, int]]:
+@cache
+def _strip_removals(nu: Partition, length: int) -> tuple[tuple[Partition, int], ...]:
     """Ways to remove a border strip of the given length from nu.
 
     Returns (remaining partition, strip height) pairs, via beta-numbers:
     removing a strip of size t moves one first-column hook length b to
     b - t, legal iff b - t >= 0 and not already a beta-number; the height
-    is the number of beta-numbers strictly between the two.
+    is the number of beta-numbers strictly between the two.  Memoized:
+    the search depends on nu and the class's first part only, so every
+    class sharing that part reuses it.
     """
     ell = len(nu)
     beta = [nu[i] + (ell - 1 - i) for i in range(ell)]
@@ -125,7 +129,7 @@ def _strip_removals(nu: Partition, length: int) -> list[tuple[Partition, int]]:
             v - (ell - 1 - i) for i, v in enumerate(new_beta) if v - (ell - 1 - i) > 0
         )
         out.append((parts, height))
-    return out
+    return tuple(out)
 
 
 @cache

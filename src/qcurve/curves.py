@@ -17,7 +17,10 @@ realized on series coefficients:
 Every Z is also rebuilt independently from symmetric-group character
 sums (``z_from_characters``), with the inner character sum evaluated
 honestly rather than collapsed to its known delta value; agreement of
-the two routes is the computational content of the closed forms.
+the two routes is the computational content of the closed forms.  A
+shape whose sum is exactly 0 contributes nothing and builds no weight;
+the sums are still evaluated in full, so a wrong character value that
+makes a multi-row sum nonzero brings that shape's weight into Z.
 
 The conifold y^ admits two sign conventions.  The dilation must send
 x^n to q^n x^n ("forward") for the operator to reproduce the coefficient
@@ -213,13 +216,18 @@ def z_closed(case: CurveCase, order: int) -> XSeries:
 
 def _character_sum(n: int) -> dict[tuple, Fraction]:
     """sum over classes mu of chi_nu(mu)/z_mu, per shape nu, evaluated
-    honestly (no delta shortcut)."""
+    honestly (no delta shortcut): every class of every shape is read.
+
+    Each sum is one integer class sum over n!, as n!/z_mu is the size
+    of the class mu; the class sizes are computed once per n.
+    """
+    classes = partitions_of(n)
+    nfact = factorial(n)
+    sizes = [nfact // centralizer_order(mu) for mu in classes]
     out = {}
-    for nu in partitions_of(n):
-        out[nu] = sum(
-            Fraction(character(nu, mu), centralizer_order(mu))
-            for mu in partitions_of(n)
-        )
+    for nu in classes:
+        total = sum(character(nu, mu) * size for mu, size in zip(classes, sizes))
+        out[nu] = Fraction(total, nfact)
     return out
 
 
@@ -240,12 +248,16 @@ def _weight(case: CurveCase, nu: tuple, n: int) -> RatFun:
 
 
 def z_from_characters(case: CurveCase, order: int) -> XSeries:
-    """Z rebuilt from character sums; must equal ``z_closed`` exactly."""
+    """Z rebuilt from character sums; must equal ``z_closed`` exactly.
+
+    A shape whose character sum is exactly 0 adds 0 * weight, so its
+    weight is not built.
+    """
     coeffs = [RatFun.one()]
     for n in range(1, order + 1):
-        sums = _character_sum(n)
+        sums = _character_sum(n).items()
         coeffs.append(RatFun.sum(
-            _weight(case, nu, n).scale(sums[nu]) for nu in partitions_of(n)
+            _weight(case, nu, n).scale(s) for nu, s in sums if s
         ))
     return XSeries(order, coeffs)
 

@@ -86,15 +86,15 @@ def test_acceptance_3_conifold_annihilation_and_failing_reading():
 def test_acceptance_4_route_equivalence():
     start = time.perf_counter()
     cases = [lambert()]
-    for a in (-2, 0, 3):
+    for a in FRAMINGS:
         cases.append(framed_c3(a))
         cases.append(conifold(a))
     for case in cases:
-        assert z_from_characters(case, 8) == z_closed(case, 8), case
+        assert z_from_characters(case, 10) == z_closed(case, 10), case
     _report(
         4,
-        "character-sum route equals closed form through x^8, all cases, "
-        "a in {-2,0,3}",
+        "character-sum route equals closed form through x^10, all cases, "
+        "a in -3..3",
         start,
         60,
     )

@@ -6,7 +6,8 @@ from math import factorial
 
 import pytest
 
-from qcurve import ring
+from qcurve import combinatorics, curves, ring, symfun
+from qcurve.combinatorics import centralizer_order, character, partitions_of
 from qcurve.curves import (
     ClassicalCurve,
     CurveCase,
@@ -92,6 +93,57 @@ def test_lambert_rejects_framing():
                          + [conifold(a) for a in (-2, 0, 3)])
 def test_route_equivalence_low_order(case):
     assert z_from_characters(case, 5) == z_closed(case, 5)
+
+
+def _clear_caches():
+    for module in (combinatorics, curves, symfun, ring):
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+
+
+def test_character_sum_is_the_per_class_fraction_sum():
+    for n in range(1, 11):
+        ps = partitions_of(n)
+        want = {
+            nu: sum(Fraction(character(nu, mu), centralizer_order(mu)) for mu in ps)
+            for nu in ps
+        }
+        assert curves._character_sum(n) == want, n
+
+
+@pytest.mark.parametrize("case", [lambert(), framed_c3(1), conifold(1)])
+def test_wrong_character_value_reaches_the_route(monkeypatch, case):
+    # chi_(3,1)((4,)) is -1; one value off by 1 makes the (3,1) sum nonzero
+    def corrupted(nu, mu):
+        return character(nu, mu) + (nu == (3, 1) and mu == (4,))
+
+    _clear_caches()
+    monkeypatch.setattr(curves, "character", corrupted)
+    rebuilt, closed = z_from_characters(case, 5), z_closed(case, 5)
+    assert rebuilt != closed
+    differ = [n for n in range(6) if rebuilt.coeff(n) != closed.coeff(n)]
+    assert differ[0] == 4
+
+
+@pytest.mark.parametrize("case", [lambert(), framed_c3(-1), conifold(2)])
+def test_route_builds_one_weight_per_degree(monkeypatch, case):
+    order = 7
+    weights, specializations = [], []
+    weight, specialize = curves._weight, curves.specialize
+    monkeypatch.setattr(
+        curves, "_weight", lambda *args: weights.append(args) or weight(*args)
+    )
+    monkeypatch.setattr(
+        curves,
+        "specialize",
+        lambda *args: specializations.append(args) or specialize(*args),
+    )
+    assert z_from_characters(case, order) == z_closed(case, order)
+    # only the one-row shape has a nonzero character sum
+    assert [nu for _, nu, _ in weights] == [(n,) for n in range(1, order + 1)]
+    c3 = case.kind is CurveKind.C3
+    assert len(specializations) == (order if c3 else 0)
 
 
 # ---------------------------------------------------------------------------
