@@ -10,13 +10,23 @@ evaluation homomorphisms used by the curve constructions:
   PRINCIPAL        p_m -> 1/[m], the principal specialization at
                    (q^(-1/2), q^(-3/2), ...) summed as a geometric series
   CONIFOLD_Y       p_m -> (Qh^-m - Qh^m)/[m]
+
+Adding is one rule.  Every sum of symmetric functions (``+`` and ``-``,
+the product, scaling, the constructor, the Schur inversion, cut-and-join,
+graded log and exp) hands its (partition, coefficient) pairs to one
+helper, which groups them by partition, adds each group by one
+``RatFun.sum``, and drops zero sums and partitions above the cap.  The
+constructor sorts the parts of each partition first, so keys that are
+equal after sorting are added.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 
 from .combinatorics import (
     Partition,
@@ -54,12 +64,8 @@ class SymFunc:
         if cap < 0:
             raise ValueError("degree cap must be >= 0")
         self.cap = cap
-        clean: dict[Partition, RatFun] = {}
-        if terms:
-            for mu, c in terms.items():
-                if sum(mu) <= cap and not c.is_zero():
-                    clean[mu] = c
-        self.terms = clean
+        pairs = ((tuple(sorted(mu, reverse=True)), c) for mu, c in (terms or {}).items())
+        self.terms = _collect(cap, pairs).terms
 
     @classmethod
     def zero(cls, cap: int) -> SymFunc:
@@ -72,7 +78,7 @@ class SymFunc:
     @classmethod
     def p(cls, mu: Partition, cap: int) -> SymFunc:
         """The power-sum monomial p_mu."""
-        return cls(cap, {tuple(sorted(mu, reverse=True)): RatFun.one()})
+        return cls(cap, {mu: RatFun.one()})
 
     def coeff(self, mu: Partition) -> RatFun:
         return self.terms.get(tuple(mu), RatFun.zero())
@@ -92,25 +98,10 @@ class SymFunc:
         if not isinstance(other, SymFunc):
             return NotImplemented
         cap = min(self.cap, other.cap)
-        out = {m: c for m, c in self.terms.items() if sum(m) <= cap}
-        for mu, c in other.terms.items():
-            if sum(mu) > cap:
-                continue
-            s = out.get(mu, RatFun.zero()) + c
-            if s.is_zero():
-                out.pop(mu, None)
-            else:
-                out[mu] = s
-        res = SymFunc.__new__(SymFunc)
-        res.cap = cap
-        res.terms = out
-        return res
+        return _collect(cap, chain(self.terms.items(), other.terms.items()))
 
     def __neg__(self) -> SymFunc:
-        res = SymFunc.__new__(SymFunc)
-        res.cap = self.cap
-        res.terms = {m: -c for m, c in self.terms.items()}
-        return res
+        return _sf(self.cap, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: SymFunc) -> SymFunc:
         return self + (-other)
@@ -118,12 +109,7 @@ class SymFunc:
     def scale(self, c) -> SymFunc:
         if isinstance(c, (int, Fraction)):
             c = RatFun.from_scalar(c)
-        if c.is_zero():
-            return SymFunc(self.cap)
-        res = SymFunc.__new__(SymFunc)
-        res.cap = self.cap
-        res.terms = {m: v * c for m, v in self.terms.items()}
-        return res
+        return self.map_coeffs(lambda v: v * c)
 
     def mul(self, other: SymFunc, lam_cap: int | None = None) -> SymFunc:
         """Graded product, truncated at the degree cap.
@@ -133,27 +119,15 @@ class SymFunc:
         high lam-powers is an ideal.
         """
         cap = min(self.cap, other.cap)
-        out: dict[Partition, RatFun] = {}
-        for mu, a in self.terms.items():
-            wa = sum(mu)
-            if wa > cap:
-                continue
-            for nu, b in other.terms.items():
-                if wa + sum(nu) > cap:
-                    continue
-                key = _sorted_merge(mu, nu)
-                c = a * b
-                if lam_cap is not None:
-                    c = _truncate_lam(c, lam_cap)
-                s = out.get(key, RatFun.zero()) + c
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        res = SymFunc.__new__(SymFunc)
-        res.cap = cap
-        res.terms = out
-        return res
+        products = (
+            (_sorted_merge(mu, nu), a * b)
+            for mu, a in self.terms.items()
+            for nu, b in other.terms.items()
+            if sum(mu) + sum(nu) <= cap
+        )
+        if lam_cap is not None:
+            products = ((key, _truncate_lam(c, lam_cap)) for key, c in products)
+        return _collect(cap, products)
 
     def __mul__(self, other: SymFunc) -> SymFunc:
         if not isinstance(other, SymFunc):
@@ -161,15 +135,7 @@ class SymFunc:
         return self.mul(other)
 
     def map_coeffs(self, fn) -> SymFunc:
-        out = {}
-        for mu, c in self.terms.items():
-            v = fn(c)
-            if not v.is_zero():
-                out[mu] = v
-        res = SymFunc.__new__(SymFunc)
-        res.cap = self.cap
-        res.terms = out
-        return res
+        return _collect(self.cap, ((mu, fn(c)) for mu, c in self.terms.items()))
 
     def sorted_terms(self) -> list[tuple[Partition, RatFun]]:
         """Terms sorted by (degree, reverse-lex partition order)."""
@@ -192,6 +158,32 @@ class SymFunc:
 
     def __repr__(self) -> str:
         return f"SymFunc(cap={self.cap}, {self})"
+
+
+def _sf(cap: int, terms: dict[Partition, RatFun]) -> SymFunc:
+    """Wrap terms that are already clean: sorted keys of degree <= cap, no zero."""
+    res = SymFunc.__new__(SymFunc)
+    res.cap = cap
+    res.terms = terms
+    return res
+
+
+def _collect(cap: int, pairs: Iterable[tuple[Partition, RatFun]]) -> SymFunc:
+    """The sum of the (sorted partition, coefficient) pairs, truncated at cap.
+
+    The one adding rule of this module: pairs are grouped by partition,
+    each group is added by one ``RatFun.sum`` and zero sums are dropped.
+    """
+    groups: dict[Partition, list[RatFun]] = {}
+    for mu, c in pairs:
+        if sum(mu) <= cap:
+            groups.setdefault(mu, []).append(c)
+    terms = {}
+    for mu, cs in groups.items():
+        c = RatFun.sum(cs)
+        if not c.is_zero():
+            terms[mu] = c
+    return _sf(cap, terms)
 
 
 def _truncate_lam(c: RatFun, lam_cap: int) -> RatFun:
@@ -231,12 +223,37 @@ def powersum_from_schurs(nu: Partition, cap: int) -> SymFunc:
     nu = tuple(nu)
     if sum(nu) > cap:
         raise DegreeCapExceededError(f"|{nu}| exceeds cap {cap}")
-    acc = SymFunc.zero(cap)
-    for mu in partitions_of(sum(nu)):
-        chi = character(mu, nu)
-        if chi:
-            acc = acc + schur_to_powersums(mu, cap).scale(chi)
-    return acc
+    return _collect(cap, (
+        (key, c.scale(chi))
+        for mu in partitions_of(sum(nu))
+        if (chi := character(mu, nu))
+        for key, c in schur_to_powersums(mu, cap).terms.items()
+    ))
+
+
+def _cut_join_moves(mu: Partition):
+    """The (partition, weight) moves of the cut-and-join operator on p_mu."""
+    parts = list(mu)
+    mult = {a: parts.count(a) for a in set(parts)}
+    distinct = sorted(mult)
+    for ai, a in enumerate(distinct):
+        for b in distinct[ai:]:
+            if a != b:
+                weight = Fraction(a * b * mult[a] * mult[b])
+            elif mult[a] > 1:
+                weight = Fraction(a * a * mult[a] * (mult[a] - 1), 2)
+            else:
+                continue
+            rest = parts.copy()
+            rest.remove(a)
+            rest.remove(b)
+            yield tuple(sorted(rest + [a + b], reverse=True)), weight
+    for k in distinct:
+        base = parts.copy()
+        base.remove(k)
+        weight = Fraction(k * mult[k], 2)
+        for i in range(1, k):
+            yield tuple(sorted(base + [i, k - i], reverse=True)), weight
 
 
 def cut_and_join(f: SymFunc) -> SymFunc:
@@ -249,39 +266,11 @@ def cut_and_join(f: SymFunc) -> SymFunc:
     repeated part a contributes a^2*m_a*(m_a-1)/2, and each part k is
     cut into ordered pairs (i, k-i) with weight k*m_k/2.
     """
-    out = SymFunc.zero(f.cap)
-    half = Fraction(1, 2)
-    for mu, c in f.terms.items():
-        parts = list(mu)
-        distinct = sorted(set(parts))
-        mult = {a: parts.count(a) for a in distinct}
-        # joins
-        for ai, a in enumerate(distinct):
-            for b in distinct[ai:]:
-                if a == b:
-                    m = mult[a]
-                    if m < 2:
-                        continue
-                    weight = Fraction(a * a * m * (m - 1), 2)
-                    rest = parts.copy()
-                    rest.remove(a)
-                    rest.remove(a)
-                else:
-                    weight = Fraction(a * b * mult[a] * mult[b])
-                    rest = parts.copy()
-                    rest.remove(a)
-                    rest.remove(b)
-                key = tuple(sorted(rest + [a + b], reverse=True))
-                out = out + SymFunc(f.cap, {key: c.scale(weight)})
-        # cuts
-        for k in distinct:
-            base = parts.copy()
-            base.remove(k)
-            weight = half * k * mult[k]
-            for i in range(1, k):
-                key = tuple(sorted(base + [i, k - i], reverse=True))
-                out = out + SymFunc(f.cap, {key: c.scale(weight)})
-    return out
+    return _collect(f.cap, (
+        (key, c.scale(weight))
+        for mu, c in f.terms.items()
+        for key, weight in _cut_join_moves(mu)
+    ))
 
 
 @cache
@@ -304,11 +293,10 @@ def _conifold_image(m: int) -> RatFun:
 
 @cache
 def _powersum_product_image(mu: Partition, kind: Specialization) -> RatFun:
+    if not mu:
+        return RatFun.one()
     image = _principal_image if kind is Specialization.PRINCIPAL else _conifold_image
-    acc = RatFun.one()
-    for m in mu:
-        acc = acc * image(m)
-    return acc
+    return image(mu[0]) * _powersum_product_image(mu[1:], kind)
 
 
 def specialize(f: SymFunc, kind: Specialization) -> RatFun:
@@ -339,16 +327,16 @@ def graded_exp(f: SymFunc, lam_cap: int | None = None) -> SymFunc:
     """exp of a symmetric function with zero constant term, by grading."""
     if not f.constant_term().is_zero():
         raise BadConstantTermError("exp needs constant term 0")
-    acc = SymFunc.one(f.cap)
-    power = SymFunc.one(f.cap)
+    summands = [SymFunc.one(f.cap)]
+    power = summands[0]
     kfact = 1
     for k in range(1, f.cap + 1):
         power = power.mul(f, lam_cap=lam_cap)
         if power.is_zero():
             break
         kfact *= k
-        acc = acc + power.scale(Fraction(1, kfact))
-    return acc
+        summands.append(power.scale(Fraction(1, kfact)))
+    return _collect(f.cap, chain.from_iterable(g.terms.items() for g in summands))
 
 
 def graded_log(f: SymFunc, lam_cap: int | None = None) -> SymFunc:
@@ -369,16 +357,19 @@ def graded_log(f: SymFunc, lam_cap: int | None = None) -> SymFunc:
     if lam_cap is not None:
         f = f.map_coeffs(lambda c: _truncate_lam(c, lam_cap))
     comps = [  # comps[n] = F_n
-        SymFunc(f.cap, {mu: c for mu, c in f.terms.items() if sum(mu) == n})
+        _sf(f.cap, {mu: c for mu, c in f.terms.items() if sum(mu) == n})
         for n in range(f.cap + 1)
     ]
     dlogs = [SymFunc.zero(f.cap)]  # dlogs[k] = k * L_k
-    acc = SymFunc.zero(f.cap)
     for n in range(1, f.cap + 1):
-        products = SymFunc.zero(f.cap)
-        for k in range(1, n):
-            products = products + dlogs[k].mul(comps[n - k], lam_cap=lam_cap)
-        dlog = comps[n].scale(n) - products
-        dlogs.append(dlog)
-        acc = acc + dlog.scale(Fraction(1, n))
-    return acc
+        products = chain.from_iterable(
+            dlogs[k].mul(comps[n - k], lam_cap=lam_cap).terms.items() for k in range(1, n)
+        )
+        dlogs.append(_collect(f.cap, chain(
+            comps[n].scale(n).terms.items(), ((mu, -c) for mu, c in products)
+        )))
+    return _collect(f.cap, (
+        (mu, c.scale(Fraction(1, n)))
+        for n in range(1, f.cap + 1)
+        for mu, c in dlogs[n].terms.items()
+    ))

@@ -1,11 +1,16 @@
 """Power-sum symmetric functions, Schur expansion, specializations."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qcurve.symfun as symfun
 from qcurve.combinatorics import kappa, partitions_of
+from qcurve.hurwitz import burnside_series, hurwitz_table
 from qcurve.ring import LaurentPoly, RatFun
 from qcurve.symfun import (
     BadConstantTermError,
@@ -141,6 +146,21 @@ def test_specialize_is_multiplicative():
             assert specialize(f * g, kind) == specialize(f, kind) * specialize(g, kind)
 
 
+def test_powersum_product_image_is_product_over_parts():
+    from qcurve.symfun import _conifold_image, _powersum_product_image, _principal_image
+
+    for kind, image in (
+        (Specialization.PRINCIPAL, _principal_image),
+        (Specialization.CONIFOLD_Y, _conifold_image),
+    ):
+        for n in range(7):
+            for mu in partitions_of(n):
+                want = RatFun.one()
+                for m in mu:
+                    want = want * image(m)
+                assert _powersum_product_image(mu, kind) == want, (kind, mu)
+
+
 def test_quantum_dimension_single_cell():
     want = RatFun(
         LaurentPoly.symbol("Qh", -1) - LaurentPoly.symbol("Qh", 1),
@@ -271,3 +291,100 @@ def test_lam_cap_truncation_is_exact_on_retained_orders():
 def test_symfunc_text_form():
     s2 = schur_to_powersums((2,), 2)
     assert str(s2) == "(1/2) * p[2] + (1/2) * p[1,1]"
+
+
+# ---------------------------------------------------------------------------
+# the adding rule
+# ---------------------------------------------------------------------------
+
+def test_constructor_sorts_partition_keys():
+    one = RatFun.one()
+    f = SymFunc(3, {(1, 2): one})
+    assert f == SymFunc.p((2, 1), 3)
+    assert f.coeff((2, 1)) == one
+    assert (f + SymFunc.p((2, 1), 3)).terms == {(2, 1): RatFun.from_scalar(2)}
+    assert str(f) == "(1) * p[2,1]"
+    # keys equal after sorting are added, and a zero sum is dropped
+    assert SymFunc(3, {(1, 2): one, (2, 1): one}) == SymFunc.p((2, 1), 3).scale(2)
+    assert SymFunc(3, {(1, 2): one, (2, 1): -one}).is_zero()
+
+
+def test_symfun_adds_only_through_collect(monkeypatch):
+    """No SymFunc sum folds through RatFun.__add__; each _collect makes at
+    most one RatFun.sum per distinct partition it keeps."""
+    adds_from_symfun = []
+    ratfun_add = RatFun.__add__
+
+    def counting_add(self, other):
+        if sys._getframe(1).f_globals["__name__"] == symfun.__name__:
+            adds_from_symfun.append(sys._getframe(1).f_code.co_name)
+        return ratfun_add(self, other)
+
+    sums = [0]
+    ratfun_sum = RatFun.sum
+
+    def counting_sum(terms):
+        sums[0] += 1
+        return ratfun_sum(terms)
+
+    collect = symfun._collect
+    collects = []  # (RatFun.sum calls, distinct partitions <= cap) per call
+
+    def checked_collect(cap, pairs):
+        pairs = list(pairs)  # any nested _collect runs before the count
+        before = sums[0]
+        out = collect(cap, pairs)
+        collects.append((sums[0] - before, len({mu for mu, _ in pairs if sum(mu) <= cap})))
+        return out
+
+    monkeypatch.setattr(RatFun, "__add__", counting_add)
+    monkeypatch.setattr(RatFun, "sum", staticmethod(counting_sum))
+    monkeypatch.setattr(symfun, "_collect", checked_collect)
+    hurwitz_table(6, 2)
+    series = burnside_series(5, 6).sym
+    cut_and_join(series)
+    assert graded_exp(graded_log(series, lam_cap=6), lam_cap=6) == series
+    assert (series + series.scale(2) - series * SymFunc.one(5)).scale(-1) == series.scale(-2)
+    powersum_from_schurs((3, 2, 1), 6)
+    assert adds_from_symfun == []
+    assert collects
+    assert all(calls <= keys for calls, keys in collects), collects
+
+
+_fracs = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+_coeffs = st.one_of(
+    _fracs.map(RatFun.from_scalar),
+    st.dictionaries(st.integers(0, 3), _fracs, max_size=3).map(
+        lambda d: RatFun.from_poly(
+            sum((LaurentPoly.term(c, lam=k) for k, c in d.items()), LaurentPoly.zero())
+        )
+    ),
+)
+# partitions of degree <= 4, with their parts in any order
+_keys = (
+    st.integers(0, 4)
+    .flatmap(lambda n: st.sampled_from(partitions_of(n)))
+    .flatmap(lambda mu: st.permutations(mu).map(tuple))
+)
+symfuncs = st.builds(SymFunc, st.integers(2, 4), st.dictionaries(_keys, _coeffs, max_size=5))
+
+
+@settings(deadline=None, max_examples=40)
+@given(symfuncs, symfuncs, symfuncs)
+def test_addition_laws(f, g, h):
+    assert f + g == g + f
+    assert (f + g) + h == f + (g + h)
+    assert f - f == SymFunc.zero(f.cap)
+
+
+@settings(deadline=None, max_examples=40)
+@given(symfuncs, symfuncs, symfuncs)
+def test_mul_distributes_over_addition(f, g, h):
+    assert f.mul(g + h) == f.mul(g) + f.mul(h)
+
+
+@settings(deadline=None, max_examples=40)
+@given(symfuncs, symfuncs, st.integers(0, 4))
+def test_mul_lam_cap_is_truncated_mul(f, g, k):
+    want = f.mul(g).map_coeffs(lambda c: RatFun.from_poly(c.num.truncate_symbol("lam", k)))
+    assert f.mul(g, lam_cap=k) == want
