@@ -223,11 +223,10 @@ def powersum_from_schurs(nu: Partition, cap: int) -> SymFunc:
     nu = tuple(nu)
     if sum(nu) > cap:
         raise DegreeCapExceededError(f"|{nu}| exceeds cap {cap}")
-    return _collect(cap, (
-        (key, c.scale(chi))
+    return _collect(cap, chain.from_iterable(
+        schur_to_powersums(mu, cap).scale(chi).terms.items()
         for mu in partitions_of(sum(nu))
         if (chi := character(mu, nu))
-        for key, c in schur_to_powersums(mu, cap).terms.items()
     ))
 
 
@@ -368,8 +367,6 @@ def graded_log(f: SymFunc, lam_cap: int | None = None) -> SymFunc:
         dlogs.append(_collect(f.cap, chain(
             comps[n].scale(n).terms.items(), ((mu, -c) for mu, c in products)
         )))
-    return _collect(f.cap, (
-        (mu, c.scale(Fraction(1, n)))
-        for n in range(1, f.cap + 1)
-        for mu, c in dlogs[n].terms.items()
+    return _collect(f.cap, chain.from_iterable(
+        dlogs[n].scale(Fraction(1, n)).terms.items() for n in range(1, f.cap + 1)
     ))
