@@ -371,15 +371,10 @@ symfuncs = st.builds(SymFunc, st.integers(2, 4), st.dictionaries(_keys, _coeffs,
 
 @settings(deadline=None, max_examples=40)
 @given(symfuncs, symfuncs, symfuncs)
-def test_addition_laws(f, g, h):
+def test_addition_laws_and_distributivity(f, g, h):
     assert f + g == g + f
     assert (f + g) + h == f + (g + h)
     assert f - f == SymFunc.zero(f.cap)
-
-
-@settings(deadline=None, max_examples=40)
-@given(symfuncs, symfuncs, symfuncs)
-def test_mul_distributes_over_addition(f, g, h):
     assert f.mul(g + h) == f.mul(g) + f.mul(h)
 
 
