@@ -17,7 +17,7 @@ graded log and exp) hands its (partition, coefficient) pairs to one
 helper, which groups them by partition, adds each group by one
 ``RatFun.sum``, and drops zero sums and partitions above the cap.  The
 constructor sorts the parts of each partition first, so keys that are
-equal after sorting are added.
+equal after sorting are added; ``coeff`` sorts its argument the same way.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ class SymFunc:
         return cls(cap, {mu: RatFun.one()})
 
     def coeff(self, mu: Partition) -> RatFun:
-        return self.terms.get(tuple(mu), RatFun.zero())
+        return self.terms.get(tuple(sorted(mu, reverse=True)), RatFun.zero())
 
     def constant_term(self) -> RatFun:
         return self.coeff(())
