@@ -23,7 +23,7 @@ equal after sorting are added; ``coeff`` sorts its argument the same way.
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import cache
 from itertools import chain
@@ -230,7 +230,7 @@ def powersum_from_schurs(nu: Partition, cap: int) -> SymFunc:
     ))
 
 
-def _cut_join_moves(mu: Partition):
+def _cut_join_moves(mu: Partition) -> Iterator[tuple[Partition, Fraction]]:
     """The (partition, weight) moves of the cut-and-join operator on p_mu."""
     parts = list(mu)
     mult = {a: parts.count(a) for a in set(parts)}
@@ -364,9 +364,8 @@ def graded_log(f: SymFunc, lam_cap: int | None = None) -> SymFunc:
         products = chain.from_iterable(
             dlogs[k].mul(comps[n - k], lam_cap=lam_cap).terms.items() for k in range(1, n)
         )
-        dlogs.append(_collect(f.cap, chain(
-            comps[n].scale(n).terms.items(), ((mu, -c) for mu, c in products)
-        )))
+        # -(products - n F_n): negated once per partition, not once per product
+        dlogs.append(-_collect(f.cap, chain(comps[n].scale(-n).terms.items(), products)))
     return _collect(f.cap, chain.from_iterable(
         dlogs[n].scale(Fraction(1, n)).terms.items() for n in range(1, f.cap + 1)
     ))
