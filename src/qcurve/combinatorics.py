@@ -1,18 +1,22 @@
 """Integer partitions and symmetric-group representation data.
 
 Partitions are plain tuples of weakly decreasing positive integers; the
-empty tuple is the unique partition of 0.  Character values are computed
-by the Murnaghan-Nakayama border-strip recursion, memoized on
-(shape, class); parts of the class are consumed largest-first so the
-memo table is hit as often as possible.  The border strips removable
-from a shape are memoized on (shape, strip length).
+empty tuple is the unique partition of 0.  Characters come as whole
+tables: ``character_table(n)`` builds every row of S_n in one integer
+pass of the Murnaghan-Nakayama border-strip recursion, each row at class
+mu a signed sum of rows of the (memoized) table of S_(n - mu[0]) read at
+the column of mu[1:]; each shape's border strips are enumerated once,
+for all lengths, from its beta-numbers.  ``character(nu, mu)`` is a
+lookup in that table.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import cache
+from itertools import repeat
 from math import factorial
+from operator import add, neg
 from typing import Iterator, NamedTuple
 
 Partition = tuple[int, ...]
@@ -104,43 +108,84 @@ def irrep_dimension(mu: Partition) -> int:
     return factorial(n) // denom
 
 
-@cache
-def _strip_removals(nu: Partition, length: int) -> tuple[tuple[Partition, int], ...]:
-    """Ways to remove a border strip of the given length from nu.
+class CharacterTable(NamedTuple):
+    """The characters of S_n: ``rows[nu][index[mu]]`` is chi_nu(mu)."""
 
-    Returns (remaining partition, strip height) pairs, via beta-numbers:
-    removing a strip of size t moves one first-column hook length b to
-    b - t, legal iff b - t >= 0 and not already a beta-number; the height
-    is the number of beta-numbers strictly between the two.  Memoized:
-    the search depends on nu and the class's first part only, so every
-    class sharing that part reuses it.
+    index: dict[Partition, int]  # class -> column, in partitions_of(n) order
+    rows: dict[Partition, tuple[int, ...]]  # shape -> its row
+
+
+def _border_strips(nu: Partition) -> dict[int, list[tuple[int, Partition]]]:
+    """Every border strip of nu, by length: (sign, remaining shape) pairs.
+
+    Via beta-numbers b_i = nu_i + l - 1 - i (strictly decreasing): a strip
+    of length t moves one b_i down to a free c = b_i - t.  Scanning c
+    downward from b_i, the moved number passes b_(i+1), ..., b_(k-1); the
+    height is the count passed, k - 1 - i, and the rows i..k-1 become
+    nu_(i+1) - 1, ..., nu_(k-1) - 1, nu_i - t + height (zeros dropped:
+    once one of them is 0, so are the rest, and nu has no row below).
     """
     ell = len(nu)
-    beta = [nu[i] + (ell - 1 - i) for i in range(ell)]
-    beta_set = set(beta)
-    out = []
-    for b in beta:
-        c = b - length
-        if c < 0 or c in beta_set:
-            continue
-        height = sum(1 for x in beta if c < x < b)
-        new_beta = sorted((beta_set - {b}) | {c}, reverse=True)
-        parts = tuple(
-            v - (ell - 1 - i) for i, v in enumerate(new_beta) if v - (ell - 1 - i) > 0
-        )
-        out.append((parts, height))
-    return tuple(out)
+    beta = [p + ell - 1 - i for i, p in enumerate(nu)] + [-1]
+    out: dict[int, list[tuple[int, Partition]]] = {}
+    for i, b in enumerate(beta[:ell]):
+        k = i + 1
+        for c in range(b - 1, -1, -1):
+            if c == beta[k]:
+                k += 1
+                continue
+            t, height = b - c, k - 1 - i
+            moved = [p - 1 for p in nu[i + 1:k]] + [nu[i] - t + height]
+            shape = nu[:i] + tuple(p for p in moved if p) + nu[k:]
+            out.setdefault(t, []).append((-1 if height % 2 else 1, shape))
+    return out
+
+
+@cache
+def character_table(n: int) -> CharacterTable:
+    """The whole character table of S_n, in one integer pass.
+
+    Murnaghan-Nakayama by rows: chi_nu(mu) is the signed sum, over the
+    border strips of nu of length mu[0], of the rows of
+    ``character_table(n - mu[0])`` read at the column of mu[1:].  In
+    reverse-lex order the classes with first part t are one block whose
+    rests mu[1:] are, in order, a tail of the classes of S_(n - t), so
+    each block of a row is a signed sum of tails of smaller rows.
+    """
+    classes = partitions_of(n)
+    index = {mu: j for j, mu in enumerate(classes)}
+    if n == 0:
+        return CharacterTable(index, {(): (1,)})
+    blocks = []  # (t, the column where the tail starts, table of S_(n - t))
+    for mu in classes:
+        if not blocks or blocks[-1][0] != mu[0]:
+            smaller = character_table(n - mu[0])
+            blocks.append((mu[0], smaller.index[mu[1:]], smaller))
+    rows = {}
+    for nu in classes:
+        strips = _border_strips(nu)
+        row: list[int] = []
+        for t, start, smaller in blocks:
+            block = repeat(0, len(smaller.index) - start)  # if no strip of length t
+            for i, (sign, shape) in enumerate(strips.get(t, ())):
+                tail = smaller.rows[shape][start:]
+                if sign < 0:
+                    tail = map(neg, tail)
+                block = map(add, block, tail) if i else tail
+            row.extend(block)
+        rows[nu] = tuple(row)
+    return CharacterTable(index, rows)
 
 
 @cache
 def character(nu: Partition, mu: Partition) -> int:
-    """Irreducible character of shape nu on the conjugacy class mu."""
-    if sum(nu) != sum(mu):
+    """Irreducible character of shape nu on the conjugacy class mu.
+
+    Both are partitions in the package's form (weakly decreasing tuples);
+    the value is one lookup in ``character_table(|mu|)``.
+    """
+    n = sum(mu)
+    if sum(nu) != n:
         raise SizeMismatchError(f"|{nu}| != |{mu}|")
-    if not mu:
-        return 1
-    total = 0
-    rest = mu[1:]
-    for smaller, height in _strip_removals(nu, mu[0]):
-        total += (-1) ** height * character(smaller, rest)
-    return total
+    table = character_table(n)
+    return table.rows[nu][table.index[mu]]

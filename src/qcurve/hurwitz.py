@@ -33,7 +33,7 @@ from .combinatorics import (
     Partition,
     automorphism_count,
     centralizer_order,
-    character,
+    character_table,
     irrep_dimension,
     kappa,
     partitions_of,
@@ -90,15 +90,18 @@ def burnside_series(degree_cap: int, lam_order: int) -> BurnsideSeries:
     """The Schur-side series, exact through the stated caps.
 
     One pass per degree n: the integer moments S_k(mu) of the module
-    docstring, then one Fraction per nonzero lam^k p_mu coefficient.
+    docstring, read from the rows of ``character_table(n)`` with the zero
+    characters skipped, then one Fraction per nonzero lam^k p_mu
+    coefficient.
     """
     if degree_cap < 0 or lam_order < 0:
         raise ValueError("caps must be >= 0")
     terms = {(): RatFun.one()}
     for n in range(1, degree_cap + 1):
-        shapes = [(irrep_dimension(nu), kappa(nu), nu) for nu in partitions_of(n)]
-        for mu in partitions_of(n):
-            weights = [(dim * character(nu, mu), kap) for dim, kap, nu in shapes]
+        rows = character_table(n).rows
+        shapes = [(irrep_dimension(nu), kappa(nu), rows[nu]) for nu in partitions_of(n)]
+        for j, mu in enumerate(partitions_of(n)):
+            weights = [(dim * row[j], kap) for dim, kap, row in shapes if row[j]]
             base = centralizer_order(mu) * factorial(n)
             poly = {}
             for k in range(lam_order + 1):

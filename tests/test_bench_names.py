@@ -68,3 +68,10 @@ def test_counters_still_read_the_ring():
     assert tracer.counts["ratfun_add.shared_den"] == 1
     assert tracer.counts["laurent_mul.term_products"] >= 4
     assert tracer.counts["ratfun_norm.cancelled"] == 1
+
+
+def test_character_table_is_cleared_with_the_caches():
+    # the benchmark clears every cache it finds before each op
+    from qcurve import combinatorics
+
+    assert combinatorics.character_table in _load_tracing().find_caches()

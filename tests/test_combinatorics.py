@@ -1,18 +1,21 @@
 """Partitions and symmetric-group data, checked against independent oracles."""
 
 import itertools
+import json
 from fractions import Fraction
 from functools import cache
 from math import factorial
 
 import pytest
 
+from qcurve import combinatorics, curves, hurwitz, ring, symfun
 from qcurve.combinatorics import (
     Cell,
     SizeMismatchError,
     automorphism_count,
     centralizer_order,
     character,
+    character_table,
     conjugate,
     format_partition,
     hooks_and_contents,
@@ -20,6 +23,8 @@ from qcurve.combinatorics import (
     kappa,
     partitions_of,
 )
+from qcurve.curves import conifold, framed_c3, lambert, z_closed, z_from_characters
+from qcurve.selftest import default_golden_dir, hurwitz_payload
 
 
 # ---------------------------------------------------------------------------
@@ -267,3 +272,105 @@ def test_collapse_identity():
 def test_character_size_mismatch():
     with pytest.raises(SizeMismatchError):
         character((2,), (1,))
+
+
+# ---------------------------------------------------------------------------
+# the whole table, against the per-entry recursion
+# ---------------------------------------------------------------------------
+
+@cache
+def reference_strip_removals(nu, length):
+    """(remaining shape, height) per border strip of the given length.
+
+    Removing a strip moves one beta-number b to b - length, legal when
+    that is >= 0 and free; the height counts the beta-numbers between.
+    """
+    ell = len(nu)
+    beta = [nu[i] + (ell - 1 - i) for i in range(ell)]
+    beta_set = set(beta)
+    out = []
+    for b in beta:
+        c = b - length
+        if c < 0 or c in beta_set:
+            continue
+        height = sum(1 for x in beta if c < x < b)
+        new_beta = sorted((beta_set - {b}) | {c}, reverse=True)
+        parts = tuple(
+            v - (ell - 1 - i) for i, v in enumerate(new_beta) if v - (ell - 1 - i) > 0
+        )
+        out.append((parts, height))
+    return tuple(out)
+
+
+@cache
+def reference_character(nu, mu):
+    """Murnaghan-Nakayama one entry at a time, memoized on (shape, class)."""
+    if not mu:
+        return 1
+    return sum(
+        (-1) ** height * reference_character(smaller, mu[1:])
+        for smaller, height in reference_strip_removals(nu, mu[0])
+    )
+
+
+def test_table_equals_the_per_entry_recursion():
+    for n in range(11):
+        table = character_table(n)
+        classes = partitions_of(n)
+        assert tuple(table.index) == tuple(table.rows) == classes
+        assert list(table.index.values()) == list(range(len(classes)))
+        for nu in classes:
+            want = tuple(reference_character(nu, mu) for mu in classes)
+            assert table.rows[nu] == want, nu
+            assert [character(nu, mu) for mu in classes] == list(want)
+
+
+def test_table_rows_are_orthogonal():
+    # sum over classes of |class| chi_a chi_b = n! when a == b, else 0
+    for n in range(11):
+        table = character_table(n)
+        sizes = [factorial(n) // centralizer_order(mu) for mu in table.index]
+        for a, row_a in table.rows.items():
+            for b, row_b in table.rows.items():
+                s = sum(x * y * k for x, y, k in zip(row_a, row_b, sizes))
+                assert s == (factorial(n) if a == b else 0), (a, b)
+
+
+def _clear_caches():
+    for module in (combinatorics, curves, symfun, ring, hurwitz):
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+
+
+@pytest.fixture
+def corrupt_table():
+    """Return a function that adds 1 to chi_(3,1)((4,)) (which is -1)
+    inside character_table(4); every cache is cleared before and after."""
+
+    def corrupt():
+        _clear_caches()
+        table = character_table(4)
+        row = list(table.rows[(3, 1)])
+        row[table.index[(4,)]] += 1
+        table.rows[(3, 1)] = tuple(row)
+
+    _clear_caches()
+    yield corrupt
+    _clear_caches()
+
+
+@pytest.mark.parametrize("case", [lambert(), framed_c3(1), conifold(1)])
+def test_wrong_table_entry_reaches_the_route(corrupt_table, case):
+    assert z_from_characters(case, 5) == z_closed(case, 5)
+    corrupt_table()
+    rebuilt, closed = z_from_characters(case, 5), z_closed(case, 5)
+    differ = [n for n in range(6) if rebuilt.coeff(n) != closed.coeff(n)]
+    assert differ and differ[0] == 4
+
+
+def test_wrong_table_entry_reaches_the_hurwitz_table(corrupt_table):
+    golden = json.loads((default_golden_dir() / "hurwitz_d4_g2.json").read_text())
+    assert hurwitz_payload(4, 2) == golden
+    corrupt_table()
+    assert hurwitz_payload(4, 2) != golden
