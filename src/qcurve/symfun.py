@@ -311,15 +311,17 @@ def quantum_dimension(mu: Partition) -> RatFun:
 
     prod over cells of (Qh^-1 u^c - Qh u^-c) / (u^h - u^-h), with c the
     content and h the hook length of the cell.  Agrees with the
-    CONIFOLD_Y specialization of the Schur function.
+    CONIFOLD_Y specialization of the Schur function.  The cell numerators
+    and the hook denominators are multiplied out as two Laurent
+    polynomials, so the product is normalized once, not once per cell.
     """
-    mu = tuple(mu)
-    acc = RatFun.one()
+    num = den = LaurentPoly.one()
     for _, hook, content in hooks_and_contents(mu):
-        num = LaurentPoly.term(1, Qh=-1, u=content) - LaurentPoly.term(1, Qh=1, u=-content)
-        den = LaurentPoly.symbol("u", hook) - LaurentPoly.symbol("u", -hook)
-        acc = acc * RatFun(num, den)
-    return acc
+        num = num * (
+            LaurentPoly.term(1, Qh=-1, u=content) - LaurentPoly.term(1, Qh=1, u=-content)
+        )
+        den = den * (LaurentPoly.symbol("u", hook) - LaurentPoly.symbol("u", -hook))
+    return RatFun(num, den)
 
 
 def graded_exp(f: SymFunc, lam_cap: int | None = None) -> SymFunc:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcurve.symfun as symfun
-from qcurve.combinatorics import kappa, partitions_of
+from qcurve.combinatorics import hooks_and_contents, kappa, partitions_of
 from qcurve.hurwitz import burnside_series, hurwitz_table
 from qcurve.ring import LaurentPoly, RatFun
 from qcurve.symfun import (
@@ -185,6 +185,43 @@ def test_quantum_dimension_matches_conifold_specialization():
             assert quantum_dimension(mu) == specialize(
                 schur_to_powersums(mu, n), Specialization.CONIFOLD_Y
             ), mu
+
+
+def per_cell_quantum_dimension(mu):
+    """The hook-content product folded one normalizing RatFun per cell."""
+    acc = RatFun.one()
+    for _, hook, content in hooks_and_contents(mu):
+        num = LaurentPoly.term(1, Qh=-1, u=content) - LaurentPoly.term(1, Qh=1, u=-content)
+        acc = acc * RatFun(num, u(hook) - u(-hook))
+    return acc
+
+
+def test_quantum_dimension_is_the_per_cell_fold():
+    for n in range(8):
+        for mu in partitions_of(n):
+            assert quantum_dimension(mu) == per_cell_quantum_dimension(mu), mu
+
+
+def _normalizations(monkeypatch, build, mu):
+    """RatFun.__init__ calls (each one normalization) made by build(mu)."""
+    calls = []
+    init = RatFun.__init__
+    monkeypatch.setattr(
+        RatFun, "__init__", lambda self, *args: calls.append(args) or init(self, *args)
+    )
+    try:
+        build(mu)
+    finally:
+        monkeypatch.setattr(RatFun, "__init__", init)
+    return len(calls)
+
+
+@pytest.mark.parametrize("mu", [(), (1,), (3,), (2, 1), (3, 2, 1), (4, 2, 2, 1)])
+def test_quantum_dimension_normalizes_once(monkeypatch, mu):
+    quantum_dimension.cache_clear()
+    assert _normalizations(monkeypatch, quantum_dimension, mu) == 1
+    if sum(mu) > 1:  # the guard catches a per-cell fold
+        assert _normalizations(monkeypatch, per_cell_quantum_dimension, mu) > 1
 
 
 # ---------------------------------------------------------------------------
