@@ -364,6 +364,9 @@ def recurrence_check(case: CurveCase, order: int) -> RecurrenceReport:
 
     Each line is a deliberately independent restatement of the operator,
     written by hand and not derived from ``curve_operator``: an oracle.
+    Each line is one ``RatFun.sum`` of unit multiples of a_n and a_(n+1)
+    (the factor 1 - E^(2(n+1)) or 1 - u^(2(n+1)) multiplied out over
+    a_(n+1)), so a line that vanishes runs no gcd.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -373,21 +376,20 @@ def recurrence_check(case: CurveCase, order: int) -> RecurrenceReport:
     for n in range(order):
         cn, cn1 = z.coeff(n), z.coeff(n + 1)
         if case.kind is CurveKind.LAMBERT:
-            lhs = cn1.mul_term(n + 1, lam=1) - cn.mul_term(1, E=2 * n)
+            lhs = RatFun.sum((cn1.mul_term(n + 1, lam=1), cn.mul_term(-1, E=2 * n)))
         elif case.kind is CurveKind.C3:
-            poly = RatFun.from_poly(
-                LaurentPoly.one() - LaurentPoly.symbol("E", 2 * (n + 1))
-            )
-            lhs = cn1 * poly - cn.mul_term(1, E=1 - 2 * a * n)
+            lhs = RatFun.sum((
+                cn1,
+                cn1.mul_term(-1, E=2 * (n + 1)),
+                cn.mul_term(-1, E=1 - 2 * a * n),
+            ))
         else:
-            poly = RatFun.from_poly(
-                LaurentPoly.one() - LaurentPoly.symbol("u", 2 * (n + 1))
-            )
-            lhs = (
-                cn1 * poly
-                + cn.mul_term(1, u=2 * (a + 1) * n + 1)
-                - cn.mul_term(1, Qh=2, u=2 * a * n + 1)
-            )
+            lhs = RatFun.sum((
+                cn1,
+                cn1.mul_term(-1, u=2 * (n + 1)),
+                cn.mul_term(1, u=2 * (a + 1) * n + 1),
+                cn.mul_term(-1, Qh=2, u=2 * a * n + 1),
+            ))
         if not lhs.is_zero():
             first = n
             break

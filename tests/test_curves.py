@@ -351,6 +351,61 @@ def test_recurrences(case):
     assert report.ok, report
 
 
+def _recurrence_by_folds(case, z, order):
+    """First failing n of the recurrence lines folded with - and +, each
+    step normalized: the form of the check before one sum per line."""
+    a = case.framing
+    for n in range(order):
+        cn, cn1 = z.coeff(n), z.coeff(n + 1)
+        if case.kind is CurveKind.LAMBERT:
+            lhs = cn1.mul_term(n + 1, lam=1) - cn.mul_term(1, E=2 * n)
+        elif case.kind is CurveKind.C3:
+            lhs = cn1 * RatFun.from_poly(ONE - sym("E", 2 * (n + 1))) - cn.mul_term(
+                1, E=1 - 2 * a * n
+            )
+        else:
+            lhs = (
+                cn1 * RatFun.from_poly(ONE - sym("u", 2 * (n + 1)))
+                + cn.mul_term(1, u=2 * (a + 1) * n + 1)
+                - cn.mul_term(1, Qh=2, u=2 * a * n + 1)
+            )
+        if not lhs.is_zero():
+            return n
+    return None
+
+
+@pytest.mark.parametrize(
+    "case",
+    [lambert()] + [framed_c3(a) for a in range(-3, 4)] + [conifold(a) for a in range(-3, 4)],
+)
+def test_recurrence_verdicts_match_the_folded_lines(monkeypatch, case):
+    z = z_closed(case, 12)
+    calls = []
+    gcd_int = ring._dense_gcd_int
+    monkeypatch.setattr(
+        ring, "_dense_gcd_int", lambda f, g: calls.append(1) or gcd_int(f, g)
+    )
+    report = recurrence_check(case, 12)
+    assert (report.ok, report.first_failure) == (True, None)
+    assert calls == []  # every line sums to zero over its common denominator
+    monkeypatch.undo()
+    assert _recurrence_by_folds(case, z, 12) is None
+
+
+@pytest.mark.parametrize("k", [1, 6])
+@pytest.mark.parametrize("case", [lambert(), framed_c3(2), conifold(-1)])
+def test_recurrence_catches_an_exponent_off_by_one(monkeypatch, case, k):
+    # a_k times E (or u): the line linking a_(k-1) to a_k fails first
+    symbol = "u" if case.kind is CurveKind.CONIFOLD else "E"
+    z = z_closed(case, 8)
+    bad = XSeries(8, [c.mul_term(1, **{symbol: 1}) if n == k else c
+                      for n, c in enumerate(z.coeffs)])
+    monkeypatch.setattr(curves, "z_closed", lambda *args: bad)
+    report = recurrence_check(case, 8)
+    assert not report.ok
+    assert report.first_failure == _recurrence_by_folds(case, bad, 8) == k - 1
+
+
 def test_lambert_recurrence_by_hand():
     # (n+1) lam a_{n+1} = E^(2n) a_n, checked on raw coefficients
     z = z_closed(lambert(), 6)
