@@ -5,6 +5,13 @@ selftest.  Exit codes: 0 success, 1 a verification reported failure,
 2 usage error.  All mathematical output is deterministic (exact rationals
 as "p/q" strings, fixed orderings); the only non-reproducible field is
 the ``millis`` timing in verification reports.
+
+The sizes are capped, and a larger value is a usage error caught before
+any work.  Each cap keeps one run within seconds on a 2.1 GHz x86 core:
+``--xorder`` 40 (annihilation of the conifold about 1 s per framing,
+6.5 s for the default seven), ``--dmax`` 14 and ``--gmax`` 8 (the
+Hurwitz table at both caps 3.5 s) and ``--lam-order`` 30 (the
+cut-and-join check at degree 14 and lam^30 about 1 s).
 """
 
 from __future__ import annotations
@@ -30,6 +37,12 @@ from .selftest import (
     run_selftest,
     zclosed_payload,
 )
+
+
+XORDER_MAX = 40
+DMAX_MAX = 14
+GMAX_MAX = 8
+LAM_ORDER_MAX = 30
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -223,15 +236,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_partitions)
 
     p = sub.add_parser("hurwitz", help="exact Hurwitz numbers H_{g,mu}")
-    p.add_argument("--dmax", type=int, required=True)
-    p.add_argument("--gmax", type=int, default=0)
+    p.add_argument("--dmax", type=int, required=True, help=f"at most {DMAX_MAX}")
+    p.add_argument("--gmax", type=int, default=0, help=f"at most {GMAX_MAX}")
     common(p)
     p.set_defaults(fn=cmd_hurwitz)
 
     p = sub.add_parser("zclosed", help="closed-form partition function coefficients")
     p.add_argument("--case", choices=[k.value for k in CurveKind], required=True)
     p.add_argument("--framing", type=int, default=0)
-    p.add_argument("--xorder", type=int, default=8)
+    p.add_argument("--xorder", type=int, default=8, help=f"at most {XORDER_MAX}")
     common(p)
     p.set_defaults(fn=cmd_zclosed)
 
@@ -243,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         help="framings to test (default: -3..3 for c3/conifold)",
     )
-    p.add_argument("--xorder", type=int, default=12)
+    p.add_argument("--xorder", type=int, default=12, help=f"at most {XORDER_MAX}")
     p.add_argument(
         "--y-direction",
         choices=["forward", "inverse"],
@@ -257,13 +270,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recurrence", help="check the coefficient recurrences")
     p.add_argument("--case", choices=[k.value for k in CurveKind], required=True)
     p.add_argument("--framing", type=int, nargs="+")
-    p.add_argument("--xorder", type=int, default=12)
+    p.add_argument("--xorder", type=int, default=12, help=f"at most {XORDER_MAX}")
     common(p, formats=("text", "json"))
     p.set_defaults(fn=cmd_recurrence)
 
     p = sub.add_parser("cutjoin-check", help="d/dlam == cut-and-join on the series")
-    p.add_argument("--dmax", type=int, default=4)
-    p.add_argument("--lam-order", type=int, default=8, dest="lam_order")
+    p.add_argument("--dmax", type=int, default=4, help=f"at most {DMAX_MAX}")
+    p.add_argument(
+        "--lam-order", type=int, default=8, dest="lam_order",
+        help=f"at most {LAM_ORDER_MAX}",
+    )
     common(p, formats=("text", "json"))
     p.set_defaults(fn=cmd_cutjoin_check)
 
@@ -304,6 +320,11 @@ def _validate(args) -> None:
         parser.error("--xorder must be >= 1")
     if args.command == "cutjoin-check" and (args.dmax < 0 or args.lam_order < 1):
         parser.error("need --dmax >= 0 and --lam-order >= 1")
+    for flag, cap in (("xorder", XORDER_MAX), ("dmax", DMAX_MAX),
+                      ("gmax", GMAX_MAX), ("lam_order", LAM_ORDER_MAX)):
+        value = getattr(args, flag, None)
+        if value is not None and value > cap:
+            parser.error(f"--{flag.replace('_', '-')} {value} exceeds the cap {cap}")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -121,6 +121,39 @@ def test_out_of_range_arguments_exit_2(capsys, argv):
     assert capsys.readouterr().err.startswith(f"usage: qcurve {argv[0]} ")
 
 
+_ABOVE_CAPS = [
+    (["zclosed", "--case", "c3"], "--xorder", cli.XORDER_MAX),
+    (["verify-curve", "--case", "conifold"], "--xorder", cli.XORDER_MAX),
+    (["recurrence", "--case", "lambert"], "--xorder", cli.XORDER_MAX),
+    (["hurwitz", "--gmax", "1"], "--dmax", cli.DMAX_MAX),
+    (["hurwitz", "--dmax", "2"], "--gmax", cli.GMAX_MAX),
+    (["cutjoin-check"], "--dmax", cli.DMAX_MAX),
+    (["cutjoin-check"], "--lam-order", cli.LAM_ORDER_MAX),
+]
+
+
+@pytest.mark.parametrize("argv,flag,cap", _ABOVE_CAPS)
+def test_sizes_above_their_caps_exit_2_before_work(capsys, monkeypatch, argv, flag, cap):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the computation ran before the cap was checked")
+
+    for name in ("zclosed_payload", "verify_annihilation", "recurrence_check",
+                 "hurwitz_payload", "verify_cut_and_join"):
+        monkeypatch.setattr(cli, name, no_work)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, str(cap + 1)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: qcurve {argv[0]} ")
+    assert f"{flag} {cap + 1} exceeds the cap {cap}" in err
+
+
+@pytest.mark.parametrize("argv,flag,cap", _ABOVE_CAPS)
+def test_sizes_at_their_caps_are_accepted(argv, flag, cap):
+    args = cli.build_parser().parse_args([*argv, flag, str(cap)])
+    cli._validate(args)  # no usage error
+
+
 # ---------------------------------------------------------------------------
 # zclosed
 # ---------------------------------------------------------------------------
