@@ -9,16 +9,24 @@ with the character-weighted Schur sum
 
   sum_nu  dim(nu)/|nu|! * e^(kappa_nu * lam / 2) * s_nu.
 
-We build the right-hand side exactly through lam^M from integer
-character moments.  Expanding s_nu = sum_mu chi_nu(mu)/z_mu * p_mu and
-the exponential, the coefficient of lam^k p_mu (|mu| = n) is
+With the ring symbol E = e^(lam/2) the exponential is exact,
+e^(kappa_nu * lam / 2) = E^kappa_nu, so expanding
+s_nu = sum_mu chi_nu(mu)/z_mu * p_mu the coefficient of p_mu (|mu| = n)
+is the short Laurent polynomial
 
-  S_k(mu) / (z_mu * n! * 2^k * k!),
-  S_k(mu) = sum_nu chi_nu(mu) * dim(nu) * kappa_nu^k,
+  sum_nu chi_nu(mu) * dim(nu) / (z_mu * n!) * E^kappa_nu,
 
-where S_k(mu) is an integer.  We then take the graded log and read off
-H_{g,mu} from the lam^b coefficient.  The same series satisfies the
-cut-and-join equation d/dlam = K, which ``verify_cut_and_join`` checks
+built from the rows of ``character_table(n)`` with equal kappa merged;
+no lam order is chosen and nothing is truncated.  Its graded log has
+coefficients sum_e c_e E^e as well, since E -> e^(lam/2) is a ring map
+and the log uses only ring operations.  Reading E^e = sum_b (e/2)^b
+lam^b / b! gives every genus from that one log:
+
+  H_{g,mu} = b! * [lam^b p_mu] log = sum_e c_e * (e/2)^b,
+
+one integer sum per (g, mu).  The lam series through a fixed order,
+``burnside_series``, is derived from the same exact series by that rule
+and is what the cut-and-join equation d/dlam = K is checked on,
 coefficient by coefficient; the genus-0 values with at least three
 parts also have an independent closed form, ``elsv_genus0``.
 """
@@ -48,7 +56,7 @@ class LengthTooSmallError(ValueError):
 
 @dataclass(frozen=True)
 class BurnsideSeries:
-    """Character-weighted Schur sum with lam-truncated coefficients."""
+    """Character-weighted Schur sum with coefficients exact through lam^lam_order."""
 
     sym: SymFunc
     degree_cap: int
@@ -86,59 +94,65 @@ class CutJoinReport:
     first_mismatch: tuple[Partition, int, str, str] | None = None
 
 
-def burnside_series(degree_cap: int, lam_order: int) -> BurnsideSeries:
-    """The Schur-side series, exact through the stated caps.
+def _exact_series(degree_cap: int) -> SymFunc:
+    """The Schur-side series with every coefficient exact in E.
 
-    One pass per degree n: the integer moments S_k(mu) of the module
-    docstring, read from the rows of ``character_table(n)`` with the zero
-    characters skipped, then one Fraction per nonzero lam^k p_mu
-    coefficient.
+    One pass per degree n over the rows of ``character_table(n)``, the
+    zero characters skipped and the weights chi * dim of equal kappa
+    merged into one E^kappa term.
     """
-    if degree_cap < 0 or lam_order < 0:
-        raise ValueError("caps must be >= 0")
     terms = {(): RatFun.one()}
     for n in range(1, degree_cap + 1):
         rows = character_table(n).rows
         shapes = [(irrep_dimension(nu), kappa(nu), rows[nu]) for nu in partitions_of(n)]
         for j, mu in enumerate(partitions_of(n)):
-            weights = [(dim * row[j], kap) for dim, kap, row in shapes if row[j]]
+            weights: dict[int, int] = {}
+            for dim, kap, row in shapes:
+                if row[j]:
+                    weights[kap] = weights.get(kap, 0) + dim * row[j]
             base = centralizer_order(mu) * factorial(n)
-            poly = {}
-            for k in range(lam_order + 1):
-                moment = sum(w * kap**k for w, kap in weights)
-                if moment:
-                    poly[(0, 0, k, 0)] = Fraction(moment, base * 2**k * factorial(k))
-            terms[mu] = RatFun.from_poly(LaurentPoly(poly))
-    return BurnsideSeries(SymFunc(degree_cap, terms), degree_cap, lam_order)
+            terms[mu] = RatFun.from_poly(LaurentPoly(
+                {(kap, 0, 0, 0): Fraction(w, base) for kap, w in weights.items()}
+            ))
+    return SymFunc(degree_cap, terms)
 
 
-def default_lam_order(degree_cap: int, genus_cap: int) -> int:
-    """Smallest lam order covering every (g, mu) in range: 2G - 2 + 2D."""
-    return max(0, 2 * genus_cap - 2 + 2 * degree_cap)
+def _lam_moment(p: LaurentPoly, k: int) -> Fraction:
+    """k! * [lam^k] p(E) at E = e^(lam/2): sum_e c_e * (e/2)^k."""
+    return Fraction(sum(c * mono[0] ** k for mono, c in p.terms.items()), p.den * 2**k)
+
+
+def burnside_series(degree_cap: int, lam_order: int) -> BurnsideSeries:
+    """The Schur-side series expanded in lam, exact through lam^lam_order.
+
+    The lam expansion of the exact series: [lam^k] of a coefficient
+    sum_e c_e E^e is sum_e c_e * (e/2)^k / k!.
+    """
+    if degree_cap < 0 or lam_order < 0:
+        raise ValueError("caps must be >= 0")
+    sym = _exact_series(degree_cap).map_coeffs(lambda c: RatFun.from_poly(LaurentPoly({
+        (0, 0, k, 0): _lam_moment(c.num, k) / factorial(k) for k in range(lam_order + 1)
+    })))
+    return BurnsideSeries(sym, degree_cap, lam_order)
 
 
 def hurwitz_table(degree_cap: int, genus_cap: int) -> HurwitzTable:
     """Extract H_{g,mu} for 1 <= |mu| <= degree_cap, 0 <= g <= genus_cap.
 
-    H_{g,mu} = b! * [lam^b p_mu] log(series) with b = 2g - 2 + l + |mu|;
-    pairs with b < 0 are omitted.
+    One graded log of the exact series; each entry is the integer sum
+    H_{g,mu} = sum_e c_e * (e/2)^b over the E^e terms of its p_mu
+    coefficient, with b = 2g - 2 + l + |mu|.  Pairs with b < 0 are
+    omitted.
     """
-    M = default_lam_order(degree_cap, genus_cap)
-    series = burnside_series(degree_cap, M)
-    logseries = graded_log(series.sym, lam_cap=M)
+    logseries = graded_log(_exact_series(degree_cap))
     entries: dict[tuple[int, Partition], Fraction] = {}
     for n in range(1, degree_cap + 1):
         for mu in partitions_of(n):
-            poly = logseries.coeff(mu)
-            num = poly.num  # coefficients of the log are lam-polynomials
+            num = logseries.coeff(mu).num  # a Laurent polynomial in E
             for g in range(genus_cap + 1):
                 b = 2 * g - 2 + len(mu) + n
-                if b < 0:
-                    continue
-                c = num.coefficient_of("lam", b).as_scalar()
-                if c is None:
-                    raise AssertionError("log coefficient not scalar in lam")
-                entries[(g, mu)] = c * factorial(b)
+                if b >= 0:
+                    entries[(g, mu)] = _lam_moment(num, b)
     return HurwitzTable(entries, degree_cap, genus_cap)
 
 

@@ -111,13 +111,8 @@ class SymFunc:
             c = RatFun.from_scalar(c)
         return self.map_coeffs(lambda v: v * c)
 
-    def mul(self, other: SymFunc, lam_cap: int | None = None) -> SymFunc:
-        """Graded product, truncated at the degree cap.
-
-        ``lam_cap`` additionally truncates every coefficient at the given
-        power of lam; exact for all retained lam-orders since dropping
-        high lam-powers is an ideal.
-        """
+    def mul(self, other: SymFunc) -> SymFunc:
+        """Graded product, truncated at the degree cap."""
         cap = min(self.cap, other.cap)
         products = (
             (_sorted_merge(mu, nu), a * b)
@@ -125,8 +120,6 @@ class SymFunc:
             for nu, b in other.terms.items()
             if sum(mu) + sum(nu) <= cap
         )
-        if lam_cap is not None:
-            products = ((key, _truncate_lam(c, lam_cap)) for key, c in products)
         return _collect(cap, products)
 
     def __mul__(self, other: SymFunc) -> SymFunc:
@@ -184,13 +177,6 @@ def _collect(cap: int, pairs: Iterable[tuple[Partition, RatFun]]) -> SymFunc:
         if not c.is_zero():
             terms[mu] = c
     return _sf(cap, terms)
-
-
-def _truncate_lam(c: RatFun, lam_cap: int) -> RatFun:
-    # lam-truncation is only meaningful on polynomial coefficients
-    if not c.den.is_one():
-        raise ValueError("lam_cap requires polynomial coefficients")
-    return RatFun.from_poly(c.num.truncate_symbol("lam", lam_cap))
 
 
 @cache
@@ -324,7 +310,7 @@ def quantum_dimension(mu: Partition) -> RatFun:
     return RatFun(num, den)
 
 
-def graded_exp(f: SymFunc, lam_cap: int | None = None) -> SymFunc:
+def graded_exp(f: SymFunc) -> SymFunc:
     """exp of a symmetric function with zero constant term, by grading."""
     if not f.constant_term().is_zero():
         raise BadConstantTermError("exp needs constant term 0")
@@ -332,7 +318,7 @@ def graded_exp(f: SymFunc, lam_cap: int | None = None) -> SymFunc:
     power = summands[0]
     kfact = 1
     for k in range(1, f.cap + 1):
-        power = power.mul(f, lam_cap=lam_cap)
+        power = power.mul(f)
         if power.is_zero():
             break
         kfact *= k
@@ -340,7 +326,7 @@ def graded_exp(f: SymFunc, lam_cap: int | None = None) -> SymFunc:
     return _collect(f.cap, chain.from_iterable(g.terms.items() for g in summands))
 
 
-def graded_log(f: SymFunc, lam_cap: int | None = None) -> SymFunc:
+def graded_log(f: SymFunc) -> SymFunc:
     """log of a symmetric function with constant term 1, by grading.
 
     The degree operator D (D p_mu = |mu| p_mu) is a derivation, so
@@ -348,15 +334,10 @@ def graded_log(f: SymFunc, lam_cap: int | None = None) -> SymFunc:
 
       n L_n = n F_n - sum_{0<k<n} k L_k * F_{n-k}.
 
-    One pass over the degrees yields every L_n.  With ``lam_cap`` the
-    coefficients must be polynomials in lam; F is truncated there first
-    and every product after, which is exact because truncation is the
-    quotient by the ideal (lam^(lam_cap+1)).
+    One pass over the degrees yields every L_n.
     """
     if not f.constant_term().is_one():
         raise BadConstantTermError("log needs constant term 1")
-    if lam_cap is not None:
-        f = f.map_coeffs(lambda c: _truncate_lam(c, lam_cap))
     comps = [  # comps[n] = F_n
         _sf(f.cap, {mu: c for mu, c in f.terms.items() if sum(mu) == n})
         for n in range(f.cap + 1)
@@ -364,7 +345,7 @@ def graded_log(f: SymFunc, lam_cap: int | None = None) -> SymFunc:
     dlogs = [SymFunc.zero(f.cap)]  # dlogs[k] = k * L_k
     for n in range(1, f.cap + 1):
         products = chain.from_iterable(
-            dlogs[k].mul(comps[n - k], lam_cap=lam_cap).terms.items() for k in range(1, n)
+            dlogs[k].mul(comps[n - k]).terms.items() for k in range(1, n)
         )
         # -(products - n F_n): negated once per partition, not once per product
         dlogs.append(-_collect(f.cap, chain(comps[n].scale(-n).terms.items(), products)))

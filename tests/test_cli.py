@@ -154,6 +154,24 @@ def test_sizes_at_their_caps_are_accepted(argv, flag, cap):
     cli._validate(args)  # no usage error
 
 
+def test_partitions_above_the_cap_exits_2_before_work(capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the partitions were listed before the cap was checked")
+
+    monkeypatch.setattr(cli, "partitions_payload", no_work)
+    with pytest.raises(SystemExit) as exc:
+        main(["partitions", str(cli.PARTITIONS_MAX + 1)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: qcurve partitions ")
+    assert "n 41 exceeds the cap 40" in err
+
+
+def test_partitions_at_the_cap_is_accepted():
+    args = cli.build_parser().parse_args(["partitions", str(cli.PARTITIONS_MAX)])
+    cli._validate(args)  # no usage error
+
+
 # ---------------------------------------------------------------------------
 # zclosed
 # ---------------------------------------------------------------------------

@@ -8,24 +8,26 @@ d <= 4 and compared against the character-series extraction.
 """
 
 import itertools
+import json
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
+import qcurve.hurwitz as hurwitz
 from qcurve.combinatorics import irrep_dimension, kappa, partitions_of
 from qcurve.hurwitz import (
     BurnsideSeries,
     LengthTooSmallError,
     burnside_series,
     compare_cut_and_join,
-    default_lam_order,
     elsv_genus0,
     hurwitz_table,
     verify_cut_and_join,
 )
 from qcurve.ring import LaurentPoly, RatFun
-from qcurve.symfun import SymFunc, schur_to_powersums
+from qcurve.selftest import default_golden_dir, hurwitz_payload
+from qcurve.symfun import SymFunc, graded_log, schur_to_powersums
 
 
 # ---------------------------------------------------------------------------
@@ -88,13 +90,33 @@ def test_hurwitz_basic_values():
         assert tbl.value(g, (1,)) == 0
 
 
-def test_default_lam_order_covers_requests():
-    assert default_lam_order(2, 0) == 2
-    assert default_lam_order(6, 3) == 16
-    for d in range(1, 5):
-        for g in range(3):
-            m = default_lam_order(d, g)
-            assert 2 * g - 2 + 2 * d <= m
+def _lam_log_table(degree_cap, genus_cap):
+    """Reference: b! * [lam^b p_mu] of the log of the lam series through
+    lam^M, M = 2G - 2 + 2D, the lam powers above M dropped after the log."""
+    M = max(0, 2 * genus_cap - 2 + 2 * degree_cap)
+    log = graded_log(burnside_series(degree_cap, M).sym)
+    entries = {}
+    for n in range(1, degree_cap + 1):
+        for mu in partitions_of(n):
+            num = log.coeff(mu).num.truncate_symbol("lam", M)
+            for g in range(genus_cap + 1):
+                b = 2 * g - 2 + len(mu) + n
+                if b >= 0:
+                    c = num.coefficient_of("lam", b).as_scalar()
+                    entries[(g, mu)] = c * factorial(b)
+    return entries
+
+
+def test_exact_log_matches_lam_series_log():
+    for d in range(1, 8):
+        for g in range(5):
+            assert hurwitz_table(d, g).entries == _lam_log_table(d, g), (d, g)
+
+
+def test_every_genus_comes_from_one_log():
+    small = hurwitz_table(8, 3).entries
+    big = hurwitz_table(8, 8).entries
+    assert {k: v for k, v in big.items() if k[0] <= 3} == small
 
 
 def test_nonnegativity_and_parity():
@@ -103,14 +125,11 @@ def test_nonnegativity_and_parity():
         assert v >= 0, ((g, mu), v)
     # the lam-polynomial multiplying p_mu has only powers of parity
     # l(mu) + |mu| (mod 2), since b = 2g - 2 + l + |mu|
-    from qcurve.symfun import graded_log
-
     M = 8
-    series = burnside_series(4, M)
-    log = graded_log(series.sym, lam_cap=M)
+    log = graded_log(burnside_series(4, M).sym)
     for mu, c in log.terms.items():
         parity = (len(mu) + sum(mu)) % 2
-        for mono in c.num.terms:
+        for mono in c.num.truncate_symbol("lam", M).terms:
             assert mono[2] % 2 == parity, (mu, mono)
 
 
@@ -249,3 +268,36 @@ def test_cut_and_join_detects_injected_fault():
     assert mu == target
     assert power in (1, 2)  # derivative shifts lam^2 down; K keeps it
     assert lhs != rhs
+
+
+# ---------------------------------------------------------------------------
+# fault injection inside the exact series
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def shifted_kappa(monkeypatch):
+    """E^(kappa + 2) for the shape (3, 1) in the exact series, i.e. the
+    exponential e^(kappa lam/2) of one degree-4 shape off by e^lam."""
+    real = hurwitz.kappa
+    monkeypatch.setattr(hurwitz, "kappa", lambda nu: real(nu) + 2 * (nu == (3, 1)))
+
+
+def test_shifted_exponent_breaks_the_golden_table(shifted_kappa):
+    golden = json.loads((default_golden_dir() / "hurwitz_d4_g2.json").read_text())
+    assert hurwitz_payload(4, 2) != golden
+
+
+def test_shifted_exponent_breaks_cut_and_join(shifted_kappa):
+    report = compare_cut_and_join(burnside_series(4, 6))
+    assert not report.ok
+    assert sum(report.first_mismatch[0]) == 4
+
+
+def test_shifted_exponent_breaks_the_monodromy_count(shifted_kappa):
+    tbl = hurwitz_table(4, 1)
+    assert any(
+        tbl.value(g, mu) != brute_hurwitz(g, mu)
+        for mu in partitions_of(4)
+        for g in (0, 1)
+        if 2 * g - 2 + len(mu) + 4 <= 6
+    )

@@ -262,13 +262,13 @@ def test_graded_log_exp_round_trip():
         assert graded_exp(graded_log(g)) == g
 
 
-def _power_series_log(f, lam_cap=None):
-    """Reference: log(1 + g) = sum_k (-1)^(k-1) g^k / k, truncating each power."""
+def _power_series_log(f):
+    """Reference: log(1 + g) = sum_k (-1)^(k-1) g^k / k."""
     g = f - SymFunc.one(f.cap)
     acc = SymFunc.zero(f.cap)
     power = SymFunc.one(f.cap)
     for k in range(1, f.cap + 1):
-        power = power.mul(g, lam_cap=lam_cap)
+        power = power.mul(g)
         acc = acc + power.scale(Fraction((-1) ** (k - 1), k))
     return acc
 
@@ -292,16 +292,12 @@ def _random_lam_series(rng, cap, lam_degree, with_u):
 def test_graded_log_matches_power_series():
     rng = random.Random(2024)
     cases = 0
-    for lam_cap in (None, 0, 1, 3, 5):
-        for trial in range(8):
-            cap = rng.randint(1, 5)
-            # lam-degrees up to 6 exceed every finite cap below 6
-            f = _random_lam_series(rng, cap, 6, with_u=trial % 2 == 1)
-            assert graded_log(f, lam_cap=lam_cap) == _power_series_log(f, lam_cap), (
-                lam_cap, f
-            )
-            cases += 1
-    # a coefficient with a non-unit denominator is only allowed without a lam cap
+    for trial in range(40):
+        cap = rng.randint(1, 5)
+        f = _random_lam_series(rng, cap, 6, with_u=trial % 2 == 1)
+        assert graded_log(f) == _power_series_log(f), f
+        cases += 1
+    # a coefficient with a non-unit denominator
     pole = RatFun(LaurentPoly.term(2, lam=1), ONE - LaurentPoly.symbol("u", 2))
     f = SymFunc(4, {(): RatFun.one(), (1,): pole, (2, 1): HALF, (2,): pole * pole})
     assert not pole.den.is_one()
@@ -314,15 +310,6 @@ def test_bad_constant_term_errors():
         graded_log(SymFunc.zero(3))
     with pytest.raises(BadConstantTermError):
         graded_exp(SymFunc.one(3))
-
-
-def test_lam_cap_truncation_is_exact_on_retained_orders():
-    lam = RatFun.term(1, lam=1)
-    f = SymFunc(4, {(1,): RatFun.one() + lam, (2,): lam})
-    full = f.mul(f)
-    capped = f.mul(f, lam_cap=1)
-    for mu, c in capped.terms.items():
-        assert c.num == full.coeff(mu).num.truncate_symbol("lam", 1)
 
 
 def test_symfunc_text_form():
@@ -380,7 +367,7 @@ def test_symfun_adds_only_through_collect(monkeypatch):
     hurwitz_table(6, 2)
     series = burnside_series(5, 6).sym
     cut_and_join(series)
-    assert graded_exp(graded_log(series, lam_cap=6), lam_cap=6) == series
+    assert graded_exp(graded_log(series)) == series
     assert (series + series.scale(2) - series * SymFunc.one(5)).scale(-1) == series.scale(-2)
     powersum_from_schurs((3, 2, 1), 6)
     assert adds_from_symfun == []
@@ -413,10 +400,3 @@ def test_addition_laws_and_distributivity(f, g, h):
     assert (f + g) + h == f + (g + h)
     assert f - f == SymFunc.zero(f.cap)
     assert f.mul(g + h) == f.mul(g) + f.mul(h)
-
-
-@settings(deadline=None, max_examples=40)
-@given(symfuncs, symfuncs, st.integers(0, 4))
-def test_mul_lam_cap_is_truncated_mul(f, g, k):
-    want = f.mul(g).map_coeffs(lambda c: RatFun.from_poly(c.num.truncate_symbol("lam", k)))
-    assert f.mul(g, lam_cap=k) == want
