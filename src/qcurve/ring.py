@@ -43,8 +43,8 @@ constructor.  Products convolve the numerators and multiply the
 denominators; the gcd (primitive pseudo-remainder sequence) and exact
 division of normalization run on the numerators of dense slices, all in
 Python ints.  Fractions appear only at the edges: the public constructor,
-``sorted_terms`` (and so text and JSON), ``as_scalar`` and the one scalar
-that makes a denominator monic.  Invariant: every divisor handed to
+``sorted_terms`` (and so text and JSON) and the one scalar that makes a
+denominator monic.  Invariant: every divisor handed to
 ``_dense_divexact`` is a primitive integer polynomial, so by Gauss's lemma
 exact division over Q never leaves Z and keeps the numerators' content.
 """
@@ -62,7 +62,6 @@ _NSYM = len(SYMBOLS)
 _SYM_INDEX = {name: i for i, name in enumerate(SYMBOLS)}
 _ZERO_MONO = (0,) * _NSYM
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -106,8 +105,8 @@ class LaurentPoly:
     exponent vectors (ordered as ``SYMBOLS``) to nonzero ints, and
     gcd(den, numerators) == 1, so equal values have equal fields.
     Instances are value objects: hashable, comparable, never mutated after
-    construction.  Fractions appear only at the edges (the constructor,
-    ``sorted_terms`` and ``as_scalar``).
+    construction.  Fractions appear only at the edges (the constructor and
+    ``sorted_terms``).
     """
 
     __slots__ = ("terms", "den")
@@ -147,14 +146,6 @@ class LaurentPoly:
 
     def is_one(self) -> bool:
         return self.den == 1 and self.terms == {_ZERO_MONO: 1}
-
-    def as_scalar(self) -> Fraction | None:
-        """The value as a plain Fraction, or None if any symbol appears."""
-        if not self.terms:
-            return _ZERO
-        if len(self.terms) == 1 and _ZERO_MONO in self.terms:
-            return Fraction(self.terms[_ZERO_MONO], self.den)
-        return None
 
     def symbols_used(self) -> tuple[int, ...]:
         """Indices of symbols occurring with nonzero exponent."""
