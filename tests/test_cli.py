@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -349,6 +350,146 @@ def test_public_names_resolve():
 
     for name in qcurve.__all__:
         assert hasattr(qcurve, name), name
+
+
+# ---------------------------------------------------------------------------
+# pinned verification output (millis masked)
+# ---------------------------------------------------------------------------
+
+_SUITES = [
+    "character-orthogonality", "cutjoin-eigenvalue", "cutjoin-equation",
+    "hurwitz-elsv", "specializations", "route-equivalence", "annihilation",
+    "classical-limits", "golden-files",
+]
+_ROUTE_FAULT = "routes disagree for lambert framing 0"
+_INVERSE_U1 = "(1)*u^-1 + (1)*u^1 + (-1)*Qh^2*u^-1 + (-1)*Qh^2*u^1"
+
+
+def _mask_millis(text):
+    text = re.sub(r"\([0-9.]+ms\)", "(0ms)", text)
+    return re.sub(r'"millis": [0-9.eE+-]+', '"millis": 0', text)
+
+
+def _json(payload):
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _annihilation(case, framing, order, y, failure=None):
+    return {
+        "case": case, "framing": framing, "order": order, "y_direction": y,
+        "status": "annihilated" if failure is None else "failed",
+        "first_failure": failure, "millis": 0,
+    }
+
+
+def _selftest_json(fault):
+    return {
+        "ok": not fault,
+        "suites": [
+            {
+                "name": name,
+                "ok": not (fault and name == "route-equivalence"),
+                "detail": _ROUTE_FAULT if fault and name == "route-equivalence" else "ok",
+                "millis": 0,
+            }
+            for name in _SUITES
+        ],
+    }
+
+
+def _selftest_text(fault):
+    lines = [
+        f"FAIL  {name}  (0ms)  {_ROUTE_FAULT}"
+        if fault and name == "route-equivalence" else f"PASS  {name}  (0ms)"
+        for name in _SUITES
+    ]
+    lines.append("selftest: FAILURES" if fault else "selftest: all suites passed")
+    return "\n".join(lines) + "\n"
+
+
+_PINNED = [
+    (["verify-curve", "--case", "conifold", "--framing", "1", "--xorder", "4"], 0,
+     "conifold framing=1 order=4 y=forward: annihilated (0ms)\n"),
+    (["verify-curve", "--case", "lambert", "--xorder", "3"], 0,
+     "lambert framing=- order=3 y=forward: annihilated (0ms)\n"),
+    (["verify-curve", "--case", "c3", "--framing", "-1", "2", "--xorder", "3",
+      "--format", "json"], 0,
+     _json([_annihilation("c3", -1, 3, "forward"), _annihilation("c3", 2, 3, "forward")])),
+    (["verify-curve", "--case", "conifold", "--framing", "1", "--xorder", "2",
+      "--y-direction", "inverse"], 1,
+     "conifold framing=1 order=2 y=inverse: failed (0ms)  first failure at x^1\n"),
+    (["verify-curve", "--case", "conifold", "--framing", "1", "--xorder", "2",
+      "--y-direction", "inverse", "--format", "json"], 1,
+     _json([_annihilation("conifold", 1, 2, "inverse",
+                          {"degree": 1, "coefficient": _INVERSE_U1})])),
+    (["recurrence", "--case", "c3", "--framing", "-1", "2", "--xorder", "4"], 0,
+     "c3 framing=-1 order=4: ok\nc3 framing=2 order=4: ok\n"),
+    (["recurrence", "--case", "lambert", "--xorder", "4", "--format", "json"], 0,
+     _json([{"case": "lambert", "framing": None, "order": 4, "ok": True,
+             "first_failure": None}])),
+    (["cutjoin-check", "--dmax", "3", "--lam-order", "4"], 0,
+     "cut-and-join through degree 3, lam order 4: holds\n"),
+    (["cutjoin-check", "--dmax", "3", "--lam-order", "4", "--format", "json"], 0,
+     _json({"degree_cap": 3, "lam_order": 4, "ok": True,
+            "coefficients_checked": 12, "first_mismatch": None})),
+    (["selftest"], 0, _selftest_text(False)),
+    (["selftest", "--json"], 0, _json(_selftest_json(False))),
+]
+
+
+@pytest.mark.parametrize("argv,code,expected", _PINNED)
+def test_verification_output_is_pinned(capsys, argv, code, expected):
+    got_code, out = run(capsys, *argv)
+    assert (got_code, _mask_millis(out)) == (code, expected)
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["selftest"], _selftest_text(True)),
+    (["selftest", "--json"], _json(_selftest_json(True))),
+])
+def test_fault_injected_selftest_output_is_pinned(capsys, monkeypatch, argv, expected):
+    monkeypatch.setenv("QCURVE_FAULT_INJECT", "1")
+    code, out = run(capsys, *argv)
+    assert (code, _mask_millis(out)) == (1, expected)
+
+
+def _failing_recurrence(case, order):
+    from qcurve.curves import RecurrenceReport
+
+    return RecurrenceReport(case.label(), case.framing, order, False, 3)
+
+
+@pytest.mark.parametrize("fmt,expected", [
+    ("text", "c3 framing=2 order=5: fails at n=3\n"),
+    ("json", _json([{"case": "c3", "framing": 2, "order": 5, "ok": False,
+                     "first_failure": 3}])),
+])
+def test_failing_recurrence_output_is_pinned(capsys, monkeypatch, fmt, expected):
+    monkeypatch.setattr(cli, "recurrence_check", _failing_recurrence)
+    code, out = run(capsys, "recurrence", "--case", "c3", "--framing", "2",
+                    "--xorder", "5", "--format", fmt)
+    assert (code, out) == (1, expected)
+
+
+def _failing_cut_and_join(degree_cap, lam_order):
+    from qcurve.hurwitz import CutJoinReport
+
+    return CutJoinReport(degree_cap, lam_order, False, 7, ((2, 1), 2, "1/2", "1/3"))
+
+
+@pytest.mark.parametrize("fmt,expected", [
+    ("text", "cut-and-join through degree 3, lam order 4: fails: {'partition': "
+             "'[2, 1]', 'lam_power': 2, 'lhs': '1/2', 'rhs': '1/3'}\n"),
+    ("json", _json({"degree_cap": 3, "lam_order": 4, "ok": False,
+                    "coefficients_checked": 7,
+                    "first_mismatch": {"partition": "[2, 1]", "lam_power": 2,
+                                       "lhs": "1/2", "rhs": "1/3"}})),
+])
+def test_failing_cutjoin_output_is_pinned(capsys, monkeypatch, fmt, expected):
+    monkeypatch.setattr(cli, "verify_cut_and_join", _failing_cut_and_join)
+    code, out = run(capsys, "cutjoin-check", "--dmax", "3", "--lam-order", "4",
+                    "--format", fmt)
+    assert (code, out) == (1, expected)
 
 
 # ---------------------------------------------------------------------------
