@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cache
 from math import factorial
@@ -282,22 +282,18 @@ class AnnihilationReport:
         return self.status == "annihilated"
 
     def to_json(self) -> dict:
-        return {
-            "case": self.case,
-            "framing": self.framing,
-            "order": self.order,
-            "y_direction": self.y_direction,
-            "status": self.status,
-            "first_failure": (
-                None
-                if self.first_failure is None
-                else {
-                    "degree": self.first_failure[0],
-                    "coefficient": self.first_failure[1],
-                }
-            ),
-            "millis": self.millis,
-        }
+        out = asdict(self)
+        del out["degrees_ok"]
+        if self.first_failure is not None:
+            degree, coefficient = self.first_failure
+            out["first_failure"] = {"degree": degree, "coefficient": coefficient}
+        return out
+
+    def text(self) -> str:
+        line = f"{_heading(self)} y={self.y_direction}: {self.status} ({self.millis}ms)"
+        if self.first_failure is not None:
+            line += f"  first failure at x^{self.first_failure[0]}"
+        return line
 
 
 @dataclass(frozen=True)
@@ -309,13 +305,16 @@ class RecurrenceReport:
     first_failure: int | None
 
     def to_json(self) -> dict:
-        return {
-            "case": self.case,
-            "framing": self.framing,
-            "order": self.order,
-            "ok": self.ok,
-            "first_failure": self.first_failure,
-        }
+        return asdict(self)
+
+    def text(self) -> str:
+        verdict = "ok" if self.ok else f"fails at n={self.first_failure}"
+        return f"{_heading(self)}: {verdict}"
+
+
+def _heading(report) -> str:
+    framing = "-" if report.framing is None else report.framing
+    return f"{report.case} framing={framing} order={report.order}"
 
 
 def _framing_field(case: CurveCase) -> int | None:

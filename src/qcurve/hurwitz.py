@@ -33,7 +33,7 @@ parts also have an independent closed form, ``elsv_genus0``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -92,6 +92,22 @@ class CutJoinReport:
     ok: bool
     coefficients_checked: int
     first_mismatch: tuple[Partition, int, str, str] | None = None
+
+    def to_json(self) -> dict:
+        out = asdict(self)
+        if self.first_mismatch is not None:
+            mu, power, lhs, rhs = self.first_mismatch
+            out["first_mismatch"] = {
+                "partition": str(list(mu)), "lam_power": power, "lhs": lhs, "rhs": rhs,
+            }
+        return out
+
+    def text(self) -> str:
+        status = "holds" if self.ok else f"fails: {self.to_json()['first_mismatch']}"
+        return (
+            f"cut-and-join through degree {self.degree_cap}, "
+            f"lam order {self.lam_order}: {status}"
+        )
 
 
 def _exact_series(degree_cap: int) -> SymFunc:

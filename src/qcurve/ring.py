@@ -129,10 +129,6 @@ class LaurentPoly:
         return _LP_ONE
 
     @classmethod
-    def scalar(cls, c) -> LaurentPoly:
-        return cls({_ZERO_MONO: _coerce(c)})
-
-    @classmethod
     def symbol(cls, name: str, power: int = 1) -> LaurentPoly:
         return cls({_mono_key({name: power}): _ONE})
 
@@ -192,7 +188,7 @@ class LaurentPoly:
 
     def __mul__(self, other) -> LaurentPoly:
         if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.scalar(other)
+            other = LaurentPoly({_ZERO_MONO: other})
         elif not isinstance(other, LaurentPoly):
             return NotImplemented
         if not self.terms or not other.terms:
@@ -571,10 +567,6 @@ class RatFun:
         return _RF_ONE
 
     @classmethod
-    def from_scalar(cls, c) -> RatFun:
-        return cls.term(c)
-
-    @classmethod
     def from_poly(cls, p: LaurentPoly) -> RatFun:
         return cls._raw(p, _LP_ONE)
 
@@ -595,10 +587,6 @@ class RatFun:
 
     def __hash__(self) -> int:
         return hash((self.num, self.den))
-
-    def equals_cross(self, other: RatFun) -> bool:
-        """Equality by cross-multiplication (independent of canonical form)."""
-        return (self.num * other.den) == (other.num * self.den)
 
     def __neg__(self) -> RatFun:
         return RatFun._raw(-self.num, self.den)
@@ -677,7 +665,7 @@ class RatFun:
 
     def __mul__(self, other) -> RatFun:
         if isinstance(other, (int, Fraction)):
-            other = RatFun.from_scalar(other)
+            other = RatFun.term(other)
         elif not isinstance(other, RatFun):
             return NotImplemented
         if self.is_zero() or other.is_zero():
@@ -706,7 +694,7 @@ class RatFun:
         return res
 
     def scale(self, c) -> RatFun:
-        return self * RatFun.from_scalar(c)
+        return self * RatFun.term(c)
 
     def mul_term(self, coeff, **powers: int) -> RatFun:
         """Multiply by coeff * monomial; units keep the form canonical."""
@@ -896,7 +884,7 @@ class XSeries:
         return self.add(other)
 
     def __sub__(self, other: XSeries) -> XSeries:
-        return self + other.scale(RatFun.from_scalar(-1))
+        return self + other.scale(RatFun.term(-1))
 
     def __mul__(self, other: XSeries) -> XSeries:
         if not isinstance(other, XSeries):

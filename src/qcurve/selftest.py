@@ -3,9 +3,9 @@
 ``run_selftest`` exercises the cross-cutting identities at moderate caps
 (the exhaustive versions live in the test suite) and compares a few
 canonical outputs against golden files shipped with the package.  Fault
-injection (the ``QCURVE_FAULT_INJECT`` environment variable, or the
-``fault_inject`` argument) deliberately perturbs one computed coefficient
-so the harness itself can be seen to catch errors.
+injection (the ``QCURVE_FAULT_INJECT`` environment variable) deliberately
+perturbs one computed coefficient so the harness itself can be seen to
+catch errors.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -59,6 +59,13 @@ class SuiteResult:
     detail: str
     millis: float
 
+    def to_json(self) -> dict:
+        return asdict(self)
+
+    def text(self) -> str:
+        line = f"{'PASS' if self.ok else 'FAIL'}  {self.name}  ({self.millis}ms)"
+        return line if self.ok else f"{line}  {self.detail}"
+
 
 def default_golden_dir() -> Path:
     return Path(__file__).parent / "golden" / "v1"
@@ -89,13 +96,7 @@ def hurwitz_payload(dmax: int, gmax: int) -> list[dict]:
     ]
 
 
-def _case_from_label(label: str, framing: int) -> CurveCase:
-    kind = CurveKind(label)
-    return CurveCase(kind, 0 if kind is CurveKind.LAMBERT else framing)
-
-
-def zclosed_payload(label: str, framing: int, order: int) -> dict:
-    case = _case_from_label(label, framing)
+def zclosed_payload(case: CurveCase, order: int) -> dict:
     series = z_closed(case, order)
     return {
         "case": case.label(),
@@ -116,9 +117,9 @@ def zclosed_payload(label: str, framing: int, order: int) -> dict:
 GOLDEN = {
     "partitions_n6.json": lambda: partitions_payload(6),
     "hurwitz_d4_g2.json": lambda: hurwitz_payload(4, 2),
-    "zclosed_lambert_n6.json": lambda: zclosed_payload("lambert", 0, 6),
-    "zclosed_c3_a1_n6.json": lambda: zclosed_payload("c3", 1, 6),
-    "zclosed_conifold_a1_n6.json": lambda: zclosed_payload("conifold", 1, 6),
+    "zclosed_lambert_n6.json": lambda: zclosed_payload(lambert(), 6),
+    "zclosed_c3_a1_n6.json": lambda: zclosed_payload(framed_c3(1), 6),
+    "zclosed_conifold_a1_n6.json": lambda: zclosed_payload(conifold(1), 6),
 }
 
 
@@ -195,7 +196,8 @@ def _suite_specializations() -> str | None:
     return None
 
 
-def _suite_route_equivalence(fault_inject: bool) -> str | None:
+def _suite_route_equivalence() -> str | None:
+    fault_inject = bool(os.environ.get(FAULT_ENV))
     cases = [lambert(), framed_c3(-1), framed_c3(2), conifold(-1), conifold(2)]
     for case in cases:
         rebuilt = z_from_characters(case, 5)
@@ -244,20 +246,14 @@ def _suite_golden(golden_dir: Path) -> str | None:
     return None
 
 
-def run_selftest(
-    fault_inject: bool | None = None, golden_dir: Path | None = None
-) -> list[SuiteResult]:
-    if fault_inject is None:
-        fault_inject = bool(os.environ.get(FAULT_ENV))
-    if golden_dir is None:
-        golden_dir = default_golden_dir()
+def run_selftest(golden_dir: Path) -> list[SuiteResult]:
     suites = [
         ("character-orthogonality", _suite_characters),
         ("cutjoin-eigenvalue", _suite_cutjoin_eigenvalue),
         ("cutjoin-equation", _suite_cutjoin_equation),
         ("hurwitz-elsv", _suite_hurwitz_elsv),
         ("specializations", _suite_specializations),
-        ("route-equivalence", lambda: _suite_route_equivalence(fault_inject)),
+        ("route-equivalence", _suite_route_equivalence),
         ("annihilation", _suite_annihilation),
         ("classical-limits", _suite_classical_limits),
         ("golden-files", lambda: _suite_golden(golden_dir)),

@@ -108,7 +108,7 @@ class SymFunc:
 
     def scale(self, c) -> SymFunc:
         if isinstance(c, (int, Fraction)):
-            c = RatFun.from_scalar(c)
+            c = RatFun.term(c)
         return self.map_coeffs(lambda v: v * c)
 
     def mul(self, other: SymFunc) -> SymFunc:
@@ -200,7 +200,7 @@ def schur_to_powersums(nu: Partition, cap: int) -> SymFunc:
     if sum(nu) > cap:
         raise DegreeCapExceededError(f"|{nu}| exceeds cap {cap}")
     return SymFunc(
-        cap, {mu: RatFun.from_scalar(c) for mu, c in _schur_terms(nu)}
+        cap, {mu: RatFun.term(c) for mu, c in _schur_terms(nu)}
     )
 
 

@@ -49,7 +49,7 @@ def test_counters_still_read_the_ring():
 
     tracing = _load_tracing()
     u, one, half = (
-        LaurentPoly.symbol("u"), LaurentPoly.one(), LaurentPoly.scalar(Fraction(1, 2))
+        LaurentPoly.symbol("u"), LaurentPoly.one(), LaurentPoly.term(Fraction(1, 2))
     )
     d1 = u + half
     a = RatFun(LaurentPoly.symbol("Qh", 2), d1)

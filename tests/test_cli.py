@@ -130,7 +130,11 @@ _ABOVE_CAPS = [
     (["hurwitz", "--dmax", "2"], "--gmax", cli.GMAX_MAX),
     (["cutjoin-check"], "--dmax", cli.DMAX_MAX),
     (["cutjoin-check"], "--lam-order", cli.LAM_ORDER_MAX),
+    (["zclosed", "--case", "conifold"], "--framing", cli.FRAMING_MAX),
+    (["verify-curve", "--case", "conifold"], "--framing", cli.FRAMING_MAX),
+    (["recurrence", "--case", "c3"], "--framing", cli.FRAMING_MAX),
 ]
+_FRAMING_CAPS = [c for c in _ABOVE_CAPS if c[1] == "--framing"]
 
 
 @pytest.mark.parametrize("argv,flag,cap", _ABOVE_CAPS)
@@ -153,6 +157,42 @@ def test_sizes_above_their_caps_exit_2_before_work(capsys, monkeypatch, argv, fl
 def test_sizes_at_their_caps_are_accepted(argv, flag, cap):
     args = cli.build_parser().parse_args([*argv, flag, str(cap)])
     cli._validate(args)  # no usage error
+
+
+@pytest.mark.parametrize("argv,flag,cap", _FRAMING_CAPS)
+def test_framings_below_minus_the_cap_exit_2(capsys, monkeypatch, argv, flag, cap):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the computation ran before the cap was checked")
+
+    for name in ("zclosed_payload", "verify_annihilation", "recurrence_check"):
+        monkeypatch.setattr(cli, name, no_work)
+    # a multi-value --framing is rejected when any one value is beyond the cap
+    values = [str(-cap - 1)] if argv[0] == "zclosed" else ["1", str(-cap - 1), "2"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, *values])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: qcurve {argv[0]} ")
+    assert f"{flag} {-cap - 1} exceeds the cap {cap}" in err
+
+
+@pytest.mark.parametrize("argv,flag,cap", _FRAMING_CAPS)
+def test_framings_at_minus_the_cap_are_accepted(argv, flag, cap):
+    args = cli.build_parser().parse_args([*argv, flag, str(-cap)])
+    cli._validate(args)  # no usage error
+
+
+def test_readme_states_every_cap():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = " ".join(readme.split()).split("Sizes are capped: ", 1)[1].split(". ", 1)[0]
+    stated = {f: int(c) for f, c in re.findall(r"`([^`]+)` at most (\d+)", sentence)}
+    flags = {
+        name: "partitions N" if name == "PARTITIONS_MAX"
+        else "--" + name.removesuffix("_MAX").lower().replace("_", "-")
+        for name in vars(cli) if name.endswith("_MAX")
+    }
+    assert "--framing" in flags.values()
+    assert stated == {flags[name]: getattr(cli, name) for name in flags}
 
 
 def test_partitions_above_the_cap_exits_2_before_work(capsys, monkeypatch):

@@ -154,7 +154,7 @@ def test_lambert_operator_structure():
     op = curve_operator(lambert())
     assert op.terms == (
         QOpTerm(RatFun.one(), 0, LambdaEuler()),
-        QOpTerm(RatFun.from_scalar(-1), 1, Dilation("E", 2)),
+        QOpTerm(RatFun.term(-1), 1, Dilation("E", 2)),
     )
 
 

@@ -49,9 +49,9 @@ def test_series_p2_lambda_coefficient():
     bs = burnside_series(2, 4)
     c = bs.sym.coeff((2,)).num
     assert c.coefficient_of("lam", 0).is_zero()
-    assert c.coefficient_of("lam", 1) == LaurentPoly.scalar(Fraction(1, 2))
+    assert c.coefficient_of("lam", 1) == LaurentPoly.term(Fraction(1, 2))
     assert c.coefficient_of("lam", 2).is_zero()
-    assert c.coefficient_of("lam", 3) == LaurentPoly.scalar(Fraction(1, 12))
+    assert c.coefficient_of("lam", 3) == LaurentPoly.term(Fraction(1, 12))
 
 
 def _schur_sum_series(degree_cap, lam_order):

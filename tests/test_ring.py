@@ -108,7 +108,6 @@ def test_rf_mixed_symbol_reduction():
     expected = RatFun(sym("Qh", 2) - sym("u", 2), ONE - sym("u", 2))
     assert reduced == expected
     assert reduced.num * den == num * reduced.den  # cross-multiplication
-    assert reduced.equals_cross(RatFun._raw(num, den))
 
 
 def test_rf_scaling_invariance_random():
@@ -120,7 +119,7 @@ def test_rf_scaling_invariance_random():
             den = ONE + sym("u", rng.randint(1, 3)) * rng.randint(-2, 2)
         g = LaurentPoly.zero()
         while g.is_zero():
-            g = LaurentPoly.term(rng.randint(1, 3), u=rng.randint(0, 2)) + LaurentPoly.scalar(rng.randint(-2, 2))
+            g = LaurentPoly.term(rng.randint(1, 3), u=rng.randint(0, 2)) + LaurentPoly.term(rng.randint(-2, 2))
         assert RatFun(f * g, den * g) == RatFun(f, den)
 
 
@@ -131,7 +130,7 @@ def test_rf_canonical_den_monic():
     lead = max(f.den.terms.items(), key=lambda kv: kv[0])
     assert lead[1] == 1
     # value is unchanged
-    assert f.equals_cross(RatFun._raw(sym("E"), ONE - sym("E", 2)))
+    assert f.num * (ONE - sym("E", 2)) == sym("E") * f.den
 
 
 def test_rf_zero_denominator_error():
@@ -164,11 +163,11 @@ def test_rf_arithmetic_against_fractions():
     for _ in range(50):
         a = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         b = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        fa, fb = RatFun.from_scalar(a), RatFun.from_scalar(b)
-        assert fa + fb == RatFun.from_scalar(a + b)
-        assert fa * fb == RatFun.from_scalar(a * b)
+        fa, fb = RatFun.term(a), RatFun.term(b)
+        assert fa + fb == RatFun.term(a + b)
+        assert fa * fb == RatFun.term(a * b)
         if b:
-            assert fa / fb == RatFun.from_scalar(a / b)
+            assert fa / fb == RatFun.term(a / b)
 
 
 def test_rf_division_and_pow():
@@ -193,7 +192,7 @@ def test_rf_add_paths():
     assert total == expect
     # coprime denominators in the same symbol
     e = RatFun(ONE, ONE - sym("u")) + RatFun(ONE, ONE + sym("u"))
-    assert e == RatFun(LaurentPoly.scalar(2), ONE - sym("u", 2))
+    assert e == RatFun(LaurentPoly.term(2), ONE - sym("u", 2))
     # polynomial plus proper fraction
     assert RatFun(sym("u", 2)) + RatFun(ONE, ONE - sym("u", 2)) == RatFun(
         sym("u", 2) * (ONE - sym("u", 2)) + ONE, ONE - sym("u", 2)
@@ -205,7 +204,7 @@ def test_rf_laurent_numerator_slices():
     num = LaurentPoly.term(1, u=-3) * (ONE - sym("u", 2))
     f = RatFun(num, ONE - sym("u", 4))
     assert f == RatFun(LaurentPoly.term(1, u=-3), ONE + sym("u", 2))
-    assert f.equals_cross(RatFun._raw(num, ONE - sym("u", 4)))
+    assert f.num * (ONE - sym("u", 4)) == num * f.den
 
 
 def test_rf_laurent_denominator():
@@ -395,7 +394,7 @@ def test_rf_common_factor_cancels(a, b, c, qh):
 
 def test_rf_add_shared_denominator_non_integer(monkeypatch):
     # canonical denominators u + 1/2 and (u + 1/2)(u + 1) are not integer
-    d1 = sym("u") + LaurentPoly.scalar(Fraction(1, 2))
+    d1 = sym("u") + LaurentPoly.term(Fraction(1, 2))
     d2 = d1 * (sym("u") + ONE)
     a = RatFun(sym("Qh", 2), d1)
     b = RatFun(sym("u") - ONE, d2)
@@ -407,7 +406,7 @@ def test_rf_add_shared_denominator_non_integer(monkeypatch):
     )
     for total in (a + b, b + a):
         assert seen.pop() == d2  # no product of the denominators was formed
-        assert total.equals_cross(RatFun._raw(a.num * d2 + b.num * d1, d1 * d2))
+        assert total.num * (d1 * d2) == (a.num * d2 + b.num * d1) * total.den
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +431,7 @@ U, HALF, THIRD = sym("u"), Fraction(1, 2), Fraction(1, 3)
 @settings(deadline=None)
 @given(laurent_polys, laurent_polys)
 @example(ONE + U, ONE - U)
-@example(U * HALF - LaurentPoly.scalar(THIRD), U * HALF + LaurentPoly.scalar(THIRD))
+@example(U * HALF - LaurentPoly.term(THIRD), U * HALF + LaurentPoly.term(THIRD))
 @example(U * HALF + sym("E") * THIRD, LaurentPoly.term(Fraction(1, 5), Qh=-1) - sym("lam"))
 # one-term factors: a rational coefficient, negative exponents, exactly 1
 @example(LaurentPoly.term(Fraction(-3, 4), E=1, u=2), U * HALF + sym("Qh") * THIRD)
@@ -562,7 +561,7 @@ def test_unit_product_keeps_the_other_denominator(unit, fa):
     assert (w * f).den == f.den
     assert f.mul_term(c, **powers) == want
     assert f.num.mul_term(c, **powers) == want.num
-    assert f.scale(c) == RatFun(f.num * LaurentPoly.scalar(c), f.den) == f * c
+    assert f.scale(c) == RatFun(f.num * LaurentPoly.term(c), f.den) == f * c
 
 
 def test_unit_zero_and_float_coefficients():
@@ -622,7 +621,7 @@ _A, _B = RatFun(ONE, ONE - U), RatFun(U, (ONE - U) * (ONE + U))
 # nested, constant, zero and coprime denominators
 @example([_A, _B, RatFun(sym("E")), RatFun.zero(), RatFun(sym("u", -1), ONE + U * U)])
 # zero over the lcm, which grows by a gcd
-@example([_A, RatFun(ONE, ONE + U), RatFun(LaurentPoly.scalar(-2), (ONE - U) * (ONE + U))])
+@example([_A, RatFun(ONE, ONE + U), RatFun(LaurentPoly.term(-2), (ONE - U) * (ONE + U))])
 # a non-integer denominator, a coprime one and one the lcm divides
 @example([RatFun(ONE, U + ONE * HALF), _B, _A])
 def test_sum_is_the_pairwise_fold(xs):
@@ -658,7 +657,7 @@ def test_zero_sum_over_nested_denominators_runs_no_gcd(monkeypatch):
     )
     # 2/(1 - u^2) = 1/(1 - u) + 1/(1 + u): the longest denominator is the
     # lcm, and the other two divide it
-    xs = [_A, RatFun(LaurentPoly.scalar(-2), (ONE - U) * (ONE + U)), RatFun(ONE, ONE + U)]
+    xs = [_A, RatFun(LaurentPoly.term(-2), (ONE - U) * (ONE + U)), RatFun(ONE, ONE + U)]
     assert RatFun.sum(xs) is RatFun.zero()
     assert calls == []
 
@@ -669,11 +668,11 @@ def test_zero_sum_over_nested_denominators_runs_no_gcd(monkeypatch):
 
 def test_xseries_product_truncates():
     one_plus = XSeries(2, [RatFun.one(), RatFun.one(), RatFun.zero()])
-    one_minus = XSeries(2, [RatFun.one(), RatFun.from_scalar(-1), RatFun.zero()])
+    one_minus = XSeries(2, [RatFun.one(), RatFun.term(-1), RatFun.zero()])
     prod = one_plus * one_minus
     assert prod.coeff(0).is_one()
     assert prod.coeff(1).is_zero()
-    assert prod.coeff(2) == RatFun.from_scalar(-1)
+    assert prod.coeff(2) == RatFun.term(-1)
 
 
 def test_xseries_scale_zero():
@@ -691,10 +690,10 @@ def test_xseries_exponential_identity():
         for n in range(N + 1)
     ]
     assert conv == [1, 0, 0, 0, 0, 0, 0]
-    a = XSeries(N, [RatFun.from_scalar(c) for c in exp_pos])
-    b = XSeries(N, [RatFun.from_scalar(c) for c in exp_neg])
+    a = XSeries(N, [RatFun.term(c) for c in exp_pos])
+    b = XSeries(N, [RatFun.term(c) for c in exp_neg])
     prod = a * b
-    assert prod == XSeries(N, [RatFun.from_scalar(c) for c in conv])
+    assert prod == XSeries(N, [RatFun.term(c) for c in conv])
     assert prod == XSeries.one(N)
 
 
@@ -708,9 +707,9 @@ def test_xseries_agrees_with_polynomial_convolution():
         for i, ca in enumerate(pa):
             for j, cb in enumerate(pb):
                 conv[i + j] += ca * cb
-        a = XSeries(N, [RatFun.from_scalar(c) for c in pa] + [RatFun.zero()] * (N - N // 2))
-        b = XSeries(N, [RatFun.from_scalar(c) for c in pb] + [RatFun.zero()] * (N - N // 2))
-        assert a * b == XSeries(N, [RatFun.from_scalar(c) for c in conv])
+        a = XSeries(N, [RatFun.term(c) for c in pa] + [RatFun.zero()] * (N - N // 2))
+        b = XSeries(N, [RatFun.term(c) for c in pb] + [RatFun.zero()] * (N - N // 2))
+        assert a * b == XSeries(N, [RatFun.term(c) for c in conv])
 
 
 def test_xseries_order_discipline():
@@ -729,11 +728,11 @@ def test_xseries_order_discipline():
 
 
 def test_xseries_shift():
-    s = XSeries(3, [RatFun.from_scalar(k) for k in (1, 2, 3, 4)])
+    s = XSeries(3, [RatFun.term(k) for k in (1, 2, 3, 4)])
     t = s.shift(1)
     assert t.coeff(0).is_zero()
-    assert t.coeff(1) == RatFun.from_scalar(1)
-    assert t.coeff(3) == RatFun.from_scalar(3)
+    assert t.coeff(1) == RatFun.term(1)
+    assert t.coeff(3) == RatFun.term(3)
 
 
 # ---------------------------------------------------------------------------
@@ -748,7 +747,7 @@ def test_canonical_text():
 
 
 def test_text_term_order_is_total_degree_then_lex():
-    p = sym("u", 3) + sym("E") * sym("u") + LaurentPoly.scalar(5)
+    p = sym("u", 3) + sym("E") * sym("u") + LaurentPoly.term(5)
     assert str(p) == "5 + (1)*E^1*u^1 + (1)*u^3"
 
 

@@ -27,7 +27,7 @@ from qcurve.symfun import (
 )
 
 ONE = LaurentPoly.one()
-HALF = RatFun.from_scalar(Fraction(1, 2))
+HALF = RatFun.term(Fraction(1, 2))
 
 
 def test_schur_degree_one():
@@ -128,7 +128,7 @@ def test_specialize_is_multiplicative():
             f = SymFunc(
                 4,
                 {
-                    mu: RatFun.from_scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+                    mu: RatFun.term(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
                     for n in range(3)
                     for mu in partitions_of(n)
                     if rng.random() < 0.6
@@ -137,7 +137,7 @@ def test_specialize_is_multiplicative():
             g = SymFunc(
                 4,
                 {
-                    mu: RatFun.from_scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+                    mu: RatFun.term(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
                     for n in range(3)
                     for mu in partitions_of(n)
                     if rng.random() < 0.6
@@ -234,7 +234,7 @@ def test_graded_log_of_geometric():
     want = SymFunc(
         5,
         {
-            (1,) * k: RatFun.from_scalar(Fraction((-1) ** (k - 1), k))
+            (1,) * k: RatFun.term(Fraction((-1) ** (k - 1), k))
             for k in range(1, 6)
         },
     )
@@ -251,7 +251,7 @@ def test_graded_log_exp_round_trip():
         f = SymFunc(
             6,
             {
-                mu: RatFun.from_scalar(Fraction(rng.randint(-4, 4), rng.randint(1, 4)))
+                mu: RatFun.term(Fraction(rng.randint(-4, 4), rng.randint(1, 4)))
                 for n in range(1, 5)
                 for mu in partitions_of(n)
                 if rng.random() < 0.4
@@ -326,7 +326,7 @@ def test_constructor_sorts_partition_keys():
     f = SymFunc(3, {(1, 2): one})
     assert f == SymFunc.p((2, 1), 3)
     assert f.coeff((2, 1)) == f.coeff((1, 2)) == one
-    assert (f + SymFunc.p((2, 1), 3)).terms == {(2, 1): RatFun.from_scalar(2)}
+    assert (f + SymFunc.p((2, 1), 3)).terms == {(2, 1): RatFun.term(2)}
     assert str(f) == "(1) * p[2,1]"
     # keys equal after sorting are added, and a zero sum is dropped
     assert SymFunc(3, {(1, 2): one, (2, 1): one}) == SymFunc.p((2, 1), 3).scale(2)
@@ -377,7 +377,7 @@ def test_symfun_adds_only_through_collect(monkeypatch):
 
 _fracs = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 _coeffs = st.one_of(
-    _fracs.map(RatFun.from_scalar),
+    _fracs.map(RatFun.term),
     st.dictionaries(st.integers(0, 3), _fracs, max_size=3).map(
         lambda d: RatFun.from_poly(
             sum((LaurentPoly.term(c, lam=k) for k, c in d.items()), LaurentPoly.zero())
