@@ -12,7 +12,7 @@ The sizes are capped, and a larger value is a usage error caught before
 any work.  Each cap keeps one run within seconds on a 2.1 GHz x86 core:
 ``partitions N`` 40 (every partition of 40 listed in 3.4 s at 63 MB;
 n = 50 takes 22.7 s at 311 MB), ``--xorder`` 40 (annihilation of the
-conifold about 1 s per framing, 6.5 s for the default seven),
+conifold about 1 s per framing, 5.9-6.8 s for the default seven),
 ``--dmax`` 14 and ``--gmax`` 8 (the Hurwitz table at both caps 1.4 s),
 ``--lam-order`` 30 (the cut-and-join check at degree 14 and lam^30
 about 1 s) and ``--framing`` 10 in absolute value, for every value of a
@@ -29,6 +29,8 @@ import csv
 import io
 import json
 import sys
+from contextlib import nullcontext
+from itertools import islice
 from pathlib import Path
 
 from .curves import (
@@ -36,6 +38,7 @@ from .curves import (
     CurveKind,
     recurrence_check,
     verify_annihilation,
+    z_closed,
 )
 from .hurwitz import verify_cut_and_join
 from .selftest import (
@@ -55,15 +58,27 @@ LAM_ORDER_MAX = 30
 FRAMING_MAX = 10
 
 
+def _output(out: str | None):
+    return open(out, "w") if out else nullcontext(sys.stdout)
+
+
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    with _output(out) as fp:
+        fp.write(text)
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+def _emit_json(payload, out: str | None) -> None:
+    """Stream payload as indented JSON, never held as one string.
+
+    The bytes are those of ``json.dump(payload, fp, indent=2)``; its
+    chunks are joined in batches, as one write per chunk is slower than
+    building the whole string.
+    """
+    chunks = json.JSONEncoder(indent=2).iterencode(payload)
+    with _output(out) as fp:
+        for batch in iter(lambda: "".join(islice(chunks, 8192)), ""):
+            fp.write(batch)
+        fp.write("\n")
 
 
 def _csv_text(rows: list[dict]) -> str:
@@ -88,10 +103,10 @@ def _table_text(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render(args, payload, rows: list[dict]) -> None:
-    """Emit payload as JSON, or its flat rows as CSV or a text table."""
+def _render(args, rows: list[dict]) -> None:
+    """Emit the rows as JSON, CSV or a text table."""
     if args.format == "json":
-        _emit(_json_text(payload), args.out)
+        _emit_json(rows, args.out)
     elif args.format == "csv":
         _emit(_csv_text(rows), args.out)
     else:
@@ -108,32 +123,34 @@ def _cases_for(label: str, framings: list[int] | None) -> list[CurveCase]:
 
 
 def cmd_partitions(args) -> int:
-    rows = partitions_payload(args.n)
-    _render(args, rows, rows)
+    _render(args, partitions_payload(args.n))
     return 0
 
 
 def cmd_hurwitz(args) -> int:
-    rows = hurwitz_payload(args.dmax, args.gmax)
-    _render(args, rows, rows)
+    _render(args, hurwitz_payload(args.dmax, args.gmax))
     return 0
 
 
 def cmd_zclosed(args) -> int:
     (case,) = _cases_for(args.case, [args.framing])
-    payload = zclosed_payload(case, args.xorder)
-    rows = [
-        {"degree": c["degree"], "coefficient": c["text"]}
-        for c in payload["coefficients"]
-    ]
-    _render(args, payload, rows)
+    if args.format == "json":
+        _emit_json(zclosed_payload(case, args.xorder), args.out)
+        return 0
+    # text and CSV read only each coefficient's text, not its JSON terms
+    series = z_closed(case, args.xorder)
+    _render(args, [
+        {"degree": n, "coefficient": str(c)} for n, c in enumerate(series.coeffs)
+    ])
     return 0
 
 
 def _report(args, payload, lines: list[str], ok: bool) -> int:
     """Emit a verification verdict as JSON or text lines; exit 1 if it failed."""
-    text = _json_text(payload) if args.format == "json" else "\n".join(lines) + "\n"
-    _emit(text, args.out)
+    if args.format == "json":
+        _emit_json(payload, args.out)
+    else:
+        _emit("\n".join(lines) + "\n", args.out)
     return 0 if ok else 1
 
 

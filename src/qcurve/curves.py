@@ -161,7 +161,11 @@ def apply_operator(op: QOp, series: XSeries, order: int) -> XSeries:
 
     Works one degree at a time: the x^n coefficient of the result is one
     ``RatFun.sum`` of coeff * action(z_(n - xpow)) over the terms with
-    xpow <= n, so a degree that vanishes runs no gcd.  Terms raise the
+    xpow <= n, so a degree that vanishes runs no gcd.  At a fixed degree
+    every action multiplies by a monomial or a scalar, so it is applied
+    to the term's coefficient and the result multiplies the series
+    coefficient once: for the curve operators that is one unit product
+    per term, which keeps the coefficient canonical.  Terms raise the
     x-degree by at most one (asserted structurally), so a series exact
     through x^order determines the result through x^order.
     """
@@ -174,7 +178,7 @@ def apply_operator(op: QOp, series: XSeries, order: int) -> XSeries:
     z = series.coeffs
     return XSeries(order, [
         RatFun.sum(
-            t.coeff * t.action.apply(n - t.xpow, z[n - t.xpow])
+            t.action.apply(n - t.xpow, t.coeff) * z[n - t.xpow]
             for t in op.terms
             if t.xpow <= n
         )
@@ -188,7 +192,20 @@ def apply_operator(op: QOp, series: XSeries, order: int) -> XSeries:
 
 @cache
 def z_closed(case: CurveCase, order: int) -> XSeries:
-    """Closed-form series for the case, exact through x^order."""
+    """Closed-form series for the case, exact through x^order.
+
+    Each coefficient is built in canonical form and wrapped without a
+    normalization.  The denominator is made monic as it grows: it is
+    multiplied by s^(2n) - 1 in place of 1 - s^(2n) (s is E for c3, u for
+    the conifold), and the numerator carries the sign (-1)^n: each step
+    negates it (c3) or multiplies it by u^(2(n-1)) - Qh^2 in place of
+    Qh^2 - u^(2(n-1)) (conifold).  That is canonical:
+    - the denominator is monic in one symbol with constant term +-1;
+    - the c3 numerator is a unit, so it shares no factor with it;
+    - the conifold numerator's top Qh slice, Qh^(2n) times a power of u,
+      is a unit, so its content in u is 1 and it shares no factor with a
+      denominator in u alone.
+    """
     a = case.framing
     coeffs = [RatFun.one()]
     if case.kind is CurveKind.LAMBERT:
@@ -196,21 +213,20 @@ def z_closed(case: CurveCase, order: int) -> XSeries:
             coeffs.append(
                 RatFun.term(Fraction(1, factorial(n)), E=n * (n - 1), lam=-n)
             )
-    elif case.kind is CurveKind.C3:
-        den = LaurentPoly.one()
-        for n in range(1, order + 1):
-            den = den * (LaurentPoly.one() - LaurentPoly.symbol("E", 2 * n))
-            num = LaurentPoly.term(1, E=-a * n * (n - 1) + n)
-            coeffs.append(RatFun(num, den))
-    else:
-        num = LaurentPoly.one()
-        den = LaurentPoly.one()
-        for n in range(1, order + 1):
+        return XSeries(order, coeffs)
+    s = "E" if case.kind is CurveKind.C3 else "u"
+    num = den = LaurentPoly.one()
+    for n in range(1, order + 1):
+        den = den * (LaurentPoly.symbol(s, 2 * n) - LaurentPoly.one())
+        if case.kind is CurveKind.C3:
+            num = -num
+            power = -a * n * (n - 1) + n
+        else:
             num = num * (
-                LaurentPoly.symbol("Qh", 2) - LaurentPoly.symbol("u", 2 * (n - 1))
+                LaurentPoly.symbol("u", 2 * (n - 1)) - LaurentPoly.symbol("Qh", 2)
             )
-            den = den * (LaurentPoly.one() - LaurentPoly.symbol("u", 2 * n))
-            coeffs.append(RatFun(num.mul_term(1, u=a * n * (n - 1) + n), den))
+            power = a * n * (n - 1) + n
+        coeffs.append(RatFun._raw(num.mul_term(1, **{s: power}), den))
     return XSeries(order, coeffs)
 
 

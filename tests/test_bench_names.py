@@ -75,3 +75,29 @@ def test_character_table_is_cleared_with_the_caches():
     from qcurve import combinatorics
 
     assert combinatorics.character_table in _load_tracing().find_caches()
+
+
+def test_annihilation_spans_record_calls():
+    # a fused or inlined entry point would leave its span reading 0
+    from qcurve import curves
+
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    curves.z_closed.cache_clear()
+    restore = tracing.patch(tracer)
+    tracer.enabled = True
+    try:
+        assert curves.verify_annihilation(curves.conifold(1), 6).ok
+    finally:
+        tracer.enabled = False
+        restore()
+    assert tracer.calls["curves.z_closed"] == 1
+    assert tracer.calls["curves.apply_operator"] == 1
+    # the "curves" spans inside apply_operator are Dilation.apply: one per
+    # operator term per degree, 2 * 7 at x-power 0 and 2 * 6 at x-power 1
+    names = {span_id: name for span_id, _, name, _, _ in tracer.spans}
+    dilations = [
+        span for span in tracer.spans
+        if span[2] == "curves" and names.get(span[1]) == "curves.apply_operator"
+    ]
+    assert len(dilations) == 26

@@ -80,6 +80,68 @@ def test_conifold_general_coefficient_formula():
     assert z.coeff(n) == RatFun(num.mul_term(1, u=a * n * (n - 1) + n), den)
 
 
+FRAMINGS = range(-10, 11)
+
+
+def test_closed_forms_are_canonical_as_built():
+    # z_closed wraps its coefficients without normalizing them
+    for a in FRAMINGS:
+        for case in (framed_c3(a), conifold(a)):
+            for c in z_closed(case, 20).coeffs:
+                assert RatFun(c.num, c.den) == c, (case, c)
+
+
+def _value(x, point, powers=None):
+    """Value of a LaurentPoly or RatFun at point: symbol -> nonzero Fraction."""
+    powers = {} if powers is None else powers  # (symbol, exponent) -> power
+    if isinstance(x, RatFun):
+        return _value(x.num, point, powers) / _value(x.den, point, powers)
+    total = Fraction(0)
+    for mono, c in x.sorted_terms():
+        for name, e in zip(SYMBOLS, mono):
+            if (name, e) not in powers:
+                powers[name, e] = point[name] ** e
+            c *= powers[name, e]
+        total += c
+    return total
+
+
+def _product_formula(case, n, point):
+    """The module docstring's product for the x^n coefficient, in Fractions."""
+    a = case.framing
+    if case.kind is CurveKind.C3:
+        q = point["E"]
+        value = q ** (-a * n * (n - 1) + n)
+        for j in range(1, n + 1):
+            value /= 1 - q ** (2 * j)
+        return value
+    q, qh = point["u"], point["Qh"]
+    value = q ** (a * n * (n - 1) + n)
+    for j in range(1, n + 1):
+        value *= (qh ** 2 - q ** (2 * (j - 1))) / (1 - q ** (2 * j))
+    return value
+
+
+# no factor of a product formula vanishes at these points
+ORACLE_POINTS = (
+    {"E": Fraction(2, 3), "Qh": Fraction(7, 5), "lam": Fraction(3), "u": Fraction(-5, 3)},
+    {"E": Fraction(-7, 4), "Qh": Fraction(1, 3), "lam": Fraction(-2, 5), "u": Fraction(3, 7)},
+)
+
+
+def test_closed_forms_match_the_product_formula_at_points():
+    # an oracle that shares no code with the canonical form
+    for a in FRAMINGS:
+        for case in (framed_c3(a), conifold(a)):
+            z = z_closed(case, 12)
+            for point in ORACLE_POINTS:
+                powers = {}
+                for n, c in enumerate(z.coeffs):
+                    assert _value(c, point, powers) == _product_formula(
+                        case, n, point
+                    ), (case, n, point)
+
+
 def test_lambert_rejects_framing():
     with pytest.raises(ValueError):
         CurveCase(CurveKind.LAMBERT, 1)
@@ -272,6 +334,26 @@ def test_operator_on_its_partition_function_runs_no_gcd(monkeypatch):
         assert apply_operator(op, z, 14).is_zero()
     # every degree sums to zero over its common denominator
     assert calls == []
+
+
+def test_forward_annihilation_makes_no_normalization(monkeypatch):
+    cases = [framed_c3(a) for a in range(-3, 4)] + [conifold(a) for a in range(-3, 4)]
+    calls = []
+    normalize = ring._normalize_ratfun
+    monkeypatch.setattr(
+        ring, "_normalize_ratfun", lambda n, d: calls.append(1) or normalize(n, d)
+    )
+    z_closed.cache_clear()
+    for case in cases:
+        assert verify_annihilation(case, 14).ok
+    # z_closed builds canonical coefficients and every degree sums to zero
+    assert calls == []
+    # the inverse control normalizes each nonzero degree once
+    for a in range(-3, 4):
+        z_closed.cache_clear()
+        calls.clear()
+        report = verify_annihilation(conifold(a), 14, y_direction="inverse")
+        assert len(calls) == report.degrees_ok.count(False) == 14
 
 
 def test_non_unit_coefficients_match_whole_series_reference():
