@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, determinism."""
 
+import argparse
 import csv
 import io
 import json
@@ -112,6 +113,10 @@ def test_lambert_framing_rejected(capsys):
         ["verify-curve", "--case", "lambert", "--y-direction", "inverse"],
         ["selftest", "--golden-dir", "no/such/golden/dir"],
         ["selftest", "--golden-dir", __file__],
+        ["hurwitz", "--dmax", "2", "--gmax", "-1"],
+        ["zclosed", "--case", "c3", "--xorder", "-1"],
+        ["cutjoin-check", "--dmax", "-1"],
+        ["cutjoin-check", "--lam-order", "0"],
     ],
 )
 def test_out_of_range_arguments_exit_2(capsys, argv):
@@ -211,6 +216,55 @@ def test_partitions_above_the_cap_exits_2_before_work(capsys, monkeypatch):
 def test_partitions_at_the_cap_is_accepted():
     args = cli.build_parser().parse_args(["partitions", str(cli.PARTITIONS_MAX)])
     cli._validate(args)  # no usage error
+
+
+def test_lambert_framing_zero_is_accepted_only_as_a_single_value(capsys):
+    # zclosed's single --framing defaults to 0, so an explicit 0 is no framing;
+    # the multi-value --framing of verify-curve and recurrence rejects any list
+    code, _ = run(capsys, "zclosed", "--case", "lambert", "--framing", "0", "--xorder", "2")
+    assert code == 0
+    for command in ("verify-curve", "recurrence"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--case", "lambert", "--framing", "0"])
+        assert exc.value.code == 2
+        assert "the lambert case has no framing parameter" in capsys.readouterr().err
+
+
+def _subparsers():
+    (action,) = [a for a in cli.build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+_USAGE = {
+    "partitions":
+        "usage: qcurve partitions [-h] [--format {text,json,csv}] [--out OUT] n\n",
+    "hurwitz":
+        "usage: qcurve hurwitz [-h] --dmax DMAX [--gmax GMAX]\n"
+        "                      [--format {text,json,csv}] [--out OUT]\n",
+    "zclosed":
+        "usage: qcurve zclosed [-h] --case {lambert,c3,conifold} [--framing FRAMING]\n"
+        "                      [--xorder XORDER] [--format {text,json,csv}] [--out OUT]\n",
+    "verify-curve":
+        "usage: qcurve verify-curve [-h] --case {lambert,c3,conifold}\n"
+        "                           [--framing FRAMING [FRAMING ...]] [--xorder XORDER]\n"
+        "                           [--y-direction {forward,inverse}]\n"
+        "                           [--format {text,json}] [--out OUT]\n",
+    "recurrence":
+        "usage: qcurve recurrence [-h] --case {lambert,c3,conifold}\n"
+        "                         [--framing FRAMING [FRAMING ...]] [--xorder XORDER]\n"
+        "                         [--format {text,json}] [--out OUT]\n",
+    "cutjoin-check":
+        "usage: qcurve cutjoin-check [-h] [--dmax DMAX] [--lam-order LAM_ORDER]\n"
+        "                            [--format {text,json}] [--out OUT]\n",
+    "selftest":
+        "usage: qcurve selftest [-h] [--json] [--golden-dir GOLDEN_DIR] [--out OUT]\n",
+}
+
+
+def test_usage_lines_are_pinned(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage at the terminal width
+    assert {name: p.format_usage() for name, p in _subparsers().items()} == _USAGE
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +584,76 @@ def test_failing_cutjoin_output_is_pinned(capsys, monkeypatch, fmt, expected):
     code, out = run(capsys, "cutjoin-check", "--dmax", "3", "--lam-order", "4",
                     "--format", fmt)
     assert (code, out) == (1, expected)
+
+
+_CONIFOLD_1 = [
+    "1",
+    "((1)*u^1 + (-1)*Qh^2*u^1) / (-1 + (1)*u^2)",
+    "((1)*u^6 + (-1)*Qh^2*u^4 + (-1)*Qh^2*u^6 + (1)*Qh^4*u^4) / "
+    "(1 + (-1)*u^2 + (-1)*u^4 + (1)*u^6)",
+    "((-1)*Qh^2*u^11 + (1)*Qh^4*u^9 + (1)*u^15 + (-1)*Qh^2*u^13 + (1)*Qh^4*u^11 "
+    "+ (-1)*Qh^6*u^9 + (-1)*Qh^2*u^15 + (1)*Qh^4*u^13) / "
+    "(-1 + (1)*u^2 + (1)*u^4 + (-1)*u^8 + (-1)*u^10 + (1)*u^12)",
+]
+
+_TABLES = [
+    (["partitions", "4"], "text",
+     "partition  z   aut  kappa  dim\n"
+     "[4]        4   1    12     1  \n"
+     "[3,1]      3   1    4      3  \n"
+     "[2,2]      8   2    0      2  \n"
+     "[2,1,1]    4   2    -4     3  \n"
+     "[1,1,1,1]  24  24   -12    1  \n"),
+    (["partitions", "4"], "csv",
+     "partition,z,aut,kappa,dim\n"
+     "[4],4,1,12,1\n"
+     '"[3,1]",3,1,4,3\n'
+     '"[2,2]",8,2,0,2\n'
+     '"[2,1,1]",4,2,-4,3\n'
+     '"[1,1,1,1]",24,24,-12,1\n'),
+    (["hurwitz", "--dmax", "3", "--gmax", "1"], "text",
+     "genus  partition  value\n"
+     "0      [1]        1    \n"
+     "0      [2]        1/2  \n"
+     "0      [1,1]      1/2  \n"
+     "0      [3]        1    \n"
+     "0      [2,1]      4    \n"
+     "0      [1,1,1]    4    \n"
+     "1      [1]        0    \n"
+     "1      [2]        1/2  \n"
+     "1      [1,1]      1/2  \n"
+     "1      [3]        9    \n"
+     "1      [2,1]      40   \n"
+     "1      [1,1,1]    40   \n"),
+    (["hurwitz", "--dmax", "3", "--gmax", "1"], "csv",
+     "genus,partition,value\n"
+     "0,[1],1\n"
+     "0,[2],1/2\n"
+     '0,"[1,1]",1/2\n'
+     "0,[3],1\n"
+     '0,"[2,1]",4\n'
+     '0,"[1,1,1]",4\n'
+     "1,[1],0\n"
+     "1,[2],1/2\n"
+     '1,"[1,1]",1/2\n'
+     "1,[3],9\n"
+     '1,"[2,1]",40\n'
+     '1,"[1,1,1]",40\n'),
+    # the widest coefficient is 185 characters, so every line is 193 wide
+    (["zclosed", "--case", "conifold", "--framing", "1", "--xorder", "3"], "text",
+     "degree  " + "coefficient".ljust(185) + "\n"
+     + "".join(f"{n:<6}  {c:<185}\n" for n, c in enumerate(_CONIFOLD_1))),
+    (["zclosed", "--case", "conifold", "--framing", "1", "--xorder", "3"], "csv",
+     "degree,coefficient\n" + "".join(f"{n},{c}\n" for n, c in enumerate(_CONIFOLD_1))),
+]
+
+
+@pytest.mark.parametrize("argv,fmt,expected", _TABLES)
+def test_table_output_is_pinned(capsys, tmp_path, argv, fmt, expected):
+    assert run(capsys, *argv, "--format", fmt) == (0, expected)
+    target = tmp_path / "table"
+    assert run(capsys, *argv, "--format", fmt, "--out", str(target)) == (0, "")
+    assert target.read_text() == expected
 
 
 # ---------------------------------------------------------------------------
