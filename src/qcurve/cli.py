@@ -6,13 +6,18 @@ reported failure, 2 usage error.  All mathematical output is
 deterministic (exact rationals as "p/q" strings, fixed orderings); the
 only non-reproducible field is the ``millis`` timing in verification
 reports.  Each verification report renders itself (``to_json`` and
-``text``); ``_report`` writes either and picks the exit code.
+``text``); ``_report`` writes either and picks the exit code.  Tables
+are written line by line: JSON is streamed, CSV goes through
+``csv.DictWriter`` and a text table takes its widths from one pass over
+the rows.
 
-The sizes are capped, and a larger value is a usage error caught before
-any work.  Each cap keeps one run within seconds on a 2.1 GHz x86 core:
-``partitions N`` 40 (every partition of 40 listed in 3.4 s at 63 MB;
-n = 50 takes 22.7 s at 311 MB), ``--xorder`` 40 (annihilation of the
-conifold about 1 s per framing, 5.9-6.8 s for the default seven),
+Every bounded int argument is declared once, by ``_size``, which records
+its lower bound and cap for ``_validate``.  A value beyond a cap is a
+usage error caught before any work.  Each cap keeps one run within
+seconds on a 2.1 GHz x86 core: ``partitions N`` 40 (every partition of
+40 listed in 2.5-3.0 s at 39 MB; n = 50 takes 22.7 s at 311 MB),
+``--xorder`` 40 (annihilation of the conifold about 1 s per framing,
+5.9-6.8 s for the default seven, holding one framing's series at a time),
 ``--dmax`` 14 and ``--gmax`` 8 (the Hurwitz table at both caps 1.4 s),
 ``--lam-order`` 30 (the cut-and-join check at degree 14 and lam^30
 about 1 s) and ``--framing`` 10 in absolute value, for every value of a
@@ -26,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from contextlib import nullcontext
@@ -62,11 +66,6 @@ def _output(out: str | None):
     return open(out, "w") if out else nullcontext(sys.stdout)
 
 
-def _emit(text: str, out: str | None) -> None:
-    with _output(out) as fp:
-        fp.write(text)
-
-
 def _emit_json(payload, out: str | None) -> None:
     """Stream payload as indented JSON, never held as one string.
 
@@ -81,39 +80,26 @@ def _emit_json(payload, out: str | None) -> None:
         fp.write("\n")
 
 
-def _csv_text(rows: list[dict]) -> str:
-    buf = io.StringIO()
-    if rows:
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _table_text(rows: list[dict]) -> str:
-    if not rows:
-        return ""
-    cols = list(rows[0])
-    widths = {
-        c: max(len(c), *(len(str(r[c])) for r in rows)) for c in cols
-    }
-    lines = ["  ".join(c.ljust(widths[c]) for c in cols)]
-    for r in rows:
-        lines.append("  ".join(str(r[c]).ljust(widths[c]) for c in cols))
-    return "\n".join(lines) + "\n"
-
-
 def _render(args, rows: list[dict]) -> None:
-    """Emit the rows as JSON, CSV or a text table."""
+    """Write the rows as JSON, CSV or a text table, one line at a time.
+
+    The table's column widths come from one pass over the rows.
+    """
     if args.format == "json":
-        _emit_json(rows, args.out)
-    elif args.format == "csv":
-        _emit(_csv_text(rows), args.out)
-    else:
-        _emit(_table_text(rows), args.out)
+        return _emit_json(rows, args.out)
+    cols = list(rows[0])
+    with _output(args.out) as fp:
+        if args.format == "csv":
+            writer = csv.DictWriter(fp, fieldnames=cols, lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+            return
+        widths = [max(len(c), *(len(str(r[c])) for r in rows)) for c in cols]
+        for r in [dict(zip(cols, cols)), *rows]:
+            fp.write("  ".join(str(r[c]).ljust(w) for c, w in zip(cols, widths)) + "\n")
 
 
-def _cases_for(label: str, framings: list[int] | None) -> list[CurveCase]:
+def _cases_for(label: str, framings: list[int]) -> list[CurveCase]:
     kind = CurveKind(label)
     if kind is CurveKind.LAMBERT:
         return [CurveCase(kind)]
@@ -150,7 +136,8 @@ def _report(args, payload, lines: list[str], ok: bool) -> int:
     if args.format == "json":
         _emit_json(payload, args.out)
     else:
-        _emit("\n".join(lines) + "\n", args.out)
+        with _output(args.out) as fp:
+            fp.writelines(line + "\n" for line in lines)
     return 0 if ok else 1
 
 
@@ -183,6 +170,12 @@ def cmd_selftest(args) -> int:
     return _report(args, payload, lines, ok)
 
 
+def _size(p, flag: str, lo: int, cap: int, help: str | None = None, **kwargs) -> None:
+    """Add a bounded int argument and record its bounds for ``_validate``."""
+    p.add_argument(flag, type=int, help=help or f"at most {cap}", **kwargs)
+    p.set_defaults(sizes=p.get_default("sizes") + ((flag, lo, cap),))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qcurve",
@@ -194,76 +187,55 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, formats=("text", "json", "csv")):
-        p.add_argument("--format", choices=formats, default="text")
+    def command(name, fn, summary):
+        p = sub.add_parser(name, help=summary)
+        # usage errors found after parsing are reported with this usage line
+        p.set_defaults(fn=fn, subparser=p, sizes=())
+        return p
+
+    p = command("partitions", cmd_partitions, "list partitions with z, aut, kappa, dim")
+    _size(p, "n", 0, PARTITIONS_MAX)
+    p = command("hurwitz", cmd_hurwitz, "exact Hurwitz numbers H_{g,mu}")
+    _size(p, "--dmax", 1, DMAX_MAX, required=True)
+    _size(p, "--gmax", 0, GMAX_MAX, default=0)
+    framings = {"nargs": "+", "default": [], "help": (
+        f"framings to test, each at most {FRAMING_MAX} in absolute value "
+        "(default: -3..3 for c3/conifold)")}
+    for name, fn, summary, xorder, lo, framing in (
+        ("zclosed", cmd_zclosed, "closed-form partition function coefficients", 8, 0,
+         {"default": 0, "help": f"at most {FRAMING_MAX} in absolute value"}),
+        ("verify-curve", cmd_verify_curve, "check operator * Z == 0 exactly", 12, 0,
+         framings),
+        ("recurrence", cmd_recurrence, "check the coefficient recurrences", 12, 1,
+         framings),
+    ):
+        p = command(name, fn, summary)
+        p.add_argument("--case", choices=[k.value for k in CurveKind], required=True)
+        _size(p, "--framing", -FRAMING_MAX, FRAMING_MAX, **framing)
+        _size(p, "--xorder", lo, XORDER_MAX, default=xorder)
+        if name == "verify-curve":
+            p.add_argument(
+                "--y-direction",
+                choices=["forward", "inverse"],
+                default="forward",
+                help="conifold dilation direction (inverse is the failing reading)",
+            )
+    p = command("cutjoin-check", cmd_cutjoin_check, "d/dlam == cut-and-join on the series")
+    _size(p, "--dmax", 0, DMAX_MAX, default=4)
+    _size(p, "--lam-order", 1, LAM_ORDER_MAX, default=8)
+
+    # each command's own arguments come first in its usage line
+    for name, p in sub.choices.items():
+        tables = name in ("partitions", "hurwitz", "zclosed")
+        p.add_argument("--format", default="text",
+                       choices=("text", "json", "csv") if tables else ("text", "json"))
         p.add_argument("--out", help="write output to a file instead of stdout")
 
-    p = sub.add_parser("partitions", help="list partitions with z, aut, kappa, dim")
-    p.add_argument("n", type=int, help=f"at most {PARTITIONS_MAX}")
-    common(p)
-    p.set_defaults(fn=cmd_partitions)
-
-    p = sub.add_parser("hurwitz", help="exact Hurwitz numbers H_{g,mu}")
-    p.add_argument("--dmax", type=int, required=True, help=f"at most {DMAX_MAX}")
-    p.add_argument("--gmax", type=int, default=0, help=f"at most {GMAX_MAX}")
-    common(p)
-    p.set_defaults(fn=cmd_hurwitz)
-
-    p = sub.add_parser("zclosed", help="closed-form partition function coefficients")
-    p.add_argument("--case", choices=[k.value for k in CurveKind], required=True)
-    p.add_argument(
-        "--framing", type=int, default=0,
-        help=f"at most {FRAMING_MAX} in absolute value",
-    )
-    p.add_argument("--xorder", type=int, default=8, help=f"at most {XORDER_MAX}")
-    common(p)
-    p.set_defaults(fn=cmd_zclosed)
-
-    p = sub.add_parser("verify-curve", help="check operator * Z == 0 exactly")
-    p.add_argument("--case", choices=[k.value for k in CurveKind], required=True)
-    p.add_argument(
-        "--framing",
-        type=int,
-        nargs="+",
-        help=f"framings to test, each at most {FRAMING_MAX} in absolute value "
-        "(default: -3..3 for c3/conifold)",
-    )
-    p.add_argument("--xorder", type=int, default=12, help=f"at most {XORDER_MAX}")
-    p.add_argument(
-        "--y-direction",
-        choices=["forward", "inverse"],
-        default="forward",
-        help="conifold dilation direction (inverse is the failing reading)",
-    )
-    common(p, formats=("text", "json"))
-    p.set_defaults(fn=cmd_verify_curve)
-
-    p = sub.add_parser("recurrence", help="check the coefficient recurrences")
-    p.add_argument("--case", choices=[k.value for k in CurveKind], required=True)
-    p.add_argument(
-        "--framing", type=int, nargs="+",
-        help=f"each at most {FRAMING_MAX} in absolute value",
-    )
-    p.add_argument("--xorder", type=int, default=12, help=f"at most {XORDER_MAX}")
-    common(p, formats=("text", "json"))
-    p.set_defaults(fn=cmd_recurrence)
-
-    p = sub.add_parser("cutjoin-check", help="d/dlam == cut-and-join on the series")
-    p.add_argument("--dmax", type=int, default=4, help=f"at most {DMAX_MAX}")
-    p.add_argument("--lam-order", type=int, default=8, help=f"at most {LAM_ORDER_MAX}")
-    common(p, formats=("text", "json"))
-    p.set_defaults(fn=cmd_cutjoin_check)
-
-    p = sub.add_parser("selftest", help="run the full invariant suite")
+    p = command("selftest", cmd_selftest, "run the full invariant suite")
     p.add_argument("--json", action="store_const", const="json", dest="format",
                    default="text")
     p.add_argument("--golden-dir")
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_selftest)
-
-    # usage errors found after parsing are reported with the subcommand's usage
-    for p in sub.choices.values():
-        p.set_defaults(subparser=p)
     return parser
 
 
@@ -277,28 +249,19 @@ def _validate(args) -> None:
             parser.error(f"--out {args.out}: directory {out.parent} does not exist")
     if getattr(args, "golden_dir", None) and not Path(args.golden_dir).is_dir():
         parser.error(f"--golden-dir {args.golden_dir} is not a directory")
-    if args.command == "partitions" and args.n < 0:
-        parser.error("n must be >= 0")
-    if args.command == "hurwitz" and (args.dmax < 1 or args.gmax < 0):
-        parser.error("need --dmax >= 1 and --gmax >= 0")
-    if args.command in ("zclosed", "verify-curve", "recurrence"):
-        if args.case == "lambert" and getattr(args, "framing", None):
-            parser.error("the lambert case has no framing parameter")
-    if args.command in ("zclosed", "verify-curve") and args.xorder < 0:
-        parser.error("--xorder must be >= 0")
+    # zclosed's single --framing defaults to 0, which is no framing
+    if getattr(args, "case", None) == "lambert" and args.framing:
+        parser.error("the lambert case has no framing parameter")
     if getattr(args, "y_direction", None) == "inverse" and args.case != "conifold":
         parser.error("--y-direction inverse applies to the conifold case only")
-    if args.command == "recurrence" and args.xorder < 1:
-        parser.error("--xorder must be >= 1")
-    if args.command == "cutjoin-check" and (args.dmax < 0 or args.lam_order < 1):
-        parser.error("need --dmax >= 0 and --lam-order >= 1")
-    for name, cap in (("n", PARTITIONS_MAX), ("--xorder", XORDER_MAX),
-                      ("--dmax", DMAX_MAX), ("--gmax", GMAX_MAX),
-                      ("--lam-order", LAM_ORDER_MAX), ("--framing", FRAMING_MAX)):
-        values = getattr(args, name.lstrip("-").replace("-", "_"), None)
+    for flag, lo, cap in args.sizes:
+        values = getattr(args, flag.lstrip("-").replace("-", "_"))
         for value in values if isinstance(values, list) else [values]:
-            if value is not None and abs(value) > cap:
-                parser.error(f"{name} {value} exceeds the cap {cap}")
+            # the cap first, so a framing (lo = -cap) is reported as beyond its cap
+            if abs(value) > cap:
+                parser.error(f"{flag} {value} exceeds the cap {cap}")
+            if value < lo:
+                parser.error(f"{flag} must be >= {lo}")
 
 
 def main(argv: list[str] | None = None) -> int:

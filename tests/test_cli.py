@@ -218,6 +218,14 @@ def test_partitions_at_the_cap_is_accepted():
     cli._validate(args)  # no usage error
 
 
+def test_every_int_argument_has_a_recorded_bound():
+    for name, p in _subparsers().items():
+        sized = [a for a in p._actions if a.type is int]
+        flags = {flag for flag, _, _ in p.get_default("sizes")}
+        assert {(a.option_strings or [a.dest])[0] for a in sized} == flags, name
+        assert all("at most" in a.help for a in sized), name
+
+
 def test_lambert_framing_zero_is_accepted_only_as_a_single_value(capsys):
     # zclosed's single --framing defaults to 0, so an explicit 0 is no framing;
     # the multi-value --framing of verify-curve and recurrence rejects any list
