@@ -35,7 +35,7 @@ import enum
 import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 from math import factorial
 
 from .combinatorics import (
@@ -190,9 +190,12 @@ def apply_operator(op: QOp, series: XSeries, order: int) -> XSeries:
 # the partition functions
 # ---------------------------------------------------------------------------
 
-@cache
+@lru_cache(maxsize=1)
 def z_closed(case: CurveCase, order: int) -> XSeries:
     """Closed-form series for the case, exact through x^order.
+
+    Only the last series is cached, so a run over many framings holds one
+    series at a time.
 
     Each coefficient is built in canonical form and wrapped without a
     normalization.  The denominator is made monic as it grows: it is

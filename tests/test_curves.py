@@ -356,6 +356,17 @@ def test_forward_annihilation_makes_no_normalization(monkeypatch):
         assert len(calls) == report.degrees_ok.count(False) == 14
 
 
+def test_z_closed_keeps_one_series():
+    z_closed.cache_clear()
+    for a in range(-3, 4):
+        assert verify_annihilation(conifold(a), 6).ok
+    assert z_closed.cache_info().currsize == 1
+    # the last series is still served from the cache
+    hits = z_closed.cache_info().hits
+    z_closed(conifold(3), 6)
+    assert z_closed.cache_info().hits == hits + 1
+
+
 def test_non_unit_coefficients_match_whole_series_reference():
     op = QOp(
         conifold(1),
