@@ -81,9 +81,10 @@ def _emit_json(payload, out: str | None) -> None:
 
 
 def _render(args, rows: list[dict]) -> None:
-    """Write the rows as JSON, CSV or a text table, one line at a time.
+    """Write the rows as streamed JSON, CSV or a text table, never joined.
 
-    The table's column widths come from one pass over the rows.
+    CSV and the table go out a line at a time; the table's column widths
+    come from one pass over the rows.
     """
     if args.format == "json":
         return _emit_json(rows, args.out)
@@ -220,7 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
                 default="forward",
                 help="conifold dilation direction (inverse is the failing reading)",
             )
-    p = command("cutjoin-check", cmd_cutjoin_check, "d/dlam == cut-and-join on the series")
+    p = command("cutjoin-check", cmd_cutjoin_check,
+                "d/dlam == cut-and-join on the series")
     _size(p, "--dmax", 0, DMAX_MAX, default=4)
     _size(p, "--lam-order", 1, LAM_ORDER_MAX, default=8)
 
