@@ -81,14 +81,16 @@ def test_conifold_general_coefficient_formula():
 
 
 FRAMINGS = range(-10, 11)
+CLOSED_FORM_CASES = [lambert()] + [
+    case for a in FRAMINGS for case in (framed_c3(a), conifold(a))
+]
 
 
 def test_closed_forms_are_canonical_as_built():
     # z_closed wraps its coefficients without normalizing them
-    for a in FRAMINGS:
-        for case in (framed_c3(a), conifold(a)):
-            for c in z_closed(case, 20).coeffs:
-                assert RatFun(c.num, c.den) == c, (case, c)
+    for case in CLOSED_FORM_CASES:
+        for c in z_closed(case, 20).coeffs:
+            assert RatFun(c.num, c.den) == c, (case, c)
 
 
 def _value(x, point, powers=None):
@@ -109,6 +111,8 @@ def _value(x, point, powers=None):
 def _product_formula(case, n, point):
     """The module docstring's product for the x^n coefficient, in Fractions."""
     a = case.framing
+    if case.kind is CurveKind.LAMBERT:
+        return point["E"] ** (n * (n - 1)) * point["lam"] ** -n / factorial(n)
     if case.kind is CurveKind.C3:
         q = point["E"]
         value = q ** (-a * n * (n - 1) + n)
@@ -131,15 +135,14 @@ ORACLE_POINTS = (
 
 def test_closed_forms_match_the_product_formula_at_points():
     # an oracle that shares no code with the canonical form
-    for a in FRAMINGS:
-        for case in (framed_c3(a), conifold(a)):
-            z = z_closed(case, 12)
-            for point in ORACLE_POINTS:
-                powers = {}
-                for n, c in enumerate(z.coeffs):
-                    assert _value(c, point, powers) == _product_formula(
-                        case, n, point
-                    ), (case, n, point)
+    for case in CLOSED_FORM_CASES:
+        z = z_closed(case, 12)
+        for point in ORACLE_POINTS:
+            powers = {}
+            for n, c in enumerate(z.coeffs):
+                assert _value(c, point, powers) == _product_formula(
+                    case, n, point
+                ), (case, n, point)
 
 
 def test_lambert_rejects_framing():
