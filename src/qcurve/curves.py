@@ -1,16 +1,19 @@
 """Partition functions and their annihilating curve operators.
 
-Three cases, each with a closed-form series Z and a normal-ordered
-operator A(x^, y^) built from x^ (multiplication by x) and a y^-action
-realized on series coefficients:
+Three cases.  Each closed form Z = sum z_n x^n is q-hypergeometric:
+z_0 = 1 and z_n = r(n) z_(n-1), with the term ratio r(n) stated once, by
+``_ratio``.  Each operator A(x^, y^) is the q-difference operator that
+encodes the same recurrence, a tuple of normal-ordered terms built from
+x^ (multiplication by x) and a y^-action realized on series coefficients:
 
-  lambert    coefficient of x^n is E^(n(n-1)) lam^(-n) / n!;
+  lambert    r(n) = E^(2(n-1)) lam^(-1) / n, so z_n = E^(n(n-1)) lam^(-n) / n!;
              operator y^ - x^ e^(y^) with y^ = lam * x d/dx, so y^ scales
              the x^n coefficient by n*lam and e^(y^) dilates by E^(2n)
-  c3         coefficient E^(-a n(n-1) + n) / prod_{j<=n} (1 - E^(2j));
+  c3         r(n) = E^(1 - 2a(n-1)) / (1 - E^(2n)), so
+             z_n = E^(-a n(n-1) + n) / prod_{j<=n} (1 - E^(2j));
              operator 1 - y^ - E x^ y^(-a) with y^ the dilation by E^2
-  conifold   coefficient prod_{j<=n} (Qh^2 - u^(2(j-1)))/(1 - u^(2j))
-             * u^(a n(n-1) + n);
+  conifold   r(n) = (Qh^2 - u^(2(n-1))) u^(2a(n-1) + 1) / (1 - u^(2n)), so
+             z_n = prod_{j<=n} (Qh^2 - u^(2(j-1)))/(1 - u^(2j)) * u^(a n(n-1) + n);
              operator 1 - y^ + u x^ y^(a+1) - u Qh^2 x^ y^a with y^ the
              dilation by u^2
 
@@ -67,6 +70,10 @@ class CurveCase:
     def label(self) -> str:
         return self.kind.value
 
+    def reported_framing(self) -> int | None:
+        """The framing as reports and payloads give it: lambert has none."""
+        return None if self.kind is CurveKind.LAMBERT else self.framing
+
 
 def lambert() -> CurveCase:
     return CurveCase(CurveKind.LAMBERT)
@@ -114,14 +121,9 @@ class QOpTerm:
     action: Dilation | LambdaEuler
 
 
-@dataclass(frozen=True)
-class QOp:
-    case: CurveCase
-    y_direction: str
-    terms: tuple[QOpTerm, ...]
-
-
-def curve_operator(case: CurveCase, y_direction: str = "forward") -> QOp:
+def curve_operator(
+    case: CurveCase, y_direction: str = "forward"
+) -> tuple[QOpTerm, ...]:
     """The annihilating operator for the case, in normal-ordered terms.
 
     ``y_direction`` selects the dilation direction of the conifold y^
@@ -135,28 +137,42 @@ def curve_operator(case: CurveCase, y_direction: str = "forward") -> QOp:
     one = RatFun.one()
     a = case.framing
     if case.kind is CurveKind.LAMBERT:
-        terms = (
+        return (
             QOpTerm(one, 0, LambdaEuler()),
             QOpTerm(-one, 1, Dilation("E", 2)),
         )
-    elif case.kind is CurveKind.C3:
-        terms = (
+    if case.kind is CurveKind.C3:
+        return (
             QOpTerm(one, 0, Dilation("E", 0)),
             QOpTerm(-one, 0, Dilation("E", 2)),
             QOpTerm(RatFun.term(-1, E=1), 1, Dilation("E", -2 * a)),
         )
-    else:
-        s = 2 if y_direction == "forward" else -2
-        terms = (
-            QOpTerm(one, 0, Dilation("u", 0)),
-            QOpTerm(-one, 0, Dilation("u", s)),
-            QOpTerm(RatFun.term(1, u=1), 1, Dilation("u", s * (a + 1))),
-            QOpTerm(RatFun.term(-1, u=1, Qh=2), 1, Dilation("u", s * a)),
-        )
-    return QOp(case, y_direction, terms)
+    s = 2 if y_direction == "forward" else -2
+    return (
+        QOpTerm(one, 0, Dilation("u", 0)),
+        QOpTerm(-one, 0, Dilation("u", s)),
+        QOpTerm(RatFun.term(1, u=1), 1, Dilation("u", s * (a + 1))),
+        QOpTerm(RatFun.term(-1, u=1, Qh=2), 1, Dilation("u", s * a)),
+    )
 
 
-def apply_operator(op: QOp, series: XSeries, order: int) -> XSeries:
+def _ratio(case: CurveCase, n: int) -> tuple[LaurentPoly, LaurentPoly]:
+    """The term ratio z_n / z_(n-1) of the closed form, n >= 1, as a
+    numerator factor and a monic denominator factor (signs as in
+    ``z_closed``)."""
+    a = case.framing
+    if case.kind is CurveKind.LAMBERT:
+        num = LaurentPoly.term(Fraction(1, n), E=2 * (n - 1), lam=-1)
+        return num, LaurentPoly.one()
+    if case.kind is CurveKind.C3:
+        num = LaurentPoly.term(-1, E=1 - 2 * a * (n - 1))
+        return num, LaurentPoly.symbol("E", 2 * n) - LaurentPoly.one()
+    p = 2 * a * (n - 1) + 1
+    num = LaurentPoly.symbol("u", 2 * (n - 1) + p) - LaurentPoly.term(1, Qh=2, u=p)
+    return num, LaurentPoly.symbol("u", 2 * n) - LaurentPoly.one()
+
+
+def apply_operator(op: tuple[QOpTerm, ...], series: XSeries, order: int) -> XSeries:
     """A(x^, y^) applied to a series, exact through x^order.
 
     Works one degree at a time: the x^n coefficient of the result is one
@@ -169,7 +185,7 @@ def apply_operator(op: QOp, series: XSeries, order: int) -> XSeries:
     x-degree by at most one (asserted structurally), so a series exact
     through x^order determines the result through x^order.
     """
-    if any(not 0 <= t.xpow <= 1 for t in op.terms):
+    if any(not 0 <= t.xpow <= 1 for t in op):
         raise ValueError("operator terms must have x-power 0 or 1")
     if order > series.order:
         raise OrderMismatchError(
@@ -179,7 +195,7 @@ def apply_operator(op: QOp, series: XSeries, order: int) -> XSeries:
     return XSeries(order, [
         RatFun.sum(
             t.action.apply(n - t.xpow, t.coeff) * z[n - t.xpow]
-            for t in op.terms
+            for t in op
             if t.xpow <= n
         )
         for n in range(order + 1)
@@ -197,39 +213,26 @@ def z_closed(case: CurveCase, order: int) -> XSeries:
     Only the last series is cached, so a run over many framings holds one
     series at a time.
 
-    Each coefficient is built in canonical form and wrapped without a
-    normalization.  The denominator is made monic as it grows: it is
-    multiplied by s^(2n) - 1 in place of 1 - s^(2n) (s is E for c3, u for
-    the conifold), and the numerator carries the sign (-1)^n: each step
-    negates it (c3) or multiplies it by u^(2(n-1)) - Qh^2 in place of
-    Qh^2 - u^(2(n-1)) (conifold).  That is canonical:
-    - the denominator is monic in one symbol with constant term +-1;
+    z_n is z_(n-1) times the term ratio: its numerator and denominator
+    are the products of the factors ``_ratio`` gives for 1..n, and each
+    coefficient is wrapped without a normalization.  The c3 and conifold
+    factors keep the denominator monic: it is multiplied by s^(2n) - 1 in
+    place of 1 - s^(2n) (s is E for c3, u for the conifold), and the
+    numerator factor carries the sign.  That is canonical:
+    - the lambert numerator is one term over 1;
+    - the other denominators are monic in one symbol with constant term
+      +-1;
     - the c3 numerator is a unit, so it shares no factor with it;
     - the conifold numerator's top Qh slice, Qh^(2n) times a power of u,
       is a unit, so its content in u is 1 and it shares no factor with a
       denominator in u alone.
     """
-    a = case.framing
     coeffs = [RatFun.one()]
-    if case.kind is CurveKind.LAMBERT:
-        for n in range(1, order + 1):
-            coeffs.append(
-                RatFun.term(Fraction(1, factorial(n)), E=n * (n - 1), lam=-n)
-            )
-        return XSeries(order, coeffs)
-    s = "E" if case.kind is CurveKind.C3 else "u"
     num = den = LaurentPoly.one()
     for n in range(1, order + 1):
-        den = den * (LaurentPoly.symbol(s, 2 * n) - LaurentPoly.one())
-        if case.kind is CurveKind.C3:
-            num = -num
-            power = -a * n * (n - 1) + n
-        else:
-            num = num * (
-                LaurentPoly.symbol("u", 2 * (n - 1)) - LaurentPoly.symbol("Qh", 2)
-            )
-            power = a * n * (n - 1) + n
-        coeffs.append(RatFun._raw(num.mul_term(1, **{s: power}), den))
+        f, d = _ratio(case, n)
+        num, den = num * f, den * d
+        coeffs.append(RatFun._raw(num, den))
     return XSeries(order, coeffs)
 
 
@@ -336,10 +339,6 @@ def _heading(report) -> str:
     return f"{report.case} framing={framing} order={report.order}"
 
 
-def _framing_field(case: CurveCase) -> int | None:
-    return None if case.kind is CurveKind.LAMBERT else case.framing
-
-
 def verify_annihilation(
     case: CurveCase, order: int, y_direction: str = "forward"
 ) -> AnnihilationReport:
@@ -362,7 +361,7 @@ def verify_annihilation(
     millis = (time.perf_counter() - start) * 1000.0
     return AnnihilationReport(
         case.label(),
-        _framing_field(case),
+        case.reported_framing(),
         order,
         y_direction,
         "annihilated" if first is None else "failed",
@@ -412,7 +411,7 @@ def recurrence_check(case: CurveCase, order: int) -> RecurrenceReport:
             first = n
             break
     return RecurrenceReport(
-        case.label(), _framing_field(case), order, first is None, first
+        case.label(), case.reported_framing(), order, first is None, first
     )
 
 
@@ -454,9 +453,6 @@ class ClassicalCurve:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -476,9 +472,6 @@ class ClassicalCurve:
             else:
                 out += f" + {piece}" if c > 0 else f" - {piece}"
         return out
-
-    def __repr__(self) -> str:
-        return f"ClassicalCurve<{self}>"
 
 
 def classical_curve(case: CurveCase) -> ClassicalCurve:
@@ -511,15 +504,17 @@ def classical_curve(case: CurveCase) -> ClassicalCurve:
     )
 
 
-def classical_limit(op: QOp) -> ClassicalCurve:
+def classical_limit(op: tuple[QOpTerm, ...]) -> ClassicalCurve:
     """Substitute commuting symbols into the operator terms.
 
-    Dilations become powers of y (for the lambert exponential dilation,
-    powers of the formal e^y), the Euler action becomes y, and in the
-    coefficients E and u go to 1 while Qh^2 is kept as emt.
+    The Euler action becomes y, and in the coefficients E and u go to 1
+    while Qh^2 is kept as emt.  A dilation by s^(2k) becomes y^k, unless
+    the operator has an Euler term: then y^ is the Euler operator, the
+    dilation is e^(k y^), and it becomes the formal e^y to the k.
     """
+    euler = any(isinstance(t.action, LambdaEuler) for t in op)
     out: dict[tuple[int, int, int, int], Fraction] = {}
-    for term in op.terms:
+    for term in op:
         ye = eye = 0
         if isinstance(term.action, LambdaEuler):
             ye = 1
@@ -527,7 +522,7 @@ def classical_limit(op: QOp) -> ClassicalCurve:
             step = term.action.step
             if step % 2:
                 raise ValueError("dilation steps are even by construction")
-            if op.case.kind is CurveKind.LAMBERT:
+            if euler:
                 eye = step // 2
             else:
                 ye = step // 2

@@ -28,7 +28,6 @@ from .combinatorics import (
 )
 from .curves import (
     CurveCase,
-    CurveKind,
     classical_curve,
     classical_limit,
     conifold,
@@ -100,7 +99,7 @@ def zclosed_payload(case: CurveCase, order: int) -> dict:
     series = z_closed(case, order)
     return {
         "case": case.label(),
-        "framing": None if case.kind is CurveKind.LAMBERT else case.framing,
+        "framing": case.reported_framing(),
         "order": order,
         "coefficients": [
             {

@@ -14,7 +14,6 @@ from qcurve.curves import (
     CurveKind,
     Dilation,
     LambdaEuler,
-    QOp,
     QOpTerm,
     apply_operator,
     classical_curve,
@@ -216,8 +215,7 @@ def test_route_builds_one_weight_per_degree(monkeypatch, case):
 # ---------------------------------------------------------------------------
 
 def test_lambert_operator_structure():
-    op = curve_operator(lambert())
-    assert op.terms == (
+    assert curve_operator(lambert()) == (
         QOpTerm(RatFun.one(), 0, LambdaEuler()),
         QOpTerm(RatFun.term(-1), 1, Dilation("E", 2)),
     )
@@ -225,22 +223,22 @@ def test_lambert_operator_structure():
 
 def test_c3_zero_framing_operator():
     op = curve_operator(framed_c3(0))
-    assert [(t.xpow, t.action) for t in op.terms] == [
+    assert [(t.xpow, t.action) for t in op] == [
         (0, Dilation("E", 0)),
         (0, Dilation("E", 2)),
         (1, Dilation("E", 0)),
     ]
-    assert op.terms[2].coeff == RatFun.term(-1, E=1)
+    assert op[2].coeff == RatFun.term(-1, E=1)
 
 
 def test_identity_operator_preserves_series():
-    op = QOp(framed_c3(0), "forward", (QOpTerm(RatFun.one(), 0, Dilation("E", 0)),))
+    op = (QOpTerm(RatFun.one(), 0, Dilation("E", 0)),)
     z = z_closed(framed_c3(0), 5)
     assert apply_operator(op, z, 5) == z
 
 
 def test_x_multiplication_shifts():
-    op = QOp(lambert(), "forward", (QOpTerm(RatFun.one(), 1, Dilation("E", 0)),))
+    op = (QOpTerm(RatFun.one(), 1, Dilation("E", 0)),)
     z = z_closed(lambert(), 4)
     shifted = apply_operator(op, z, 4)
     assert shifted.coeff(0).is_zero()
@@ -284,9 +282,7 @@ def test_dilation_x_commutation():
 def test_operator_with_large_xpow_refused():
     z = z_closed(lambert(), 3)
     for xpow in (2, -1):  # x^-1 would read past the series
-        bad = QOp(
-            lambert(), "forward", (QOpTerm(RatFun.one(), xpow, Dilation("E", 0)),)
-        )
+        bad = (QOpTerm(RatFun.one(), xpow, Dilation("E", 0)),)
         with pytest.raises(ValueError):
             apply_operator(bad, z, 3)
 
@@ -296,7 +292,7 @@ def _apply_by_whole_series(op, series, order):
     multiply by the coefficient, shift by x^xpow, add)."""
     z = series if series.order == order else series.truncate(order)
     acc = XSeries(order)
-    for term in op.terms:
+    for term in op:
         part = z.map_coeffs(term.action.apply)
         c = term.coeff
         if not c.is_one():
@@ -371,14 +367,10 @@ def test_z_closed_keeps_one_series():
 
 
 def test_non_unit_coefficients_match_whole_series_reference():
-    op = QOp(
-        conifold(1),
-        "forward",
-        (
-            QOpTerm(RatFun(ONE + sym("u")), 0, Dilation("u", 2)),
-            QOpTerm(RatFun(ONE, ONE - sym("u", 2)), 1, Dilation("u", -2)),
-            QOpTerm(RatFun(sym("Qh", 2) - sym("u"), ONE + sym("u", 3)), 1, LambdaEuler()),
-        ),
+    op = (
+        QOpTerm(RatFun(ONE + sym("u")), 0, Dilation("u", 2)),
+        QOpTerm(RatFun(ONE, ONE - sym("u", 2)), 1, Dilation("u", -2)),
+        QOpTerm(RatFun(sym("Qh", 2) - sym("u"), ONE + sym("u", 3)), 1, LambdaEuler()),
     )
     z = z_closed(conifold(1), 8)
     result = apply_operator(op, z, 8)
@@ -500,6 +492,33 @@ def test_recurrence_catches_an_exponent_off_by_one(monkeypatch, case, k):
     report = recurrence_check(case, 8)
     assert not report.ok
     assert report.first_failure == _recurrence_by_folds(case, bad, 8) == k - 1
+
+
+@pytest.mark.parametrize("k", [1, 6])
+@pytest.mark.parametrize("case", [lambert(), framed_c3(2), conifold(-1)])
+def test_a_ratio_off_by_one_is_caught(monkeypatch, request, case, k):
+    # r(k) times E (or u) puts z_k and every later coefficient off
+    symbol = "u" if case.kind is CurveKind.CONIFOLD else "E"
+    ratio = curves._ratio
+
+    def off_by_one(case, n):
+        num, den = ratio(case, n)
+        return (num.mul_term(1, **{symbol: 1}) if n == k else num), den
+
+    monkeypatch.setattr(curves, "_ratio", off_by_one)
+    z_closed.cache_clear()
+    request.addfinalizer(z_closed.cache_clear)
+    # from z_(k+1) on the ratio is right again, so only x^k fails
+    report = verify_annihilation(case, 8)
+    assert report.first_failure[0] == k
+    assert [n for n, ok in enumerate(report.degrees_ok) if not ok] == [k]
+    assert recurrence_check(case, 8).first_failure == k - 1
+    point = ORACLE_POINTS[0]
+    differ = [
+        n for n, c in enumerate(z_closed(case, 8).coeffs)
+        if _value(c, point) != _product_formula(case, n, point)
+    ]
+    assert differ == list(range(k, 9))
 
 
 def test_lambert_recurrence_by_hand():
