@@ -804,17 +804,10 @@ class XSeries:
                 )
         self.coeffs = cs
 
-    @classmethod
-    def one(cls, order: int) -> XSeries:
-        return cls(order, (_RF_ONE,) + (_RF_ZERO,) * order)
-
     def coeff(self, n: int) -> RatFun:
         if not 0 <= n <= self.order:
             raise OrderMismatchError(f"coefficient {n} beyond order {self.order}")
         return self.coeffs[n]
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, XSeries):

@@ -75,11 +75,6 @@ class SymFunc:
     def one(cls, cap: int) -> SymFunc:
         return cls(cap, {(): RatFun.one()})
 
-    @classmethod
-    def p(cls, mu: Partition, cap: int) -> SymFunc:
-        """The power-sum monomial p_mu."""
-        return cls(cap, {mu: RatFun.one()})
-
     def coeff(self, mu: Partition) -> RatFun:
         return self.terms.get(tuple(sorted(mu, reverse=True)), RatFun.zero())
 
@@ -129,28 +124,6 @@ class SymFunc:
 
     def map_coeffs(self, fn) -> SymFunc:
         return _collect(self.cap, ((mu, fn(c)) for mu, c in self.terms.items()))
-
-    def sorted_terms(self) -> list[tuple[Partition, RatFun]]:
-        """Terms sorted by (degree, reverse-lex partition order)."""
-
-        def key(item):
-            mu = item[0]
-            n = sum(mu)
-            return (n, partitions_of(n).index(mu))
-
-        return sorted(self.terms.items(), key=key)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for mu, c in self.sorted_terms():
-            label = "p[" + ",".join(str(p) for p in mu) + "]" if mu else "1"
-            parts.append(f"({c}) * {label}")
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"SymFunc(cap={self.cap}, {self})"
 
 
 def _sf(cap: int, terms: dict[Partition, RatFun]) -> SymFunc:

@@ -330,7 +330,7 @@ def test_operator_on_its_partition_function_runs_no_gcd(monkeypatch):
         ring, "_dense_gcd_int", lambda f, g: calls.append(1) or gcd_int(f, g)
     )
     for op, z in pairs:
-        assert apply_operator(op, z, 14).is_zero()
+        assert all(c.is_zero() for c in apply_operator(op, z, 14).coeffs)
     # every degree sums to zero over its common denominator
     assert calls == []
 
@@ -375,7 +375,7 @@ def test_non_unit_coefficients_match_whole_series_reference():
     z = z_closed(conifold(1), 8)
     result = apply_operator(op, z, 8)
     assert result == _apply_by_whole_series(op, z, 8)
-    assert not result.is_zero()
+    assert not all(c.is_zero() for c in result.coeffs)
 
 
 # ---------------------------------------------------------------------------
