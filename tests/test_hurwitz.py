@@ -7,6 +7,7 @@ b = 2g - 2 + l(mu) + |mu|.  This is computed by literal enumeration for
 d <= 4 and compared against the character-series extraction.
 """
 
+import hashlib
 import itertools
 import json
 from fractions import Fraction
@@ -112,6 +113,15 @@ def test_exact_log_matches_lam_series_log():
     for d in range(1, 8):
         for g in range(5):
             assert hurwitz_table(d, g).entries == _lam_log_table(d, g), (d, g)
+
+
+def test_table_to_degree_12_genus_6_is_pinned():
+    # 1897 rows, well past degree 7 where the lam-series reference stops;
+    # the digest was recorded from the graded_log implementation
+    rows = hurwitz_payload(12, 6)
+    assert len(rows) == 1897
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "926d342609e073dc2aa66c16fcc3933bf06a7bfa1aed1853873e0241f64a3a2b"
 
 
 def test_every_genus_comes_from_one_log():
