@@ -17,25 +17,31 @@ is the short Laurent polynomial
   sum_nu chi_nu(mu) * dim(nu) / (z_mu * n!) * E^kappa_nu,
 
 built from the rows of ``character_table(n)`` with equal kappa merged;
-no lam order is chosen and nothing is truncated.  Its graded log has
-coefficients sum_e c_e E^e as well, since E -> e^(lam/2) is a ring map
-and the log uses only ring operations.  Reading E^e = sum_b (e/2)^b
-lam^b / b! gives every genus from that one log:
+no lam order is chosen and nothing is truncated.  It lies in Q[E^+-1]
+with no denominator in E, so it is held as a map {e: int} over one
+reduced int denominator, and the graded log is computed on those maps
+(the recursion of ``symfun.graded_log``, every product landing on one
+partition added into one int map).  Its coefficients are sums
+sum_e c_e E^e as well, since E -> e^(lam/2) is a ring map and the log
+uses only ring operations.  Reading E^e = sum_b (e/2)^b lam^b / b!
+gives every genus from that one log:
 
   H_{g,mu} = b! * [lam^b p_mu] log = sum_e c_e * (e/2)^b,
 
 one integer sum per (g, mu).  The lam series through a fixed order,
-``burnside_series``, is derived from the same exact series by that rule
-and is what the cut-and-join equation d/dlam = K is checked on,
-coefficient by coefficient; the genus-0 values with at least three
-parts also have an independent closed form, ``elsv_genus0``.
+``burnside_series``, is read from the same maps by that rule and is
+what the cut-and-join equation d/dlam = K is checked on, coefficient by
+coefficient.  Three closed forms share no code with the series:
+``elsv_genus0`` (genus 0, at least three parts), ``hurwitz_genus1``
+(genus 1, every mu) and ``hurwitz_one_part`` (mu = (d), every genus).
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
+from operator import mul
 
 from .combinatorics import (
     Partition,
@@ -47,7 +53,7 @@ from .combinatorics import (
     partitions_of,
 )
 from .ring import LaurentPoly, RatFun
-from .symfun import SymFunc, cut_and_join, graded_log
+from .symfun import SymFunc, _sorted_merge, cut_and_join
 
 
 class LengthTooSmallError(ValueError):
@@ -110,65 +116,131 @@ class CutJoinReport:
         )
 
 
-def _exact_series(degree_cap: int) -> SymFunc:
-    """The Schur-side series with every coefficient exact in E.
+# A coefficient sum_e c_e E^e / den: ({e: c_e}, den), the c_e nonzero ints
+# and gcd(den, c_e...) == 1.  One degree of a series maps each partition
+# to its coefficient; zero coefficients are left out.
+_EPoly = tuple[dict[int, int], int]
+
+
+def _reduced(num: dict[int, int], den: int) -> _EPoly:
+    num = {e: c for e, c in num.items() if c}
+    g = gcd(den, *num.values())
+    return {e: c // g for e, c in num.items()}, den // g
+
+
+def _series(degree_cap: int) -> list[dict[Partition, _EPoly]]:
+    """The Schur-side series, degree by degree, every coefficient exact in E.
 
     One pass per degree n over the rows of ``character_table(n)``, the
     zero characters skipped and the weights chi * dim of equal kappa
-    merged into one E^kappa term.
+    merged into one E^kappa term over z_mu * n!.
     """
-    terms = {(): RatFun.one()}
+    comps = [{(): ({0: 1}, 1)}]
     for n in range(1, degree_cap + 1):
         rows = character_table(n).rows
         shapes = [(irrep_dimension(nu), kappa(nu), rows[nu]) for nu in partitions_of(n)]
+        comp = {}
         for j, mu in enumerate(partitions_of(n)):
             weights: dict[int, int] = {}
             for dim, kap, row in shapes:
                 if row[j]:
                     weights[kap] = weights.get(kap, 0) + dim * row[j]
-            base = centralizer_order(mu) * factorial(n)
-            terms[mu] = RatFun.from_poly(LaurentPoly(
-                {(kap, 0, 0, 0): Fraction(w, base) for kap, w in weights.items()}
-            ))
-    return SymFunc(degree_cap, terms)
+            num, den = _reduced(weights, centralizer_order(mu) * factorial(n))
+            if num:
+                comp[mu] = (num, den)
+        comps.append(comp)
+    return comps
 
 
-def _lam_moment(p: LaurentPoly, k: int) -> Fraction:
-    """k! * [lam^k] p(E) at E = e^(lam/2): sum_e c_e * (e/2)^k."""
-    return Fraction(sum(c * mono[0] ** k for mono, c in p.terms.items()), p.den * 2**k)
+def _graded_dlog(comps: list[dict[Partition, _EPoly]]) -> list[dict[Partition, _EPoly]]:
+    """dlogs[n] = n * L_n, the degree-n part of log F times n.
+
+    The recursion of ``symfun.graded_log``,
+
+      n L_n = n F_n - sum_{0<k<n} k L_k * F_{n-k},
+
+    one merged partition at a time: every product that lands on it is
+    added into one int map over the lcm of their denominators, which is
+    reduced once.
+    """
+    dlogs: list[dict[Partition, _EPoly]] = [{}]
+    for n in range(1, len(comps)):
+        # merged partition -> its (factor, factor, sign) products; n F_n
+        # is F_n times the constant n
+        products: dict[Partition, list] = {
+            mu: [(c, ({0: n}, 1), 1)] for mu, c in comps[n].items()
+        }
+        for k in range(1, n):
+            for alpha, a in dlogs[k].items():
+                for beta, b in comps[n - k].items():
+                    products.setdefault(_sorted_merge(alpha, beta), []).append((a, b, -1))
+        dlog = {}
+        for mu, terms in products.items():
+            den = lcm(*(aden * bden for (_, aden), (_, bden), _ in terms))
+            total: dict[int, int] = {}
+            get = total.get
+            for (anum, aden), (bnum, bden), sign in terms:
+                scale = sign * (den // (aden * bden))
+                bitems = [(eb, scale * cb) for eb, cb in bnum.items()]
+                for ea, ca in anum.items():
+                    for eb, cb in bitems:
+                        total[ea + eb] = get(ea + eb, 0) + ca * cb
+            num, den = _reduced(total, den)
+            if num:
+                dlog[mu] = (num, den)
+        dlogs.append(dlog)
+    return dlogs
+
+
+def _moments(num: dict[int, int], first: int, step: int, count: int) -> list[int]:
+    """sum_e c_e * e^b for b = first, first + step, ...: count sums.
+
+    Each is b! * 2^b * [lam^b] of sum_e c_e E^e at E = e^(lam/2).
+    """
+    terms = [c * e**first for e, c in num.items()]
+    powers = [e**step for e in num]
+    sums = []
+    for _ in range(count):
+        sums.append(sum(terms))
+        terms = list(map(mul, terms, powers))
+    return sums
 
 
 def burnside_series(degree_cap: int, lam_order: int) -> BurnsideSeries:
     """The Schur-side series expanded in lam, exact through lam^lam_order.
 
     The lam expansion of the exact series: [lam^k] of a coefficient
-    sum_e c_e E^e is sum_e c_e * (e/2)^k / k!.
+    sum_e c_e E^e / den is sum_e c_e * (e/2)^k / (k! * den).
     """
     if degree_cap < 0 or lam_order < 0:
         raise ValueError("caps must be >= 0")
-    sym = _exact_series(degree_cap).map_coeffs(lambda c: RatFun.from_poly(LaurentPoly({
-        (0, 0, k, 0): _lam_moment(c.num, k) / factorial(k) for k in range(lam_order + 1)
-    })))
-    return BurnsideSeries(sym, degree_cap, lam_order)
+    terms = {
+        mu: RatFun.from_poly(LaurentPoly({
+            (0, 0, k, 0): Fraction(m, den * 2**k * factorial(k))
+            for k, m in enumerate(_moments(num, 0, 1, lam_order + 1))
+        }))
+        for comp in _series(degree_cap)
+        for mu, (num, den) in comp.items()
+    }
+    return BurnsideSeries(SymFunc(degree_cap, terms), degree_cap, lam_order)
 
 
 def hurwitz_table(degree_cap: int, genus_cap: int) -> HurwitzTable:
     """Extract H_{g,mu} for 1 <= |mu| <= degree_cap, 0 <= g <= genus_cap.
 
     One graded log of the exact series; each entry is the integer sum
-    H_{g,mu} = sum_e c_e * (e/2)^b over the E^e terms of its p_mu
-    coefficient, with b = 2g - 2 + l + |mu|.  Pairs with b < 0 are
-    omitted.
+    H_{g,mu} = sum_e c_e * e^b / (den * n * 2^b) over the E^e terms of
+    the p_mu coefficient of n * L_n, with n = |mu| and
+    b = 2g - 2 + l + n >= 0.
     """
-    logseries = graded_log(_exact_series(degree_cap))
+    dlogs = _graded_dlog(_series(degree_cap))
     entries: dict[tuple[int, Partition], Fraction] = {}
     for n in range(1, degree_cap + 1):
         for mu in partitions_of(n):
-            num = logseries.coeff(mu).num  # a Laurent polynomial in E
-            for g in range(genus_cap + 1):
-                b = 2 * g - 2 + len(mu) + n
-                if b >= 0:
-                    entries[(g, mu)] = _lam_moment(num, b)
+            num, den = dlogs[n].get(mu, ({}, 1))
+            b = len(mu) + n - 2
+            for g, m in enumerate(_moments(num, b, 2, genus_cap + 1)):
+                entries[(g, mu)] = Fraction(m, den * n * 2 ** (b + 2 * g))
     return HurwitzTable(entries, degree_cap, genus_cap)
 
 
@@ -191,6 +263,50 @@ def elsv_genus0(mu: Partition) -> Fraction:
     for p in mu:
         acc *= Fraction(p**p, factorial(p))
     return acc * Fraction(sum(mu)) ** (len(mu) - 3)
+
+
+def hurwitz_genus1(mu: Partition) -> Fraction:
+    """Genus-1 closed form (Goulden-Jackson; Vakil), every mu.
+
+    H_{1,mu} = r! / (24 |Aut(mu)|) * prod_i mu_i^mu_i / mu_i!
+               * (d^n - d^(n-1) - sum_{k=2..n} (k-2)! d^(n-k) e_k(mu)),
+
+    with d = |mu|, n = l(mu), r = d + n and e_k the elementary symmetric
+    polynomial in the parts; the r! normalizes as in ``elsv_genus0``.
+    """
+    mu = tuple(mu)
+    d, n = sum(mu), len(mu)
+    elementary = [1]  # e_0 .. e_n of the parts, from prod_i (1 + mu_i t)
+    for p in mu:
+        elementary = [
+            a + p * b for a, b in zip(elementary + [0], [0] + elementary)
+        ]
+    bracket = d**n - d ** (n - 1) - sum(
+        factorial(k - 2) * d ** (n - k) * elementary[k] for k in range(2, n + 1)
+    )
+    acc = Fraction(factorial(d + n) * bracket, 24 * automorphism_count(mu))
+    for p in mu:
+        acc *= Fraction(p**p, factorial(p))
+    return acc
+
+
+def hurwitz_one_part(g: int, d: int) -> Fraction:
+    """One-part closed form (Shapiro-Shapiro-Vainshtein), every genus.
+
+    H_{g,(d)} = r! * d^(d-2) / d! * [t^(2g)] (sinh(dt/2) / (dt/2))^(d-1),
+
+    with r = 2g - 1 + d.  sinh(x)/x = sum_j x^(2j) / (2j+1)!, so the
+    power is taken on a series in t^2 truncated after t^(2g).
+    """
+    if g < 0 or d < 1:
+        raise ValueError("need g >= 0 and d >= 1")
+    sinhc = [Fraction(d**2, 4) ** j / factorial(2 * j + 1) for j in range(g + 1)]
+    power = [Fraction(1)] + [Fraction(0)] * g
+    for _ in range(d - 1):
+        power = [
+            sum(power[i] * sinhc[j - i] for i in range(j + 1)) for j in range(g + 1)
+        ]
+    return factorial(2 * g - 1 + d) * Fraction(d) ** (d - 2) / factorial(d) * power[g]
 
 
 def compare_cut_and_join(series: BurnsideSeries) -> CutJoinReport:

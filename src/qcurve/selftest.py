@@ -38,7 +38,13 @@ from .curves import (
     z_closed,
     z_from_characters,
 )
-from .hurwitz import elsv_genus0, hurwitz_table, verify_cut_and_join
+from .hurwitz import (
+    elsv_genus0,
+    hurwitz_genus1,
+    hurwitz_one_part,
+    hurwitz_table,
+    verify_cut_and_join,
+)
 from .ring import LaurentPoly, RatFun, XSeries
 from .symfun import (
     Specialization,
@@ -175,6 +181,13 @@ def _suite_hurwitz_elsv() -> str | None:
         for mu in partitions_of(n):
             if len(mu) >= 3 and table.value(0, mu) != elsv_genus0(mu):
                 return f"closed form disagrees at {mu}"
+    for n in range(1, 6):
+        for mu in partitions_of(n):
+            if table.value(1, mu) != hurwitz_genus1(mu):
+                return f"genus-1 formula disagrees at {mu}"
+        for g in (0, 1, 2):
+            if table.value(g, (n,)) != hurwitz_one_part(g, n):
+                return f"one-part formula disagrees at genus {g}, degree {n}"
     return None
 
 

@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from qcurve import combinatorics, curves, ring, symfun
+from qcurve import combinatorics, curves, hurwitz, ring, symfun
 from qcurve.combinatorics import centralizer_order, character, partitions_of
 from qcurve.curves import (
     ClassicalCurve,
@@ -28,6 +28,7 @@ from qcurve.curves import (
     z_closed,
     z_from_characters,
 )
+from qcurve.hurwitz import hurwitz_table
 from qcurve.ring import SYMBOLS, LaurentPoly, RatFun, XSeries
 
 ONE = LaurentPoly.one()
@@ -333,6 +334,38 @@ def test_operator_on_its_partition_function_runs_no_gcd(monkeypatch):
         assert all(c.is_zero() for c in apply_operator(op, z, 14).coeffs)
     # every degree sums to zero over its common denominator
     assert calls == []
+
+
+def test_hurwitz_table_runs_no_graded_log_and_no_ratfun(monkeypatch):
+    calls = []
+    graded_log = symfun.graded_log
+
+    def counting_log(f):
+        calls.append("graded_log")
+        return graded_log(f)
+
+    # also where a module would import the name by value
+    for module in (symfun, hurwitz):
+        monkeypatch.setattr(module, "graded_log", counting_log, raising=False)
+    for cls in (RatFun, LaurentPoly):
+        monkeypatch.setattr(cls, "__init__", _counting_init(cls, calls))
+    table = hurwitz_table(8, 4)
+    assert table.value(1, (2,)) == Fraction(1, 2)
+    # the series and its log are int maps over int denominators
+    assert calls == []
+    # the counters see the ring path: the lam series and its log
+    symfun.graded_log(hurwitz.burnside_series(3, 2).sym)
+    assert {"graded_log", "RatFun", "LaurentPoly"} <= set(calls)
+
+
+def _counting_init(cls, calls):
+    init = cls.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(cls.__name__)
+        init(self, *args, **kwargs)
+
+    return counting_init
 
 
 def test_forward_annihilation_makes_no_normalization(monkeypatch):

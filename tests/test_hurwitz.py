@@ -16,13 +16,17 @@ from math import factorial
 import pytest
 
 import qcurve.hurwitz as hurwitz
+import qcurve.selftest as selftest
 from qcurve.combinatorics import irrep_dimension, kappa, partitions_of
 from qcurve.hurwitz import (
     BurnsideSeries,
+    HurwitzTable,
     LengthTooSmallError,
     burnside_series,
     compare_cut_and_join,
     elsv_genus0,
+    hurwitz_genus1,
+    hurwitz_one_part,
     hurwitz_table,
     verify_cut_and_join,
 )
@@ -248,6 +252,56 @@ def test_elsv_matches_series_extraction():
                     assert tbl.value(0, mu) == elsv_genus0(mu), mu
                     checked += 1
         assert checked == count
+
+
+# ---------------------------------------------------------------------------
+# genus-1 and one-part closed forms
+# ---------------------------------------------------------------------------
+
+def test_genus1_and_one_part_examples():
+    # H_{1,(1)} = 0: no genus-1 cover of degree 1
+    assert hurwitz_genus1((1,)) == 0
+    assert hurwitz_one_part(1, 1) == 0
+    # (2): r = 3, 3!/24 * (2^2/2!) * (2 - 1) = 1/2; one part agrees
+    assert hurwitz_genus1((2,)) == hurwitz_one_part(1, 2) == Fraction(1, 2)
+    assert hurwitz_one_part(0, 1) == 1
+    assert hurwitz_one_part(0, 2) == Fraction(1, 2)
+    for mu in ((2,), (1, 1), (3,), (2, 1)):
+        assert hurwitz_genus1(mu) == brute_hurwitz(1, mu), mu
+    with pytest.raises(ValueError):
+        hurwitz_one_part(0, 0)
+
+
+def test_genus1_formula_matches_the_table():
+    tbl = hurwitz_table(12, 6)
+    mus = [mu for n in range(1, 13) for mu in partitions_of(n)]
+    assert len(mus) == 271
+    for mu in mus:
+        assert tbl.value(1, mu) == hurwitz_genus1(mu), mu
+
+
+def test_one_part_formula_matches_the_table():
+    tbl = hurwitz_table(12, 6)
+    for g in range(7):
+        for d in range(1, 13):
+            assert tbl.value(g, (d,)) == hurwitz_one_part(g, d), (g, d)
+
+
+@pytest.mark.parametrize("key, detail", [
+    ((1, (3, 1)), "genus-1 formula disagrees at (3, 1)"),
+    ((2, (4,)), "one-part formula disagrees at genus 2, degree 4"),
+])
+def test_selftest_catches_an_entry_off_by_one(monkeypatch, key, detail):
+    assert selftest._suite_hurwitz_elsv() is None
+
+    def off_by_one(dmax, gmax):
+        tbl = hurwitz_table(dmax, gmax)
+        entries = dict(tbl.entries)
+        entries[key] += 1
+        return HurwitzTable(entries, dmax, gmax)
+
+    monkeypatch.setattr(selftest, "hurwitz_table", off_by_one)
+    assert selftest._suite_hurwitz_elsv() == detail
 
 
 # ---------------------------------------------------------------------------
