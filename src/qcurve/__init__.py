@@ -17,13 +17,7 @@ from .curves import (
     z_closed,
     z_from_characters,
 )
-from .hurwitz import (
-    elsv_genus0,
-    hurwitz_genus1,
-    hurwitz_one_part,
-    hurwitz_table,
-    verify_cut_and_join,
-)
+from .hurwitz import elsv_genus0, hurwitz_table, verify_cut_and_join
 from .ring import LaurentPoly, RatFun, XSeries
 from .symfun import (
     Specialization,
@@ -49,8 +43,6 @@ __all__ = [
     "cut_and_join",
     "elsv_genus0",
     "framed_c3",
-    "hurwitz_genus1",
-    "hurwitz_one_part",
     "hurwitz_table",
     "lambert",
     "quantum_dimension",

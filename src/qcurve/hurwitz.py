@@ -135,6 +135,8 @@ def _series(degree_cap: int) -> list[dict[Partition, _EPoly]]:
     zero characters skipped and the weights chi * dim of equal kappa
     merged into one E^kappa term over z_mu * n!.
     """
+    if degree_cap < 0:
+        raise ValueError("degree cap must be >= 0")
     comps = [{(): ({0: 1}, 1)}]
     for n in range(1, degree_cap + 1):
         rows = character_table(n).rows

@@ -95,6 +95,13 @@ def test_hurwitz_basic_values():
         assert tbl.value(g, (1,)) == 0
 
 
+def test_empty_and_negative_caps():
+    assert hurwitz_table(0, 2).entries == {}
+    assert hurwitz_table(2, -1).entries == {}
+    with pytest.raises(ValueError, match="degree cap must be >= 0"):
+        hurwitz_table(-1, 2)
+
+
 def _lam_log_table(degree_cap, genus_cap):
     """Reference: b! * [lam^b p_mu] of the log of the lam series through
     lam^M, M = 2G - 2 + 2D, the lam powers above M dropped after the log."""
