@@ -277,6 +277,8 @@ def hurwitz_genus1(mu: Partition) -> Fraction:
     polynomial in the parts; the r! normalizes as in ``elsv_genus0``.
     """
     mu = tuple(mu)
+    if not mu:
+        raise ValueError("mu must have at least one part")
     d, n = sum(mu), len(mu)
     elementary = [1]  # e_0 .. e_n of the parts, from prod_i (1 + mu_i t)
     for p in mu:

@@ -277,6 +277,8 @@ def test_genus1_and_one_part_examples():
         assert hurwitz_genus1(mu) == brute_hurwitz(1, mu), mu
     with pytest.raises(ValueError):
         hurwitz_one_part(0, 0)
+    with pytest.raises(ValueError):
+        hurwitz_genus1(())
 
 
 def test_genus1_formula_matches_the_table():
