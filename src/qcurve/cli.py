@@ -18,9 +18,9 @@ seconds on a 2.1 GHz x86 core: ``partitions N`` 40 (every partition of
 40 listed in 2.5-3.0 s at 39 MB; n = 50 takes 22.7 s at 311 MB),
 ``--xorder`` 40 (annihilation of the conifold about 1 s per framing,
 5.9-6.8 s for the default seven, holding one framing's series at a time),
-``--dmax`` 14 and ``--gmax`` 8 (the Hurwitz table at both caps 1.4 s),
-``--lam-order`` 30 (the cut-and-join check at degree 14 and lam^30
-about 1 s) and ``--framing`` 10 in absolute value, for every value of a
+``--dmax`` 14 and ``--gmax`` 8 (the Hurwitz table at both caps 0.5-0.8 s;
+``cutjoin-check --dmax 14``, exact in E, 0.7-0.9 s at 51 MB) and
+``--framing`` 10 in absolute value, for every value of a
 multi-value ``--framing`` (the failing inverse reading of the conifold
 normalizes dense slices about 2 |a| n wide: at x^40 it takes 5.3 s at
 87 MB for a = 3, 8.3 s at 117 MB for a = 10 and 19 s at 229 MB
@@ -58,7 +58,6 @@ PARTITIONS_MAX = 40
 XORDER_MAX = 40
 DMAX_MAX = 14
 GMAX_MAX = 8
-LAM_ORDER_MAX = 30
 FRAMING_MAX = 10
 
 
@@ -157,7 +156,7 @@ def cmd_recurrence(args) -> int:
 
 
 def cmd_cutjoin_check(args) -> int:
-    rep = verify_cut_and_join(args.dmax, args.lam_order)
+    rep = verify_cut_and_join(args.dmax)
     return _report(args, rep.to_json(), [rep.text()], rep.ok)
 
 
@@ -224,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("cutjoin-check", cmd_cutjoin_check,
                 "d/dlam == cut-and-join on the series")
     _size(p, "--dmax", 0, DMAX_MAX, default=4)
-    _size(p, "--lam-order", 1, LAM_ORDER_MAX, default=8)
 
     # each command's own arguments come first in its usage line
     for name, p in sub.choices.items():

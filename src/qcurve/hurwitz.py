@@ -28,10 +28,12 @@ gives every genus from that one log:
 
   H_{g,mu} = b! * [lam^b p_mu] log = sum_e c_e * (e/2)^b,
 
-one integer sum per (g, mu).  The lam series through a fixed order,
-``burnside_series``, is read from the same maps by that rule and is
-what the cut-and-join equation d/dlam = K is checked on, coefficient by
-coefficient.  Three closed forms share no code with the series:
+one integer sum per (g, mu).  The cut-and-join equation d/dlam F = K F
+is checked exactly in E: d/dlam acts on E^e as multiplication by e/2,
+so d/dlam = (E/2) d/dE, and as distinct E^e = e^(e lam/2) are linearly
+independent, two equal Laurent polynomials in E agree at every lam order
+at once.  ``burnside_series`` wraps the same maps as a ``SymFunc`` for
+that check.  Three closed forms share no code with the series:
 ``elsv_genus0`` (genus 0, at least three parts), ``hurwitz_genus1``
 (genus 1, every mu) and ``hurwitz_one_part`` (mu = (d), every genus).
 """
@@ -61,15 +63,6 @@ class LengthTooSmallError(ValueError):
 
 
 @dataclass(frozen=True)
-class BurnsideSeries:
-    """Character-weighted Schur sum with coefficients exact through lam^lam_order."""
-
-    sym: SymFunc
-    degree_cap: int
-    lam_order: int
-
-
-@dataclass(frozen=True)
 class HurwitzTable:
     """Exact Hurwitz numbers for |mu| <= degree_cap, g <= genus_cap."""
 
@@ -94,26 +87,20 @@ class HurwitzTable:
 @dataclass(frozen=True)
 class CutJoinReport:
     degree_cap: int
-    lam_order: int
     ok: bool
     coefficients_checked: int
-    first_mismatch: tuple[Partition, int, str, str] | None = None
+    first_mismatch: tuple[Partition, str, str] | None = None
 
     def to_json(self) -> dict:
         out = asdict(self)
         if self.first_mismatch is not None:
-            mu, power, lhs, rhs = self.first_mismatch
-            out["first_mismatch"] = {
-                "partition": str(list(mu)), "lam_power": power, "lhs": lhs, "rhs": rhs,
-            }
+            mu, lhs, rhs = self.first_mismatch
+            out["first_mismatch"] = {"partition": str(list(mu)), "lhs": lhs, "rhs": rhs}
         return out
 
     def text(self) -> str:
         status = "holds" if self.ok else f"fails: {self.to_json()['first_mismatch']}"
-        return (
-            f"cut-and-join through degree {self.degree_cap}, "
-            f"lam order {self.lam_order}: {status}"
-        )
+        return f"cut-and-join through degree {self.degree_cap}, every lam order: {status}"
 
 
 # A coefficient sum_e c_e E^e / den: ({e: c_e}, den), the c_e nonzero ints
@@ -194,37 +181,33 @@ def _graded_dlog(comps: list[dict[Partition, _EPoly]]) -> list[dict[Partition, _
     return dlogs
 
 
-def _moments(num: dict[int, int], first: int, step: int, count: int) -> list[int]:
-    """sum_e c_e * e^b for b = first, first + step, ...: count sums.
+def _moments(num: dict[int, int], first: int, count: int) -> list[int]:
+    """sum_e c_e * e^b for b = first, first + 2, ...: count sums.
 
     Each is b! * 2^b * [lam^b] of sum_e c_e E^e at E = e^(lam/2).
     """
     terms = [c * e**first for e, c in num.items()]
-    powers = [e**step for e in num]
+    squares = [e * e for e in num]
     sums = []
     for _ in range(count):
         sums.append(sum(terms))
-        terms = list(map(mul, terms, powers))
+        terms = list(map(mul, terms, squares))
     return sums
 
 
-def burnside_series(degree_cap: int, lam_order: int) -> BurnsideSeries:
-    """The Schur-side series expanded in lam, exact through lam^lam_order.
+def burnside_series(degree_cap: int) -> SymFunc:
+    """The Schur-side series as a ``SymFunc``, every coefficient exact in E.
 
-    The lam expansion of the exact series: [lam^k] of a coefficient
-    sum_e c_e E^e / den is sum_e c_e * (e/2)^k / (k! * den).
+    The p_mu coefficient is the Laurent polynomial sum_e c_e / den * E^e
+    of ``_series``; nothing is expanded in lam.
     """
-    if degree_cap < 0 or lam_order < 0:
-        raise ValueError("caps must be >= 0")
-    terms = {
+    return SymFunc(degree_cap, {
         mu: RatFun.from_poly(LaurentPoly({
-            (0, 0, k, 0): Fraction(m, den * 2**k * factorial(k))
-            for k, m in enumerate(_moments(num, 0, 1, lam_order + 1))
+            (e, 0, 0, 0): Fraction(c, den) for e, c in num.items()
         }))
         for comp in _series(degree_cap)
         for mu, (num, den) in comp.items()
-    }
-    return BurnsideSeries(SymFunc(degree_cap, terms), degree_cap, lam_order)
+    })
 
 
 def hurwitz_table(degree_cap: int, genus_cap: int) -> HurwitzTable:
@@ -241,9 +224,16 @@ def hurwitz_table(degree_cap: int, genus_cap: int) -> HurwitzTable:
         for mu in partitions_of(n):
             num, den = dlogs[n].get(mu, ({}, 1))
             b = len(mu) + n - 2
-            for g, m in enumerate(_moments(num, b, 2, genus_cap + 1)):
+            for g, m in enumerate(_moments(num, b, genus_cap + 1)):
                 entries[(g, mu)] = Fraction(m, den * n * 2 ** (b + 2 * g))
     return HurwitzTable(entries, degree_cap, genus_cap)
+
+
+def _parts(mu: Partition) -> Partition:
+    mu = tuple(mu)
+    if any(p < 1 for p in mu):
+        raise ValueError(f"every part of mu must be >= 1, got {mu}")
+    return mu
 
 
 def elsv_genus0(mu: Partition) -> Fraction:
@@ -255,7 +245,7 @@ def elsv_genus0(mu: Partition) -> Fraction:
     multiplies lam^b / b!); an independent monodromy enumeration confirms
     e.g. H_{0,(1,1,1)} = 4.
     """
-    mu = tuple(mu)
+    mu = _parts(mu)
     if len(mu) < 3:
         raise LengthTooSmallError(
             f"closed form requires l(mu) >= 3, got {len(mu)}"
@@ -276,7 +266,7 @@ def hurwitz_genus1(mu: Partition) -> Fraction:
     with d = |mu|, n = l(mu), r = d + n and e_k the elementary symmetric
     polynomial in the parts; the r! normalizes as in ``elsv_genus0``.
     """
-    mu = tuple(mu)
+    mu = _parts(mu)
     if not mu:
         raise ValueError("mu must have at least one part")
     d, n = sum(mu), len(mu)
@@ -313,33 +303,25 @@ def hurwitz_one_part(g: int, d: int) -> Fraction:
     return factorial(2 * g - 1 + d) * Fraction(d) ** (d - 2) / factorial(d) * power[g]
 
 
-def compare_cut_and_join(series: BurnsideSeries) -> CutJoinReport:
-    """Check d/dlam(series) == cut_and_join(series) through lam_order - 1.
+def compare_cut_and_join(series: SymFunc) -> CutJoinReport:
+    """Check d/dlam(series) == cut_and_join(series) exactly in E.
 
-    The lam-derivative of a series exact through lam^M is exact through
-    lam^(M-1), so both sides are compared after truncation there.
+    With E = e^(lam/2), d/dlam is (E/2) d/dE.  The two sides are compared
+    partition by partition, by degree and then in reverse-lex order; the
+    first mismatch is reported as (mu, lhs, rhs).  ``coefficients_checked``
+    counts the E terms compared, an empty coefficient as one.
     """
-    M = series.lam_order
-    lhs = series.sym.map_coeffs(lambda c: c.diff("lam"))
-    rhs = cut_and_join(series.sym)
+    lhs = series.map_coeffs(lambda c: c.diff("E").mul_term(Fraction(1, 2), E=1))
+    rhs = cut_and_join(series)
     checked = 0
-    for n in range(series.degree_cap + 1):
+    for n in range(series.cap + 1):
         for mu in partitions_of(n):
-            a = lhs.coeff(mu).num.truncate_symbol("lam", M - 1)
-            b = rhs.coeff(mu).num.truncate_symbol("lam", M - 1)
-            if a == b:
-                checked += len(a.terms) if a.terms else 1
-                continue
-            for power in range(M):
-                ca = a.coefficient_of("lam", power)
-                cb = b.coefficient_of("lam", power)
-                if ca != cb:
-                    return CutJoinReport(
-                        series.degree_cap, M, False, checked,
-                        (mu, power, str(ca), str(cb)),
-                    )
-    return CutJoinReport(series.degree_cap, M, True, checked)
+            a, b = lhs.coeff(mu), rhs.coeff(mu)
+            if a != b:
+                return CutJoinReport(series.cap, False, checked, (mu, str(a), str(b)))
+            checked += len(a.num.terms) or 1
+    return CutJoinReport(series.cap, True, checked)
 
 
-def verify_cut_and_join(degree_cap: int, lam_order: int) -> CutJoinReport:
-    return compare_cut_and_join(burnside_series(degree_cap, lam_order))
+def verify_cut_and_join(degree_cap: int) -> CutJoinReport:
+    return compare_cut_and_join(burnside_series(degree_cap))

@@ -162,7 +162,7 @@ def _suite_cutjoin_eigenvalue() -> str | None:
 
 
 def _suite_cutjoin_equation() -> str | None:
-    rep = verify_cut_and_join(4, 6)
+    rep = verify_cut_and_join(4)
     if not rep.ok:
         return f"mismatch at {rep.first_mismatch}"
     return None

@@ -102,7 +102,7 @@ def test_acceptance_4_route_equivalence():
 
 def test_acceptance_5_cut_and_join():
     start = time.perf_counter()
-    report = verify_cut_and_join(6, 10)
+    report = verify_cut_and_join(6)
     assert report.ok, report.first_mismatch
     for n in range(9):
         for nu in partitions_of(n):
@@ -110,7 +110,7 @@ def test_acceptance_5_cut_and_join():
             assert cut_and_join(s) == s.scale(Fraction(kappa(nu), 2)), nu
     _report(
         5,
-        "d/dlam = cut-and-join through |mu| <= 6, lam^10; eigenvalue "
+        "d/dlam = cut-and-join through |mu| <= 6, every lam order; eigenvalue "
         "kappa/2 for |nu| <= 8",
         start,
         30,

@@ -116,7 +116,6 @@ def test_lambert_framing_rejected(capsys):
         ["hurwitz", "--dmax", "2", "--gmax", "-1"],
         ["zclosed", "--case", "c3", "--xorder", "-1"],
         ["cutjoin-check", "--dmax", "-1"],
-        ["cutjoin-check", "--lam-order", "0"],
     ],
 )
 def test_out_of_range_arguments_exit_2(capsys, argv):
@@ -134,7 +133,6 @@ _ABOVE_CAPS = [
     (["hurwitz", "--gmax", "1"], "--dmax", cli.DMAX_MAX),
     (["hurwitz", "--dmax", "2"], "--gmax", cli.GMAX_MAX),
     (["cutjoin-check"], "--dmax", cli.DMAX_MAX),
-    (["cutjoin-check"], "--lam-order", cli.LAM_ORDER_MAX),
     (["zclosed", "--case", "conifold"], "--framing", cli.FRAMING_MAX),
     (["verify-curve", "--case", "conifold"], "--framing", cli.FRAMING_MAX),
     (["recurrence", "--case", "c3"], "--framing", cli.FRAMING_MAX),
@@ -263,8 +261,8 @@ _USAGE = {
         "                         [--framing FRAMING [FRAMING ...]] [--xorder XORDER]\n"
         "                         [--format {text,json}] [--out OUT]\n",
     "cutjoin-check":
-        "usage: qcurve cutjoin-check [-h] [--dmax DMAX] [--lam-order LAM_ORDER]\n"
-        "                            [--format {text,json}] [--out OUT]\n",
+        "usage: qcurve cutjoin-check [-h] [--dmax DMAX] [--format {text,json}]\n"
+        "                            [--out OUT]\n",
     "selftest":
         "usage: qcurve selftest [-h] [--json] [--golden-dir GOLDEN_DIR] [--out OUT]\n",
 }
@@ -383,13 +381,19 @@ def test_recurrence_command(capsys):
 
 def test_cutjoin_command(capsys):
     code, out = run(
-        capsys, "cutjoin-check", "--dmax", "3", "--lam-order", "5",
-        "--format", "json",
+        capsys, "cutjoin-check", "--dmax", "3", "--format", "json",
     )
     assert code == 0
     payload = json.loads(out)
     assert payload["ok"] is True
     assert payload["first_mismatch"] is None
+
+
+def test_lam_order_is_no_longer_an_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["cutjoin-check", "--lam-order", "4"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --lam-order 4" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -529,10 +533,10 @@ _PINNED = [
     (["recurrence", "--case", "lambert", "--xorder", "4", "--format", "json"], 0,
      _json([{"case": "lambert", "framing": None, "order": 4, "ok": True,
              "first_failure": None}])),
-    (["cutjoin-check", "--dmax", "3", "--lam-order", "4"], 0,
-     "cut-and-join through degree 3, lam order 4: holds\n"),
-    (["cutjoin-check", "--dmax", "3", "--lam-order", "4", "--format", "json"], 0,
-     _json({"degree_cap": 3, "lam_order": 4, "ok": True,
+    (["cutjoin-check", "--dmax", "3"], 0,
+     "cut-and-join through degree 3, every lam order: holds\n"),
+    (["cutjoin-check", "--dmax", "3", "--format", "json"], 0,
+     _json({"degree_cap": 3, "ok": True,
             "coefficients_checked": 12, "first_mismatch": None})),
     (["selftest"], 0, _selftest_text(False)),
     (["selftest", "--json"], 0, _json(_selftest_json(False))),
@@ -573,24 +577,23 @@ def test_failing_recurrence_output_is_pinned(capsys, monkeypatch, fmt, expected)
     assert (code, out) == (1, expected)
 
 
-def _failing_cut_and_join(degree_cap, lam_order):
+def _failing_cut_and_join(degree_cap):
     from qcurve.hurwitz import CutJoinReport
 
-    return CutJoinReport(degree_cap, lam_order, False, 7, ((2, 1), 2, "1/2", "1/3"))
+    return CutJoinReport(degree_cap, False, 7, ((2, 1), "(1/2)*E^2", "(1/3)*E^2"))
 
 
 @pytest.mark.parametrize("fmt,expected", [
-    ("text", "cut-and-join through degree 3, lam order 4: fails: {'partition': "
-             "'[2, 1]', 'lam_power': 2, 'lhs': '1/2', 'rhs': '1/3'}\n"),
-    ("json", _json({"degree_cap": 3, "lam_order": 4, "ok": False,
+    ("text", "cut-and-join through degree 3, every lam order: fails: {'partition': "
+             "'[2, 1]', 'lhs': '(1/2)*E^2', 'rhs': '(1/3)*E^2'}\n"),
+    ("json", _json({"degree_cap": 3, "ok": False,
                     "coefficients_checked": 7,
-                    "first_mismatch": {"partition": "[2, 1]", "lam_power": 2,
-                                       "lhs": "1/2", "rhs": "1/3"}})),
+                    "first_mismatch": {"partition": "[2, 1]",
+                                       "lhs": "(1/2)*E^2", "rhs": "(1/3)*E^2"}})),
 ])
 def test_failing_cutjoin_output_is_pinned(capsys, monkeypatch, fmt, expected):
     monkeypatch.setattr(cli, "verify_cut_and_join", _failing_cut_and_join)
-    code, out = run(capsys, "cutjoin-check", "--dmax", "3", "--lam-order", "4",
-                    "--format", fmt)
+    code, out = run(capsys, "cutjoin-check", "--dmax", "3", "--format", fmt)
     assert (code, out) == (1, expected)
 
 

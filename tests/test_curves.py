@@ -353,8 +353,8 @@ def test_hurwitz_table_runs_no_graded_log_and_no_ratfun(monkeypatch):
     assert table.value(1, (2,)) == Fraction(1, 2)
     # the series and its log are int maps over int denominators
     assert calls == []
-    # the counters see the ring path: the lam series and its log
-    symfun.graded_log(hurwitz.burnside_series(3, 2).sym)
+    # the counters see the ring path: the series as a SymFunc and its log
+    symfun.graded_log(hurwitz.burnside_series(3))
     assert {"graded_log", "RatFun", "LaurentPoly"} <= set(calls)
 
 

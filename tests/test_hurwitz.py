@@ -11,7 +11,7 @@ import hashlib
 import itertools
 import json
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -19,7 +19,6 @@ import qcurve.hurwitz as hurwitz
 import qcurve.selftest as selftest
 from qcurve.combinatorics import irrep_dimension, kappa, partitions_of
 from qcurve.hurwitz import (
-    BurnsideSeries,
     HurwitzTable,
     LengthTooSmallError,
     burnside_series,
@@ -40,47 +39,62 @@ from qcurve.symfun import SymFunc, graded_log, schur_to_powersums
 # ---------------------------------------------------------------------------
 
 def test_series_degree_zero_is_one():
-    bs = burnside_series(0, 3)
-    assert bs.sym == SymFunc.one(0)
+    assert burnside_series(0) == SymFunc.one(0)
 
 
 def test_series_p1_coefficient_is_one():
-    bs = burnside_series(1, 4)
-    assert bs.sym.coeff((1,)) == RatFun.one()
+    assert burnside_series(1).coeff((1,)) == RatFun.one()
+
+
+def _schur_sum(degree_cap, prefactor):
+    """sum_nu prefactor(nu) * s_nu over 0 < |nu| <= degree_cap, plus 1,
+    as SymFunc sums."""
+    acc = SymFunc.one(degree_cap)
+    for n in range(1, degree_cap + 1):
+        for nu in partitions_of(n):
+            acc = acc + schur_to_powersums(nu, degree_cap).scale(prefactor(nu))
+    return acc
+
+
+def _schur_sum_exact(degree_cap):
+    """Reference: sum_nu dim(nu)/n! * E^kappa_nu * s_nu, exact in E."""
+    return _schur_sum(degree_cap, lambda nu: RatFun.term(
+        Fraction(irrep_dimension(nu), factorial(sum(nu))), E=kappa(nu)
+    ))
+
+
+def _schur_sum_series(degree_cap, lam_order):
+    """Reference: sum_nu dim(nu)/n! * e^(kappa_nu lam/2) * s_nu, each
+    exponential expanded through lam^lam_order."""
+
+    def taylor(nu):
+        half_kappa = Fraction(kappa(nu), 2)
+        coeffs = {}
+        term = Fraction(irrep_dimension(nu), factorial(sum(nu)))
+        for k in range(lam_order + 1):
+            coeffs[(0, 0, k, 0)] = term
+            term = term * half_kappa / (k + 1)
+        return RatFun.from_poly(LaurentPoly(coeffs))
+
+    return _schur_sum(degree_cap, taylor)
 
 
 def test_series_p2_lambda_coefficient():
-    # the p_2 coefficient is (e^lam - e^-lam)/4 = lam/2 + lam^3/12 + ...
-    bs = burnside_series(2, 4)
-    c = bs.sym.coeff((2,)).num
+    # the p_2 coefficient is (E^2 - E^-2)/4 = (e^lam - e^-lam)/4
+    # = lam/2 + lam^3/12 + ...
+    assert burnside_series(2).coeff((2,)) == RatFun.from_poly(
+        LaurentPoly.term(Fraction(1, 4), E=2) - LaurentPoly.term(Fraction(1, 4), E=-2)
+    )
+    c = _schur_sum_series(2, 4).coeff((2,)).num
     assert c.coefficient_of("lam", 0).is_zero()
     assert c.coefficient_of("lam", 1) == LaurentPoly.term(Fraction(1, 2))
     assert c.coefficient_of("lam", 2).is_zero()
     assert c.coefficient_of("lam", 3) == LaurentPoly.term(Fraction(1, 12))
 
 
-def _schur_sum_series(degree_cap, lam_order):
-    """Reference: sum_nu dim(nu)/n! * e^(kappa_nu lam/2) * s_nu as SymFunc sums."""
-    acc = SymFunc.one(degree_cap)
-    for n in range(1, degree_cap + 1):
-        for nu in partitions_of(n):
-            half_kappa = Fraction(kappa(nu), 2)
-            taylor = {}
-            term = Fraction(irrep_dimension(nu), factorial(n))
-            for k in range(lam_order + 1):
-                taylor[(0, 0, k, 0)] = term
-                term = term * half_kappa / (k + 1)
-            prefactor = RatFun.from_poly(LaurentPoly(taylor))
-            acc = acc + schur_to_powersums(nu, degree_cap).scale(prefactor)
-    return acc
-
-
 def test_series_matches_schur_sum():
     for degree_cap in range(6):
-        for lam_order in (0, 1, 2, 5, 10):
-            got = burnside_series(degree_cap, lam_order).sym
-            want = _schur_sum_series(degree_cap, lam_order)
-            assert got == want, (degree_cap, lam_order)
+        assert burnside_series(degree_cap) == _schur_sum_exact(degree_cap), degree_cap
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +120,7 @@ def _lam_log_table(degree_cap, genus_cap):
     """Reference: b! * [lam^b p_mu] of the log of the lam series through
     lam^M, M = 2G - 2 + 2D, the lam powers above M dropped after the log."""
     M = max(0, 2 * genus_cap - 2 + 2 * degree_cap)
-    log = graded_log(burnside_series(degree_cap, M).sym)
+    log = graded_log(_schur_sum_series(degree_cap, M))
     entries = {}
     for n in range(1, degree_cap + 1):
         for mu in partitions_of(n):
@@ -148,7 +162,7 @@ def test_nonnegativity_and_parity():
     # the lam-polynomial multiplying p_mu has only powers of parity
     # l(mu) + |mu| (mod 2), since b = 2g - 2 + l + |mu|
     M = 8
-    log = graded_log(burnside_series(4, M).sym)
+    log = graded_log(_schur_sum_series(4, M))
     for mu, c in log.terms.items():
         parity = (len(mu) + sum(mu)) % 2
         for mono in c.num.truncate_symbol("lam", M).terms:
@@ -248,6 +262,12 @@ def test_elsv_refuses_short_partitions():
         elsv_genus0((3, 1))
 
 
+def test_elsv_rejects_parts_below_one():
+    for mu in ((1, 1, 0), (2, 1, -1), (0, 0, 0)):
+        with pytest.raises(ValueError, match="every part of mu must be >= 1"):
+            elsv_genus0(mu)
+
+
 def test_elsv_matches_series_extraction():
     # d = 9 is the paper's depth; (dmax, gmax, partitions with >= 3 parts)
     for dmax, gmax, count in ((5, 0, 7), (9, 1, 67)):
@@ -279,6 +299,12 @@ def test_genus1_and_one_part_examples():
         hurwitz_one_part(0, 0)
     with pytest.raises(ValueError):
         hurwitz_genus1(())
+
+
+def test_genus1_rejects_parts_below_one():
+    for mu in ((2, 0), (0,), (3, -1)):
+        with pytest.raises(ValueError, match="every part of mu must be >= 1"):
+            hurwitz_genus1(mu)
 
 
 def test_genus1_formula_matches_the_table():
@@ -318,29 +344,47 @@ def test_selftest_catches_an_entry_off_by_one(monkeypatch, key, detail):
 # ---------------------------------------------------------------------------
 
 def test_cut_and_join_equation_holds():
-    assert verify_cut_and_join(2, 4).ok
-    assert verify_cut_and_join(4, 6).ok
-    assert verify_cut_and_join(6, 12).ok
+    for d in range(1, 7):
+        assert verify_cut_and_join(d).ok, d
 
 
 def test_cut_and_join_trivial_cap():
-    assert verify_cut_and_join(0, 2).ok
+    report = verify_cut_and_join(0)
+    assert report.ok
+    assert report.coefficients_checked == 1  # the empty coefficient of p_()
+
+
+def _perturbed(degree_cap, target, extra):
+    series = burnside_series(degree_cap)
+    terms = dict(series.terms)
+    terms[target] = series.coeff(target) + RatFun.from_poly(extra)
+    return SymFunc(degree_cap, terms)
 
 
 def test_cut_and_join_detects_injected_fault():
-    series = burnside_series(2, 4)
-    # perturb the lam^2 part of the p_(2) coefficient
-    target = (2,)
-    poly = series.sym.coeff(target)
-    bad = poly + RatFun.term(Fraction(1, 7), lam=2)
-    terms = dict(series.sym.terms)
-    terms[target] = bad
-    perturbed = BurnsideSeries(SymFunc(2, terms), 2, 4)
-    report = compare_cut_and_join(perturbed)
+    report = compare_cut_and_join(
+        _perturbed(4, (2, 1), LaurentPoly.term(Fraction(1, 7), E=2))
+    )
     assert not report.ok
-    mu, power, lhs, rhs = report.first_mismatch
-    assert mu == target
-    assert power in (1, 2)  # derivative shifts lam^2 down; K keeps it
+    mu, lhs, rhs = report.first_mismatch
+    # K joins the parts of p_(2,1) into 2 p_(3), which precedes (2, 1)
+    assert mu == (3,)
+    assert lhs != rhs
+
+
+def test_cut_and_join_detects_a_fault_beyond_lam_order_8():
+    # (E - 1/E)^9 / 7 = (2 sinh(lam/2))^9 / 7 starts at lam^9 and its
+    # lam-derivative at lam^8, so comparing both sides through lam^7, all
+    # that a series expanded through lam^8 allows, does not see it
+    extra = {9 - 2 * k: (-1) ** k * comb(9, k) for k in range(10)}
+    moments = [sum(c * e**b for e, c in extra.items()) for b in range(10)]
+    assert moments[:9] == [0] * 9 and moments[9]
+    report = compare_cut_and_join(_perturbed(2, (2,), LaurentPoly({
+        (e, 0, 0, 0): Fraction(c, 7) for e, c in extra.items()
+    })))
+    assert not report.ok
+    mu, lhs, rhs = report.first_mismatch
+    assert mu == (2,)
     assert lhs != rhs
 
 
@@ -362,7 +406,7 @@ def test_shifted_exponent_breaks_the_golden_table(shifted_kappa):
 
 
 def test_shifted_exponent_breaks_cut_and_join(shifted_kappa):
-    report = compare_cut_and_join(burnside_series(4, 6))
+    report = compare_cut_and_join(burnside_series(4))
     assert not report.ok
     assert sum(report.first_mismatch[0]) == 4
 

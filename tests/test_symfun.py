@@ -364,7 +364,7 @@ def test_symfun_adds_only_through_collect(monkeypatch):
     monkeypatch.setattr(RatFun, "sum", staticmethod(counting_sum))
     monkeypatch.setattr(symfun, "_collect", checked_collect)
     hurwitz_table(6, 2)
-    series = burnside_series(5, 6).sym
+    series = burnside_series(5)
     cut_and_join(series)
     assert graded_exp(graded_log(series)) == series
     assert (series + series.scale(2) - series * SymFunc.one(5)).scale(-1) == series.scale(-2)
