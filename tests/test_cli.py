@@ -133,6 +133,7 @@ _ABOVE_CAPS = [
     (["hurwitz", "--gmax", "1"], "--dmax", cli.DMAX_MAX),
     (["hurwitz", "--dmax", "2"], "--gmax", cli.GMAX_MAX),
     (["cutjoin-check"], "--dmax", cli.DMAX_MAX),
+    (["hurwitz"], "--dmax", cli.DMAX_MAX),
     (["zclosed", "--case", "conifold"], "--framing", cli.FRAMING_MAX),
     (["verify-curve", "--case", "conifold"], "--framing", cli.FRAMING_MAX),
     (["recurrence", "--case", "c3"], "--framing", cli.FRAMING_MAX),
