@@ -19,7 +19,7 @@ seconds on a 2.1 GHz x86 core: ``partitions N`` 40 (every partition of
 ``--xorder`` 40 (annihilation of the conifold about 1 s per framing,
 5.9-6.8 s for the default seven, holding one framing's series at a time),
 ``--dmax`` 14 and ``--gmax`` 8 (the Hurwitz table at both caps 0.5-0.8 s;
-``cutjoin-check --dmax 14``, exact in E, 0.7-0.9 s at 51 MB) and
+``cutjoin-check --dmax 14``, exact in E, 0.2-0.3 s at 19 MB) and
 ``--framing`` 10 in absolute value, for every value of a
 multi-value ``--framing`` (the failing inverse reading of the conifold
 normalizes dense slices about 2 |a| n wide: at x^40 it takes 5.3 s at
@@ -266,7 +266,10 @@ def _validate(args) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extras = parser.parse_known_args(argv)
+    if extras:
+        # argparse would report them under the top-level usage line
+        args.subparser.error(f"unrecognized arguments: {' '.join(extras)}")
     _validate(args)
     return args.fn(args)
 

@@ -32,10 +32,11 @@ one integer sum per (g, mu).  The cut-and-join equation d/dlam F = K F
 is checked exactly in E: d/dlam acts on E^e as multiplication by e/2,
 so d/dlam = (E/2) d/dE, and as distinct E^e = e^(e lam/2) are linearly
 independent, two equal Laurent polynomials in E agree at every lam order
-at once.  ``burnside_series`` wraps the same maps as a ``SymFunc`` for
-that check.  Three closed forms share no code with the series:
-``elsv_genus0`` (genus 0, at least three parts), ``hurwitz_genus1``
-(genus 1, every mu) and ``hurwitz_one_part`` (mu = (d), every genus).
+at once; the check runs on the maps of ``burnside_series``, and a ring
+value is built only to print a mismatch.  Three closed forms share no
+code with the series: ``elsv_genus0`` (genus 0, at least three parts),
+``hurwitz_genus1`` (genus 1, every mu) and ``hurwitz_one_part``
+(mu = (d), every genus).
 """
 
 from __future__ import annotations
@@ -54,8 +55,8 @@ from .combinatorics import (
     kappa,
     partitions_of,
 )
-from .ring import LaurentPoly, RatFun
-from .symfun import SymFunc, _sorted_merge, cut_and_join
+from .ring import LaurentPoly
+from .symfun import _cut_join_moves, _sorted_merge
 
 
 class LengthTooSmallError(ValueError):
@@ -115,8 +116,8 @@ def _reduced(num: dict[int, int], den: int) -> _EPoly:
     return {e: c // g for e, c in num.items()}, den // g
 
 
-def _series(degree_cap: int) -> list[dict[Partition, _EPoly]]:
-    """The Schur-side series, degree by degree, every coefficient exact in E.
+def burnside_series(degree_cap: int) -> list[dict[Partition, _EPoly]]:
+    """The Schur-side series, one map per degree, every coefficient exact in E.
 
     One pass per degree n over the rows of ``character_table(n)``, the
     zero characters skipped and the weights chi * dim of equal kappa
@@ -195,21 +196,6 @@ def _moments(num: dict[int, int], first: int, count: int) -> list[int]:
     return sums
 
 
-def burnside_series(degree_cap: int) -> SymFunc:
-    """The Schur-side series as a ``SymFunc``, every coefficient exact in E.
-
-    The p_mu coefficient is the Laurent polynomial sum_e c_e / den * E^e
-    of ``_series``; nothing is expanded in lam.
-    """
-    return SymFunc(degree_cap, {
-        mu: RatFun.from_poly(LaurentPoly({
-            (e, 0, 0, 0): Fraction(c, den) for e, c in num.items()
-        }))
-        for comp in _series(degree_cap)
-        for mu, (num, den) in comp.items()
-    })
-
-
 def hurwitz_table(degree_cap: int, genus_cap: int) -> HurwitzTable:
     """Extract H_{g,mu} for 1 <= |mu| <= degree_cap, 0 <= g <= genus_cap.
 
@@ -218,7 +204,7 @@ def hurwitz_table(degree_cap: int, genus_cap: int) -> HurwitzTable:
     the p_mu coefficient of n * L_n, with n = |mu| and
     b = 2g - 2 + l + n >= 0.
     """
-    dlogs = _graded_dlog(_series(degree_cap))
+    dlogs = _graded_dlog(burnside_series(degree_cap))
     entries: dict[tuple[int, Partition], Fraction] = {}
     for n in range(1, degree_cap + 1):
         for mu in partitions_of(n):
@@ -303,24 +289,38 @@ def hurwitz_one_part(g: int, d: int) -> Fraction:
     return factorial(2 * g - 1 + d) * Fraction(d) ** (d - 2) / factorial(d) * power[g]
 
 
-def compare_cut_and_join(series: SymFunc) -> CutJoinReport:
-    """Check d/dlam(series) == cut_and_join(series) exactly in E.
+def compare_cut_and_join(series: list[dict[Partition, _EPoly]]) -> CutJoinReport:
+    """Check d/dlam F == K F exactly in E on the maps of ``burnside_series``.
 
-    With E = e^(lam/2), d/dlam is (E/2) d/dE.  The two sides are compared
-    partition by partition, by degree and then in reverse-lex order; the
-    first mismatch is reported as (mu, lhs, rhs).  ``coefficients_checked``
-    counts the E terms compared, an empty coefficient as one.
+    With E = e^(lam/2), d/dlam = (E/2) d/dE takes c E^e to c e/2 E^e, and
+    each move (mu, w) of ``_cut_join_moves(nu)`` adds w times the p_nu
+    coefficient into mu's map.  Degree n is held over D = 2 * lcm of its
+    denominators, so every term is an int: w has denominator 1 or 2, and
+    D / den is even.
+    The two sides are compared partition by partition, by degree and then
+    in reverse-lex order; the first mismatch is reported as (mu, lhs, rhs).
+    ``coefficients_checked`` counts the E terms of the left side, an empty
+    coefficient as one.
     """
-    lhs = series.map_coeffs(lambda c: c.diff("E").mul_term(Fraction(1, 2), E=1))
-    rhs = cut_and_join(series)
-    checked = 0
-    for n in range(series.cap + 1):
+    cap, checked = len(series) - 1, 0
+    for n, comp in enumerate(series):
+        big = 2 * lcm(*(den for _, den in comp.values()))
+        lhs, rhs = {}, {}
+        for nu, (num, den) in comp.items():
+            scale = big // den
+            lhs[nu] = {e: c * e * scale // 2 for e, c in num.items() if e}
+            for mu, w in _cut_join_moves(nu):
+                factor, total = int(w * scale), rhs.setdefault(mu, {})
+                for e, c in num.items():
+                    total[e] = total.get(e, 0) + factor * c
         for mu in partitions_of(n):
-            a, b = lhs.coeff(mu), rhs.coeff(mu)
+            a, b = lhs.get(mu, {}), {e: c for e, c in rhs.get(mu, {}).items() if c}
             if a != b:
-                return CutJoinReport(series.cap, False, checked, (mu, str(a), str(b)))
-            checked += len(a.num.terms) or 1
-    return CutJoinReport(series.cap, True, checked)
+                texts = [str(LaurentPoly({(e, 0, 0, 0): Fraction(c, big)
+                                          for e, c in m.items()})) for m in (a, b)]
+                return CutJoinReport(cap, False, checked, (mu, *texts))
+            checked += len(a) or 1
+    return CutJoinReport(cap, True, checked)
 
 
 def verify_cut_and_join(degree_cap: int) -> CutJoinReport:

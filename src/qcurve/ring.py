@@ -567,10 +567,6 @@ class RatFun:
         return _RF_ONE
 
     @classmethod
-    def from_poly(cls, p: LaurentPoly) -> RatFun:
-        return cls._raw(p, _LP_ONE)
-
-    @classmethod
     def term(cls, coeff, **powers: int) -> RatFun:
         return cls._raw(LaurentPoly.term(coeff, **powers), _LP_ONE)
 

@@ -397,6 +397,19 @@ def test_lam_order_is_no_longer_an_option(capsys):
     assert "unrecognized arguments: --lam-order 4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, extras", [
+    (["cutjoin-check", "--bogus", "4"], "--bogus 4"),
+    (["hurwitz", "--dmax", "3", "extra"], "extra"),
+])
+def test_unrecognized_arguments_are_reported_under_the_subcommand(capsys, argv, extras):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: qcurve {argv[0]} ")
+    assert err.endswith(f"qcurve {argv[0]}: error: unrecognized arguments: {extras}\n")
+
+
 # ---------------------------------------------------------------------------
 # selftest
 # ---------------------------------------------------------------------------

@@ -31,6 +31,8 @@ from qcurve.curves import (
 from qcurve.hurwitz import hurwitz_table
 from qcurve.ring import SYMBOLS, LaurentPoly, RatFun, XSeries
 
+from test_hurwitz import _as_symfunc
+
 ONE = LaurentPoly.one()
 
 
@@ -353,8 +355,12 @@ def test_hurwitz_table_runs_no_graded_log_and_no_ratfun(monkeypatch):
     assert table.value(1, (2,)) == Fraction(1, 2)
     # the series and its log are int maps over int denominators
     assert calls == []
+    # so is the cut-and-join check, which builds a ring value only to
+    # print a mismatch
+    assert hurwitz.verify_cut_and_join(8).ok
+    assert calls == []
     # the counters see the ring path: the series as a SymFunc and its log
-    symfun.graded_log(hurwitz.burnside_series(3))
+    symfun.graded_log(_as_symfunc(hurwitz.burnside_series(3)))
     assert {"graded_log", "RatFun", "LaurentPoly"} <= set(calls)
 
 
@@ -481,12 +487,12 @@ def _recurrence_by_folds(case, z, order):
         if case.kind is CurveKind.LAMBERT:
             lhs = cn1.mul_term(n + 1, lam=1) - cn.mul_term(1, E=2 * n)
         elif case.kind is CurveKind.C3:
-            lhs = cn1 * RatFun.from_poly(ONE - sym("E", 2 * (n + 1))) - cn.mul_term(
+            lhs = cn1 * RatFun(ONE - sym("E", 2 * (n + 1))) - cn.mul_term(
                 1, E=1 - 2 * a * n
             )
         else:
             lhs = (
-                cn1 * RatFun.from_poly(ONE - sym("u", 2 * (n + 1)))
+                cn1 * RatFun(ONE - sym("u", 2 * (n + 1)))
                 + cn.mul_term(1, u=2 * (a + 1) * n + 1)
                 - cn.mul_term(1, Qh=2, u=2 * a * n + 1)
             )

@@ -11,7 +11,7 @@ import hashlib
 import itertools
 import json
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import pytest
 
@@ -19,6 +19,7 @@ import qcurve.hurwitz as hurwitz
 import qcurve.selftest as selftest
 from qcurve.combinatorics import irrep_dimension, kappa, partitions_of
 from qcurve.hurwitz import (
+    CutJoinReport,
     HurwitzTable,
     LengthTooSmallError,
     burnside_series,
@@ -31,19 +32,29 @@ from qcurve.hurwitz import (
 )
 from qcurve.ring import LaurentPoly, RatFun
 from qcurve.selftest import default_golden_dir, hurwitz_payload
-from qcurve.symfun import SymFunc, graded_log, schur_to_powersums
+from qcurve.symfun import SymFunc, cut_and_join, graded_log, schur_to_powersums
 
 
 # ---------------------------------------------------------------------------
 # the character-side series
 # ---------------------------------------------------------------------------
 
+def _as_symfunc(series):
+    """The int maps of ``burnside_series`` as a ``SymFunc`` of ``RatFun``s."""
+    return SymFunc(len(series) - 1, {
+        mu: RatFun(LaurentPoly({(e, 0, 0, 0): Fraction(c, den) for e, c in num.items()}))
+        for comp in series
+        for mu, (num, den) in comp.items()
+    })
+
+
 def test_series_degree_zero_is_one():
-    assert burnside_series(0) == SymFunc.one(0)
+    assert burnside_series(0) == [{(): ({0: 1}, 1)}]
+    assert _as_symfunc(burnside_series(0)) == SymFunc.one(0)
 
 
 def test_series_p1_coefficient_is_one():
-    assert burnside_series(1).coeff((1,)) == RatFun.one()
+    assert burnside_series(1)[1] == {(1,): ({0: 1}, 1)}
 
 
 def _schur_sum(degree_cap, prefactor):
@@ -74,7 +85,7 @@ def _schur_sum_series(degree_cap, lam_order):
         for k in range(lam_order + 1):
             coeffs[(0, 0, k, 0)] = term
             term = term * half_kappa / (k + 1)
-        return RatFun.from_poly(LaurentPoly(coeffs))
+        return RatFun(LaurentPoly(coeffs))
 
     return _schur_sum(degree_cap, taylor)
 
@@ -82,9 +93,7 @@ def _schur_sum_series(degree_cap, lam_order):
 def test_series_p2_lambda_coefficient():
     # the p_2 coefficient is (E^2 - E^-2)/4 = (e^lam - e^-lam)/4
     # = lam/2 + lam^3/12 + ...
-    assert burnside_series(2).coeff((2,)) == RatFun.from_poly(
-        LaurentPoly.term(Fraction(1, 4), E=2) - LaurentPoly.term(Fraction(1, 4), E=-2)
-    )
+    assert burnside_series(2)[2][(2,)] == ({2: 1, -2: -1}, 4)
     c = _schur_sum_series(2, 4).coeff((2,)).num
     assert c.coefficient_of("lam", 0).is_zero()
     assert c.coefficient_of("lam", 1) == LaurentPoly.term(Fraction(1, 2))
@@ -94,7 +103,8 @@ def test_series_p2_lambda_coefficient():
 
 def test_series_matches_schur_sum():
     for degree_cap in range(6):
-        assert burnside_series(degree_cap) == _schur_sum_exact(degree_cap), degree_cap
+        series = _as_symfunc(burnside_series(degree_cap))
+        assert series == _schur_sum_exact(degree_cap), degree_cap
 
 
 # ---------------------------------------------------------------------------
@@ -354,17 +364,63 @@ def test_cut_and_join_trivial_cap():
     assert report.coefficients_checked == 1  # the empty coefficient of p_()
 
 
+def test_cut_and_join_at_the_degree_cap():
+    report = verify_cut_and_join(14)
+    assert report.ok
+    assert report.coefficients_checked == 19502
+
+
+def _ring_cut_and_join(series):
+    """Reference: the check on the ``SymFunc`` view, K by
+    ``symfun.cut_and_join`` against (E/2) d/dE of each ``RatFun``,
+    compared and counted as ``compare_cut_and_join`` does."""
+    view = _as_symfunc(series)
+    lhs = view.map_coeffs(lambda c: c.diff("E").mul_term(Fraction(1, 2), E=1))
+    rhs = cut_and_join(view)
+    checked = 0
+    for n in range(view.cap + 1):
+        for mu in partitions_of(n):
+            a, b = lhs.coeff(mu), rhs.coeff(mu)
+            if a != b:
+                return CutJoinReport(view.cap, False, checked, (mu, str(a), str(b)))
+            checked += len(a.num.terms) or 1
+    return CutJoinReport(view.cap, True, checked)
+
+
 def _perturbed(degree_cap, target, extra):
+    """burnside_series(degree_cap) with sum_e extra[e] E^e added to the
+    p_target coefficient, kept as a reduced int map."""
     series = burnside_series(degree_cap)
-    terms = dict(series.terms)
-    terms[target] = series.coeff(target) + RatFun.from_poly(extra)
-    return SymFunc(degree_cap, terms)
+    num, den = series[sum(target)][target]
+    coeff = {e: Fraction(c, den) for e, c in num.items()}
+    for e, c in extra.items():
+        coeff[e] = coeff.get(e, 0) + c
+    den = lcm(*(c.denominator for c in coeff.values()))
+    series[sum(target)][target] = ({e: int(c * den) for e, c in coeff.items() if c}, den)
+    return series
+
+
+# (E - 1/E)^9 / 7 = (2 sinh(lam/2))^9 / 7 starts at lam^9
+_SINH9 = {9 - 2 * k: (-1) ** k * comb(9, k) for k in range(10)}
+_PERTURBED = (
+    (4, (2, 1), {2: Fraction(1, 7)}),
+    (2, (2,), {e: Fraction(c, 7) for e, c in _SINH9.items()}),
+)
+
+
+def test_cut_and_join_matches_the_ring_reference():
+    for d in range(7):
+        series = burnside_series(d)
+        assert compare_cut_and_join(series) == _ring_cut_and_join(series), d
+    for args in _PERTURBED:
+        series = _perturbed(*args)
+        report = compare_cut_and_join(series)
+        assert not report.ok
+        assert report == _ring_cut_and_join(series), args
 
 
 def test_cut_and_join_detects_injected_fault():
-    report = compare_cut_and_join(
-        _perturbed(4, (2, 1), LaurentPoly.term(Fraction(1, 7), E=2))
-    )
+    report = compare_cut_and_join(_perturbed(*_PERTURBED[0]))
     assert not report.ok
     mu, lhs, rhs = report.first_mismatch
     # K joins the parts of p_(2,1) into 2 p_(3), which precedes (2, 1)
@@ -373,15 +429,12 @@ def test_cut_and_join_detects_injected_fault():
 
 
 def test_cut_and_join_detects_a_fault_beyond_lam_order_8():
-    # (E - 1/E)^9 / 7 = (2 sinh(lam/2))^9 / 7 starts at lam^9 and its
-    # lam-derivative at lam^8, so comparing both sides through lam^7, all
-    # that a series expanded through lam^8 allows, does not see it
-    extra = {9 - 2 * k: (-1) ** k * comb(9, k) for k in range(10)}
-    moments = [sum(c * e**b for e, c in extra.items()) for b in range(10)]
+    # _SINH9 / 7 starts at lam^9 and its lam-derivative at lam^8, so
+    # comparing both sides through lam^7, all that a series expanded
+    # through lam^8 allows, does not see it
+    moments = [sum(c * e**b for e, c in _SINH9.items()) for b in range(10)]
     assert moments[:9] == [0] * 9 and moments[9]
-    report = compare_cut_and_join(_perturbed(2, (2,), LaurentPoly({
-        (e, 0, 0, 0): Fraction(c, 7) for e, c in extra.items()
-    })))
+    report = compare_cut_and_join(_perturbed(*_PERTURBED[1]))
     assert not report.ok
     mu, lhs, rhs = report.first_mismatch
     assert mu == (2,)
@@ -406,9 +459,11 @@ def test_shifted_exponent_breaks_the_golden_table(shifted_kappa):
 
 
 def test_shifted_exponent_breaks_cut_and_join(shifted_kappa):
-    report = compare_cut_and_join(burnside_series(4))
+    series = burnside_series(4)
+    report = compare_cut_and_join(series)
     assert not report.ok
     assert sum(report.first_mismatch[0]) == 4
+    assert report == _ring_cut_and_join(series)
 
 
 def test_shifted_exponent_breaks_the_monodromy_count(shifted_kappa):

@@ -292,7 +292,7 @@ def test_gcd_laurent_inputs():
     a = LaurentPoly.term(1, u=-2) * (ONE - sym("u", 4))
     b = LaurentPoly.term(3, u=5) * (ONE - sym("u", 2))
     want = LaurentPoly.term(Fraction(1, 3), u=-7) * (ONE + sym("u", 2))
-    assert RatFun(a, b) == RatFun.from_poly(want)
+    assert RatFun(a, b) == RatFun(want)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,8 @@ from qcurve.symfun import (
     specialize,
 )
 
+from test_hurwitz import _as_symfunc
+
 ONE = LaurentPoly.one()
 HALF = RatFun.term(Fraction(1, 2))
 
@@ -290,7 +292,7 @@ def _random_lam_series(rng, cap, lam_degree, with_u):
                 lam = rng.randint(0, lam_degree)
                 u = rng.randint(-2, 2) if with_u else 0
                 poly = poly + LaurentPoly.term(coeff, lam=lam, u=u)
-            terms[mu] = RatFun.from_poly(poly)
+            terms[mu] = RatFun(poly)
     return SymFunc(cap, terms)
 
 
@@ -364,7 +366,7 @@ def test_symfun_adds_only_through_collect(monkeypatch):
     monkeypatch.setattr(RatFun, "sum", staticmethod(counting_sum))
     monkeypatch.setattr(symfun, "_collect", checked_collect)
     hurwitz_table(6, 2)
-    series = burnside_series(5)
+    series = _as_symfunc(burnside_series(5))
     cut_and_join(series)
     assert graded_exp(graded_log(series)) == series
     assert (series + series.scale(2) - series * SymFunc.one(5)).scale(-1) == series.scale(-2)
@@ -378,7 +380,7 @@ _fracs = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 _coeffs = st.one_of(
     _fracs.map(RatFun.term),
     st.dictionaries(st.integers(0, 3), _fracs, max_size=3).map(
-        lambda d: RatFun.from_poly(
+        lambda d: RatFun(
             sum((LaurentPoly.term(c, lam=k) for k, c in d.items()), LaurentPoly.zero())
         )
     ),
