@@ -31,10 +31,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from contextlib import nullcontext
-from itertools import islice
 from pathlib import Path
 
 from .curves import (
@@ -48,6 +46,7 @@ from .hurwitz import verify_cut_and_join
 from .selftest import (
     default_golden_dir,
     hurwitz_payload,
+    json_chunks,
     partitions_payload,
     run_selftest,
     zclosed_payload,
@@ -68,14 +67,11 @@ def _output(out: str | None):
 def _emit_json(payload, out: str | None) -> None:
     """Stream payload as indented JSON, never held as one string.
 
-    The bytes are those of ``json.dump(payload, fp, indent=2)``; its
-    chunks are joined in batches, as one write per chunk is slower than
-    building the whole string.
+    The bytes are those of ``json.dump(payload, fp, indent=2)``, an
+    iterator written as a list read one item at a time.
     """
-    chunks = json.JSONEncoder(indent=2).iterencode(payload)
     with _output(out) as fp:
-        for batch in iter(lambda: "".join(islice(chunks, 8192)), ""):
-            fp.write(batch)
+        fp.writelines(json_chunks(payload))
         fp.write("\n")
 
 

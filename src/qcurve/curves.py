@@ -177,7 +177,8 @@ def apply_operator(op: tuple[QOpTerm, ...], series: XSeries, order: int) -> XSer
 
     Works one degree at a time: the x^n coefficient of the result is one
     ``RatFun.sum`` of coeff * action(z_(n - xpow)) over the terms with
-    xpow <= n, so a degree that vanishes runs no gcd.  At a fixed degree
+    xpow <= n, so a degree that vanishes runs no gcd, and a degree that
+    does not is normalized only when its value is read.  At a fixed degree
     every action multiplies by a monomial or a scalar, so it is applied
     to the term's coefficient and the result multiplies the series
     coefficient once: for the curve operators that is one unit product
@@ -345,8 +346,10 @@ def verify_annihilation(
     """Apply the curve operator to the closed-form Z and check for zero.
 
     Checks coefficients of x^0 .. x^order; each term raises the x-degree
-    by at most one, so Z through x^order determines them all.  Failure is
-    reported, not raised.
+    by at most one, so Z through x^order determines them all.  Each degree
+    is tested for zero without a gcd; only the first failing degree,
+    whose text the report prints, is normalized.  Failure is reported,
+    not raised.
     """
     start = time.perf_counter()
     op = curve_operator(case, y_direction)
@@ -383,7 +386,8 @@ def recurrence_check(case: CurveCase, order: int) -> RecurrenceReport:
     written by hand and not derived from ``curve_operator``: an oracle.
     Each line is one ``RatFun.sum`` of unit multiples of a_n and a_(n+1)
     (the factor 1 - E^(2(n+1)) or 1 - u^(2(n+1)) multiplied out over
-    a_(n+1)), so a line that vanishes runs no gcd.
+    a_(n+1)), so a line that vanishes runs no gcd, and neither does the
+    failing line, as only its index is reported.
     """
     if order < 1:
         raise ValueError("order must be >= 1")

@@ -5,7 +5,8 @@ Three layers, all immutable and exact:
   LaurentPoly  multivariate Laurent polynomial with rational coefficients
                in the fixed symbol set ``SYMBOLS``
   RatFun       normalized quotient of Laurent polynomials whose denominator
-               involves at most one symbol
+               involves at most one symbol (a nonzero sum is normalized
+               when first read)
   XSeries      power series in a formal variable x, truncated at a fixed
                order, with RatFun coefficients
 
@@ -34,8 +35,10 @@ lcm of the distinct denominators is built once; each numerator is brought
 over it by one exact division for its cofactor, and the numerators are
 added.  A total that is zero over the lcm is the answer, so no gcd runs
 (an annihilated degree costs exact divisions only); any other total is
-normalized once, and the canonical form makes the result the same as a
-pairwise fold would give.
+normalized once, when its ``num`` or ``den`` is first read, and the
+canonical form makes the result the same as a pairwise fold would give.
+Zero-ness needs no read: the numerator over the lcm decides it exactly,
+so a failing degree that nobody prints costs no gcd either.
 
 Storage: a LaurentPoly holds int numerators over one positive int
 denominator, with no common factor, built through one canonicalizing
@@ -537,8 +540,10 @@ def _divexact_slices(
 class RatFun:
     """Quotient of Laurent polynomials with a univariate denominator.
 
-    Always held in canonical form (see module docstring), so ``==`` is
-    plain structural comparison and zero-ness is ``num == 0``.
+    Canonical (see module docstring) whenever ``num`` or ``den`` is read,
+    so ``==`` is plain structural comparison.  A nonzero ``sum`` is held
+    as its numerator over the lcm until the first such read normalizes it
+    once, through ``__init__``; ``is_zero`` never normalizes.
     """
 
     __slots__ = ("num", "den")
@@ -556,6 +561,13 @@ class RatFun:
         r = cls.__new__(cls)
         r.num = num
         r.den = den
+        return r
+
+    @staticmethod
+    def _deferred(num: LaurentPoly, den: LaurentPoly) -> RatFun:
+        """num / den, nonzero, normalized when ``num`` or ``den`` is first read."""
+        r = _DeferredRatFun.__new__(_DeferredRatFun)
+        r._pending = (num, den)
         return r
 
     @classmethod
@@ -589,7 +601,7 @@ class RatFun:
 
     @staticmethod
     def sum(terms: Iterable[RatFun]) -> RatFun:
-        """The sum of the terms, normalized once over one common denominator.
+        """The sum of the terms over one common denominator.
 
         Numerators that share a denominator are added first.  The lcm of
         the distinct denominators is built once, starting from the longest:
@@ -597,7 +609,9 @@ class RatFun:
         in as d / gcd.  Each numerator sum then takes its cofactor lcm / d
         from one exact division (kept from the divisibility test while the
         lcm has not grown), and a sum that is zero over the lcm is returned
-        before any gcd runs.
+        before any gcd runs.  Any other sum is returned deferred: it holds
+        the numerator over the lcm and is normalized once, when ``num`` or
+        ``den`` is first read, so ``is_zero`` of it costs no gcd.
         """
         ts = [t for t in terms if t.num.terms]
         if len(ts) < 2:
@@ -612,7 +626,7 @@ class RatFun:
                 groups.append([t.den, t.num])
         if len(groups) == 1:
             ((den, num),) = groups
-            return RatFun(num, den) if num.terms else _RF_ZERO
+            return RatFun._deferred(num, den) if num.terms else _RF_ZERO
         sidx = None
         for d, _ in groups:
             s = _den_symbol(d)
@@ -649,7 +663,7 @@ class RatFun:
             num = num + n * _from_dense([c * d.den for c in q], sidx, lcm.den)
         if not num.terms:
             return _RF_ZERO
-        return RatFun(num, lcm)
+        return RatFun._deferred(num, lcm)
 
     def __add__(self, other: RatFun) -> RatFun:
         if not isinstance(other, RatFun):
@@ -771,6 +785,33 @@ def _normalize_ratfun(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, 
     if lead < 0:
         den_dense = [-c for c in den_dense]
     return num, _from_dense(den_dense, sidx, abs(lead))
+
+
+class _DeferredRatFun(RatFun):
+    """A nonzero ``RatFun.sum`` whose ``num`` and ``den`` are set when first
+    read.
+
+    Until then it holds the numerator over the lcm in ``_pending``; the
+    first read normalizes it once, through ``RatFun.__init__``.
+    ``__getattr__`` lives here, not on RatFun: defining it on a class turns
+    off CPython's specialized attribute reads for every instance of it.
+    """
+
+    __slots__ = ("_pending",)
+
+    def is_zero(self) -> bool:
+        return False  # RatFun.sum defers only a nonzero numerator
+
+    def __getattr__(self, name: str):
+        # reached only for an unset slot
+        if name not in ("num", "den"):
+            raise AttributeError(name)
+        self.__init__(*self._pending)
+        del self._pending  # the un-normalized numerator is not kept
+        return getattr(self, name)
+
+    def __reduce__(self):
+        return RatFun._raw, (self.num, self.den)
 
 
 _RF_ZERO = RatFun._raw(_LP_ZERO, _LP_ONE)

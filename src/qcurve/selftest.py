@@ -13,8 +13,10 @@ from __future__ import annotations
 import json
 import os
 import time
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 from .combinatorics import (
@@ -102,20 +104,61 @@ def hurwitz_payload(dmax: int, gmax: int) -> list[dict]:
 
 
 def zclosed_payload(case: CurveCase, order: int) -> dict:
+    """The closed-form coefficients through x^order.
+
+    "coefficients" is an iterator: each coefficient's text and terms are
+    built as it is read, so ``json_chunks`` holds one at a time.
+    """
     series = z_closed(case, order)
     return {
         "case": case.label(),
         "framing": case.reported_framing(),
         "order": order,
-        "coefficients": [
-            {
-                "degree": n,
-                "text": str(series.coeff(n)),
-                "value": series.coeff(n).to_json(),
-            }
-            for n in range(order + 1)
-        ],
+        "coefficients": (
+            {"degree": n, "text": str(c), "value": c.to_json()}
+            for n, c in enumerate(series.coeffs)
+        ),
     }
+
+
+def json_chunks(value, level: int = 0) -> Iterator[str]:
+    """The text of ``json.dumps(value, indent=2)`` at nesting depth level,
+    in chunks.
+
+    A dict is written a member at a time and an iterator, as a JSON list,
+    an item at a time, so a payload's lazy rows are built one by one.
+    Any other value, a list included, holds no iterator.  Below the top
+    level (one zclosed coefficient's terms at most) it is one chunk,
+    indented to its depth (a JSON string holds no raw newline).  At the
+    top level (a table's rows) the encoder streams it, its chunks joined
+    in batches of 8192, so that each chunk yielded is worth one write: a
+    write per encoder chunk is slower than building the whole string.
+    """
+    if isinstance(value, dict):
+        members = ((json.dumps(k) + ": ", v) for k, v in value.items())
+        brackets = "{}"
+    elif isinstance(value, Iterator):
+        members = (("", v) for v in value)
+        brackets = "[]"
+    elif level:
+        yield json.dumps(value, indent=2).replace("\n", "\n" + "  " * level)
+        return
+    else:
+        chunks = json.JSONEncoder(indent=2).iterencode(value)
+        yield from iter(lambda: "".join(islice(chunks, 8192)), "")
+        return
+    pad = "\n" + "  " * (level + 1)
+    sep = brackets[0]
+    for key, v in members:
+        yield sep + pad + key
+        yield from json_chunks(v, level + 1)
+        sep = ","
+    yield brackets if sep == brackets[0] else "\n" + "  " * level + brackets[1]
+
+
+def json_text(payload) -> str:
+    """The whole document ``json_chunks`` writes, with its final newline."""
+    return "".join(json_chunks(payload)) + "\n"
 
 
 # golden file name -> builder of its payload
@@ -253,7 +296,7 @@ def _suite_golden(golden_dir: Path) -> str | None:
         if not path.exists():
             return f"missing golden file {path}"
         stored = json.loads(path.read_text())
-        if stored != build():
+        if stored != json.loads(json_text(build())):
             return f"golden mismatch in {name}"
     return None
 
@@ -288,4 +331,4 @@ def write_golden_files(golden_dir: Path) -> None:
     """Regenerate the golden payloads (maintenance helper)."""
     golden_dir.mkdir(parents=True, exist_ok=True)
     for name, build in GOLDEN.items():
-        (golden_dir / name).write_text(json.dumps(build(), indent=2) + "\n")
+        (golden_dir / name).write_text(json_text(build()))

@@ -8,13 +8,18 @@ import os
 import re
 import subprocess
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qcurve
 from qcurve import cli
 from qcurve.cli import main
+from qcurve.curves import conifold, framed_c3
+from qcurve.selftest import GOLDEN, json_text, zclosed_payload
 
 
 def run(capsys, *argv):
@@ -290,6 +295,66 @@ def test_zclosed_json_schema(capsys):
     assert payload["coefficients"][0]["text"] == "1"
     for c in payload["coefficients"]:
         assert set(c["value"]) == {"num", "den"}
+
+
+def _listed(value):
+    """value with every iterator (and tuple) read into a list."""
+    if isinstance(value, dict):
+        return {k: _listed(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple, Iterator)):
+        return [_listed(v) for v in value]
+    return value
+
+
+def _fresh(spec):
+    """spec with each tuple made a new iterator over its items."""
+    if isinstance(spec, dict):
+        return {k: _fresh(v) for k, v in spec.items()}
+    if isinstance(spec, tuple):
+        return iter([_fresh(v) for v in spec])
+    return spec
+
+
+_keys = st.text(max_size=3)
+_plain_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_keys, inner, max_size=3),
+    max_leaves=6,
+)
+# a tuple stands for an iterator: in a dict or in another iterator
+_lazy_json = st.recursive(
+    _plain_json,
+    lambda inner: st.dictionaries(_keys, inner, max_size=3)
+    | st.lists(inner, max_size=3).map(tuple),
+    max_leaves=12,
+)
+
+
+@settings(deadline=None)
+@given(_lazy_json)
+@example({"a": ({}, (), [], "x\ny"), "b": [1, {"c": []}]})
+def test_json_chunks_are_the_bytes_of_json_dumps(spec):
+    assert json_text(_fresh(spec)) == json.dumps(_listed(spec), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("build", [
+    *GOLDEN.values(), lambda: zclosed_payload(conifold(1), 12),
+    lambda: zclosed_payload(framed_c3(-2), 0),
+])
+def test_streamed_payloads_are_the_bytes_of_json_dumps(build):
+    assert json_text(build()) == json.dumps(_listed(build()), indent=2) + "\n"
+
+
+def test_zclosed_payload_builds_one_coefficient_at_a_time(monkeypatch):
+    from qcurve.ring import RatFun
+
+    calls = []
+    to_json = RatFun.to_json
+    monkeypatch.setattr(RatFun, "to_json", lambda self: calls.append(1) or to_json(self))
+    coefficients = zclosed_payload(conifold(1), 6)["coefficients"]
+    assert calls == []
+    assert next(coefficients)["degree"] == 0 and calls == [1]
+    assert next(coefficients)["degree"] == 1 and calls == [1, 1]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "text"])
@@ -573,6 +638,25 @@ def test_fault_injected_selftest_output_is_pinned(capsys, monkeypatch, argv, exp
     assert (code, _mask_millis(out)) == (1, expected)
 
 
+_INVERSE_TEXT = "".join(
+    f"conifold framing={a} order=12 y=inverse: failed (0ms)  first failure at x^1\n"
+    for a in range(-3, 4)
+)
+_INVERSE_JSON = _json([
+    _annihilation("conifold", a, 12, "inverse", {"degree": 1, "coefficient": _INVERSE_U1})
+    for a in range(-3, 4)
+])
+
+
+@pytest.mark.parametrize("fmt,expected", [("text", _INVERSE_TEXT), ("json", _INVERSE_JSON)])
+def test_inverse_control_over_the_default_framings_is_pinned(capsys, fmt, expected):
+    # the failing degrees are tested for zero without being normalized;
+    # the report still prints the degree-1 failure of each framing
+    code, out = run(capsys, "verify-curve", "--case", "conifold", "--xorder", "12",
+                    "--y-direction", "inverse", "--format", fmt)
+    assert (code, _mask_millis(out)) == (1, expected)
+
+
 def _failing_recurrence(case, order):
     from qcurve.curves import RecurrenceReport
 
@@ -732,13 +816,19 @@ def test_unwritable_out_exits_2_before_work(capsys, tmp_path, monkeypatch, argv,
 # python -m qcurve
 # ---------------------------------------------------------------------------
 
-def _python(*args):
+def _python(*args, **env):
     src = str(Path(qcurve.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=dict(os.environ, PYTHONPATH=path, **env),
     )
+
+
+def test_fault_injected_selftest_process_is_pinned():
+    proc = _python("-m", "qcurve", "selftest", "--json", QCURVE_FAULT_INJECT="1")
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert _mask_millis(proc.stdout) == _json(_selftest_json(True))
 
 
 def test_python_m_qcurve_matches_main(capsys):

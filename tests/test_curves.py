@@ -32,6 +32,7 @@ from qcurve.hurwitz import hurwitz_table
 from qcurve.ring import SYMBOLS, LaurentPoly, RatFun, XSeries
 
 from test_hurwitz import _as_symfunc
+from test_ring import _count_normalizations
 
 ONE = LaurentPoly.one()
 
@@ -386,12 +387,37 @@ def test_forward_annihilation_makes_no_normalization(monkeypatch):
         assert verify_annihilation(case, 14).ok
     # z_closed builds canonical coefficients and every degree sums to zero
     assert calls == []
-    # the inverse control normalizes each nonzero degree once
+    # the inverse control fails at 14 degrees and normalizes only the one
+    # it prints
     for a in range(-3, 4):
         z_closed.cache_clear()
         calls.clear()
         report = verify_annihilation(conifold(a), 14, y_direction="inverse")
-        assert len(calls) == report.degrees_ok.count(False) == 14
+        assert report.degrees_ok.count(False) == 14
+        assert len(calls) == 1
+
+
+def _annihilation_normalizing_every_degree(case, order, y_direction):
+    """(degrees_ok, first_failure) with each degree normalized before its
+    zero test: the eager reading of ``verify_annihilation``."""
+    op = curve_operator(case, y_direction)
+    result = apply_operator(op, z_closed(case, order), order)
+    coeffs = [RatFun(c.num, c.den) for c in result.coeffs]
+    degrees = tuple(not c.num.terms for c in coeffs)
+    first = next(((n, str(c)) for n, c in enumerate(coeffs) if c.num.terms), None)
+    return degrees, first
+
+
+@pytest.mark.parametrize("a", range(-3, 4))
+def test_inverse_control_normalizes_only_the_printed_degree(monkeypatch, a):
+    degrees, first = _annihilation_normalizing_every_degree(conifold(a), 14, "inverse")
+    calls = _count_normalizations(monkeypatch)
+    report = verify_annihilation(conifold(a), 14, y_direction="inverse")
+    assert len(calls) == 1
+    assert (report.status, report.first_failure, report.degrees_ok) == (
+        "failed", first, degrees
+    )
+    assert first[0] == 1 and degrees.count(False) == 14
 
 
 def test_z_closed_keeps_one_series():
@@ -531,6 +557,20 @@ def test_recurrence_catches_an_exponent_off_by_one(monkeypatch, case, k):
     report = recurrence_check(case, 8)
     assert not report.ok
     assert report.first_failure == _recurrence_by_folds(case, bad, 8) == k - 1
+
+
+@pytest.mark.parametrize("k", [1, 6])
+@pytest.mark.parametrize("case", [lambert(), framed_c3(2), conifold(-1)])
+def test_a_failing_recurrence_line_is_not_normalized(monkeypatch, case, k):
+    symbol = "u" if case.kind is CurveKind.CONIFOLD else "E"
+    z = z_closed(case, 8)
+    bad = XSeries(8, [c.mul_term(1, **{symbol: 1}) if n == k else c
+                      for n, c in enumerate(z.coeffs)])
+    monkeypatch.setattr(curves, "z_closed", lambda *args: bad)
+    calls = _count_normalizations(monkeypatch)
+    # the failing line is tested for zero, and nothing reads its value
+    assert recurrence_check(case, 8).first_failure == k - 1
+    assert calls == []
 
 
 @pytest.mark.parametrize("k", [1, 6])

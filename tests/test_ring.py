@@ -1,8 +1,10 @@
 """Ring kernel: Laurent polynomials, rational normalization, series."""
 
+import copy
 import functools
 import json
 import operator
+import pickle
 import random
 from fractions import Fraction
 from math import factorial, gcd, lcm
@@ -405,6 +407,7 @@ def test_rf_add_shared_denominator_non_integer(monkeypatch):
         ring, "_normalize_ratfun", lambda n, d: seen.append(d) or normalize(n, d)
     )
     for total in (a + b, b + a):
+        total.den  # a total is normalized when first read
         assert seen.pop() == d2  # no product of the denominators was formed
         assert total.num * (d1 * d2) == (a.num * d2 + b.num * d1) * total.den
 
@@ -660,6 +663,72 @@ def test_zero_sum_over_nested_denominators_runs_no_gcd(monkeypatch):
     xs = [_A, RatFun(LaurentPoly.term(-2), (ONE - U) * (ONE + U)), RatFun(ONE, ONE + U)]
     assert RatFun.sum(xs) is RatFun.zero()
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# a nonzero total is normalized when first read
+# ---------------------------------------------------------------------------
+
+def _count_normalizations(monkeypatch):
+    calls = []
+    normalize = ring._normalize_ratfun
+    monkeypatch.setattr(
+        ring, "_normalize_ratfun", lambda n, d: calls.append(1) or normalize(n, d)
+    )
+    return calls
+
+
+# one group over a non-integer denominator, which then cancels
+_ONE_GROUP = [RatFun(ONE, U + ONE * HALF), RatFun(U, U + ONE * HALF)]
+
+
+@settings(deadline=None)
+@given(st.lists(summands(), max_size=6))
+@example([_A, _B, RatFun(sym("E"))])
+@example(_ONE_GROUP)
+def test_deferred_sum_reads_as_the_eager_reference(xs):
+    # the numerator over the lcm, as a deferred sum holds it before any read
+    pending = getattr(RatFun.sum(xs), "_pending", None)
+    assume(pending is not None)
+    ref = RatFun(*pending)
+    assert ref == _over_product(xs)
+    assert RatFun.sum(xs) == ref and ref == RatFun.sum(xs)
+    assert hash(RatFun.sum(xs)) == hash(ref)
+    assert str(RatFun.sum(xs)) == str(ref)
+    assert RatFun.sum(xs).to_json() == ref.to_json()
+    total = RatFun.sum(xs)
+    assert (_fields(total.num), _fields(total.den)) == (_fields(ref.num), _fields(ref.den))
+
+
+@pytest.mark.parametrize("xs", [[_A, _B], _ONE_GROUP])
+def test_is_zero_of_a_deferred_total_runs_no_normalization(monkeypatch, xs):
+    calls = _count_normalizations(monkeypatch)
+    total = RatFun.sum(xs)
+    assert not total.is_zero() and not total.is_zero()
+    assert calls == []
+    assert total.num and calls == [1]
+
+
+@pytest.mark.parametrize("reads", [("den", "num"), ("num", "num"), ("den", "den")])
+def test_a_deferred_total_is_normalized_once(monkeypatch, reads):
+    want = _over_product([_A, _B])
+    calls = _count_normalizations(monkeypatch)
+    total = RatFun.sum([_A, _B])
+    parts = [getattr(total, name) for name in reads]
+    assert calls == [1]
+    assert parts == [getattr(want, name) for name in reads]
+    assert total == want and str(total) == str(want) and calls == [1]
+    assert not hasattr(total, "_pending")  # the numerator over the lcm is dropped
+
+
+@pytest.mark.parametrize("copy_of", [
+    copy.deepcopy, copy.copy, lambda x: pickle.loads(pickle.dumps(x)),
+])
+def test_a_deferred_total_copies_to_an_equal_value(copy_of):
+    want = _over_product([_A, _B])
+    got = copy_of(RatFun.sum([_A, _B]))
+    assert got == want and hash(got) == hash(want) and str(got) == str(want)
+    assert not got.is_zero() and type(got) is RatFun
 
 
 # ---------------------------------------------------------------------------
