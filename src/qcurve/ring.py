@@ -28,7 +28,10 @@ exponents of the other factor and scales its coefficients by c (a factor
 of exactly 1 returns the other operand).  ``RatFun.__mul__`` keeps the
 other factor's denominator and skips normalization: a unit adds no
 univariate factor, so the gcd with the denominator stays 1.  Scalar
-products, ``scale`` and ``mul_term`` all delegate to these two.
+products, ``scale`` and ``mul_term`` all delegate to these two.  A
+binomial factor extends the ``LaurentPoly`` rule: the other factor is
+shifted and scaled by the first term, and its copy under the second term
+is merged in, a key deleted only where it cancels; no convolution runs.
 
 Adding is one rule, ``RatFun.sum``, and ``+`` is its two-term case.  The
 lcm of the distinct denominators is built once; each numerator is brought
@@ -42,12 +45,14 @@ so a failing degree that nobody prints costs no gcd either.
 
 Storage: a LaurentPoly holds int numerators over one positive int
 denominator, with no common factor, built through one canonicalizing
-constructor.  Products convolve the numerators and multiply the
-denominators; the gcd (primitive pseudo-remainder sequence) and exact
-division of normalization run on the numerators of dense slices, all in
-Python ints.  Fractions appear only at the edges: the public constructor,
-``sorted_terms`` (and so text and JSON) and the one scalar that makes a
-denominator monic.  Invariant: every divisor handed to
+constructor.  An int term or a symbol is already canonical (its
+numerator over 1) and is built as such, with no Fraction and no gcd.
+Products convolve the numerators and multiply the denominators; the gcd
+(primitive pseudo-remainder sequence) and exact division of
+normalization run on the numerators of dense slices, all in Python ints.
+Fractions appear only at the edges: the public constructor (and so a
+Fraction term), ``sorted_terms`` (and so text and JSON) and the one
+scalar that makes a denominator monic.  Invariant: every divisor handed to
 ``_dense_divexact`` is a primitive integer polynomial, so by Gauss's lemma
 exact division over Q never leaves Z and keeps the numerators' content.
 """
@@ -64,8 +69,6 @@ SYMBOLS = ("E", "Qh", "lam", "u")
 _NSYM = len(SYMBOLS)
 _SYM_INDEX = {name: i for i, name in enumerate(SYMBOLS)}
 _ZERO_MONO = (0,) * _NSYM
-
-_ONE = Fraction(1)
 
 
 class ZeroDenominatorError(ZeroDivisionError):
@@ -108,8 +111,9 @@ class LaurentPoly:
     exponent vectors (ordered as ``SYMBOLS``) to nonzero ints, and
     gcd(den, numerators) == 1, so equal values have equal fields.
     Instances are value objects: hashable, comparable, never mutated after
-    construction.  Fractions appear only at the edges (the constructor and
-    ``sorted_terms``).
+    construction.  Fractions appear only at the edges (the constructor, a
+    Fraction ``term`` and ``sorted_terms``); an int ``term`` and ``symbol``
+    are built with none.
     """
 
     __slots__ = ("terms", "den")
@@ -133,11 +137,19 @@ class LaurentPoly:
 
     @classmethod
     def symbol(cls, name: str, power: int = 1) -> LaurentPoly:
-        return cls({_mono_key({name: power}): _ONE})
+        """name^power, built canonical: numerator 1 over 1."""
+        return _lp({_mono_key({name: power}): 1}, 1)
 
     @classmethod
     def term(cls, coeff, **powers: int) -> LaurentPoly:
-        """Single term, e.g. ``LaurentPoly.term(-1, E=2, lam=-1)``."""
+        """Single term, e.g. ``LaurentPoly.term(-1, E=2, lam=-1)``.
+
+        An int coefficient is its own numerator over 1, so it is built
+        canonical with no Fraction; 0 gives the zero polynomial.  A
+        Fraction (or bool) goes through the public constructor.
+        """
+        if type(coeff) is int:
+            return _lp({_mono_key(powers): coeff}, 1) if coeff else _LP_ZERO
         return cls({_mono_key(powers): _coerce(coeff)})
 
     def is_zero(self) -> bool:
@@ -191,7 +203,7 @@ class LaurentPoly:
 
     def __mul__(self, other) -> LaurentPoly:
         if isinstance(other, (int, Fraction)):
-            other = LaurentPoly({_ZERO_MONO: other})
+            other = LaurentPoly.term(other)
         elif not isinstance(other, LaurentPoly):
             return NotImplemented
         if not self.terms or not other.terms:
@@ -200,17 +212,25 @@ class LaurentPoly:
             self, other = other, self
         a, b = self.terms, other.terms
         den = self.den * other.den
-        if len(a) == 1:
-            # a unit: shift the exponents of b and scale its numerators
+        if len(a) <= 2:
+            # a unit or a binomial: shift and scale b by the first term,
+            # then merge in a binomial's second term; no convolution
             if self.is_one():
                 return other
-            ((shift, c),) = a.items()
+            (shift, c), *rest = a.items()
             items = b.items() if c == 1 else [(m, v * c) for m, v in b.items()]
             s0, s1, s2, s3 = shift
-            return _lp(
-                {(m[0] + s0, m[1] + s1, m[2] + s2, m[3] + s3): v for m, v in items},
-                den,
-            )
+            out = {(m[0] + s0, m[1] + s1, m[2] + s2, m[3] + s3): v for m, v in items}
+            for (s0, s1, s2, s3), c in rest:
+                get = out.get
+                for (e0, e1, e2, e3), v in b.items():
+                    key = (e0 + s0, e1 + s1, e2 + s2, e3 + s3)
+                    w = get(key, 0) + v * c
+                    if w:
+                        out[key] = w
+                    else:  # v * c != 0, so the key was there
+                        del out[key]
+            return _lp(out, den)
         bl = list(b.items())
         out: dict[tuple[int, ...], int] = {}
         get = out.get
@@ -345,7 +365,7 @@ def _lp(terms: dict[tuple[int, ...], int], den: int) -> LaurentPoly:
 
 
 _LP_ZERO = LaurentPoly()
-_LP_ONE = LaurentPoly({_ZERO_MONO: _ONE})
+_LP_ONE = LaurentPoly.term(1)
 
 
 # ---------------------------------------------------------------------------

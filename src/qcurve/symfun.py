@@ -270,17 +270,24 @@ def quantum_dimension(mu: Partition) -> RatFun:
 
     prod over cells of (Qh^-1 u^c - Qh u^-c) / (u^h - u^-h), with c the
     content and h the hook length of the cell.  Agrees with the
-    CONIFOLD_Y specialization of the Schur function.  The cell numerators
-    and the hook denominators are multiplied out as two Laurent
-    polynomials, so the product is normalized once, not once per cell.
+    CONIFOLD_Y specialization of the Schur function.  Each cell factor is
+    Qh^-1 u^(h-c) (u^(2c) - Qh^2) / (u^(2h) - 1): the binomials are
+    multiplied out and the monomial Qh^-|mu| u^(sum h - sum c) is applied
+    once.  The result is canonical as built, so it is not normalized (as
+    in ``z_closed``): the denominator is monic in u, has no negative
+    exponents and has constant term +-1; the numerator's extreme Qh
+    slices ((-1)^|mu| Qh^(2|mu|) and u^(2 sum c), times the monomial) are
+    units, so its u-content is 1 and it shares no factor with a
+    denominator in u alone.
     """
     num = den = LaurentPoly.one()
+    minus_qh2, minus_one = LaurentPoly.term(-1, Qh=2), LaurentPoly.term(-1)
+    shift = 0
     for _, hook, content in hooks_and_contents(mu):
-        num = num * (
-            LaurentPoly.term(1, Qh=-1, u=content) - LaurentPoly.term(1, Qh=1, u=-content)
-        )
-        den = den * (LaurentPoly.symbol("u", hook) - LaurentPoly.symbol("u", -hook))
-    return RatFun(num, den)
+        num = num * (LaurentPoly.symbol("u", 2 * content) + minus_qh2)
+        den = den * (LaurentPoly.symbol("u", 2 * hook) + minus_one)
+        shift += hook - content
+    return RatFun._raw(num.mul_term(1, Qh=-sum(mu), u=shift), den)
 
 
 def graded_exp(f: SymFunc) -> SymFunc:

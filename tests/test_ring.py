@@ -492,6 +492,57 @@ def test_rescaled_input_gives_the_same_fields(terms, k):
 
 
 # ---------------------------------------------------------------------------
+# built canonical: int terms and binomial products
+# ---------------------------------------------------------------------------
+
+def _same_value_object(got, want):
+    assert _fields(got) == _fields(want)
+    assert hash(got) == hash(want)
+    assert all(type(c) is int for c in got.terms.values())
+
+
+@pytest.mark.parametrize("c", [1, -1, 6, -12, 0, 2**64 + 3, -(2**70)])
+@pytest.mark.parametrize("powers", [{}, {"u": 3}, {"E": -2, "lam": 1, "Qh": 5}])
+def test_int_term_is_the_fraction_construction(c, powers):
+    want = LaurentPoly({ring._mono_key(powers): Fraction(c)})
+    _same_value_object(LaurentPoly.term(c, **powers), want)
+
+
+@pytest.mark.parametrize("name", ring.SYMBOLS)
+@pytest.mark.parametrize("power", [-3, 0, 1, 4])
+def test_symbol_is_the_fraction_construction(name, power):
+    want = LaurentPoly({ring._mono_key({name: power}): Fraction(1)})
+    _same_value_object(LaurentPoly.symbol(name, power), want)
+
+
+def test_bool_and_fraction_terms_keep_the_public_constructor():
+    _same_value_object(LaurentPoly.term(True, u=1), sym("u"))
+    _same_value_object(LaurentPoly.term(False, u=1), LaurentPoly.zero())
+    _same_value_object(LaurentPoly.term(Fraction(3)), LaurentPoly.term(3))
+    half = LaurentPoly.term(Fraction(-3, 2), E=1)
+    assert _fields(half) == ({(1, 0, 0, 0): -3}, 2)
+
+
+nonzero_small_fracs = small_fracs.filter(bool)
+binomials = st.dictionaries(
+    monos, nonzero_small_fracs, min_size=2, max_size=2
+).map(LaurentPoly)
+
+
+@settings(deadline=None)
+@given(binomials, st.one_of(binomials, laurent_polys))
+@example(ONE - U, ONE + U)  # the u terms cancel
+@example(ONE - U, ONE + U + sym("u", 2))  # two keys cancel: 1 - u^3
+@example(U * HALF - sym("E", -1) * THIRD, LaurentPoly.zero())
+@example(sym("lam", -2) - LaurentPoly.term(THIRD, Qh=-1), U * HALF + sym("Qh", -1))
+@example((ONE + U) * HALF, (ONE - U) * Fraction(2, 3))  # (2 - 2u^2)/6 = (1 - u^2)/3
+def test_binomial_product_is_the_fraction_convolution(a, b):
+    want = LaurentPoly(_fraction_convolution(a, b))
+    _same_value_object(a * b, want)
+    _same_value_object(b * a, want)
+
+
+# ---------------------------------------------------------------------------
 # evaluation oracle (independent of the canonical form)
 # ---------------------------------------------------------------------------
 

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 import qcurve.symfun as symfun
 from qcurve.combinatorics import hooks_and_contents, kappa, partitions_of
+from qcurve.curves import conifold, z_closed, z_from_characters
 from qcurve.hurwitz import burnside_series, hurwitz_table
 from qcurve.ring import LaurentPoly, RatFun
+from qcurve.selftest import _suite_specializations
 from qcurve.symfun import (
     BadConstantTermError,
     DegreeCapExceededError,
@@ -204,7 +206,7 @@ def per_cell_quantum_dimension(mu):
 
 
 def test_quantum_dimension_is_the_per_cell_fold():
-    for n in range(8):
+    for n in range(10):
         for mu in partitions_of(n):
             assert quantum_dimension(mu) == per_cell_quantum_dimension(mu), mu
 
@@ -224,11 +226,42 @@ def _normalizations(monkeypatch, build, mu):
 
 
 @pytest.mark.parametrize("mu", [(), (1,), (3,), (2, 1), (3, 2, 1), (4, 2, 2, 1)])
-def test_quantum_dimension_normalizes_once(monkeypatch, mu):
+def test_quantum_dimension_makes_no_normalization(monkeypatch, mu):
     quantum_dimension.cache_clear()
-    assert _normalizations(monkeypatch, quantum_dimension, mu) == 1
+    assert _normalizations(monkeypatch, quantum_dimension, mu) == 0
     if sum(mu) > 1:  # the guard catches a per-cell fold
         assert _normalizations(monkeypatch, per_cell_quantum_dimension, mu) > 1
+
+
+def test_quantum_dimension_is_canonical_as_built():
+    for n in range(9):
+        for mu in partitions_of(n):
+            q = quantum_dimension(mu)
+            again = RatFun(q.num, q.den)
+            assert (again.num.terms, again.num.den) == (q.num.terms, q.num.den), mu
+            assert (again.den.terms, again.den.den) == (q.den.terms, q.den.den), mu
+            # monic in u, with constant term +-1
+            lead = max(q.den.terms)
+            assert q.den.den == 1 and q.den.terms[lead] == 1, mu
+            assert q.den.terms[(0, 0, 0, 0)] in (1, -1), mu
+
+
+def _hook_off_by_one(mu):
+    """hooks_and_contents with the first cell's hook one too large."""
+    (cell, hook, content), *rest = hooks_and_contents(mu)
+    return [(cell, hook + 1, content), *rest]
+
+
+def test_a_wrong_hook_is_caught(monkeypatch):
+    assert _suite_specializations() is None
+    quantum_dimension.cache_clear()
+    monkeypatch.setattr(symfun, "hooks_and_contents", _hook_off_by_one)
+    try:
+        for a in (-1, 0, 2):
+            assert z_from_characters(conifold(a), 6) != z_closed(conifold(a), 6), a
+        assert _suite_specializations() == "quantum dimension disagrees at (1,)"
+    finally:
+        quantum_dimension.cache_clear()
 
 
 # ---------------------------------------------------------------------------
