@@ -1,22 +1,29 @@
 """Integer partitions and symmetric-group representation data.
 
 Partitions are plain tuples of weakly decreasing positive integers; the
-empty tuple is the unique partition of 0.  Characters come as whole
-tables: ``character_table(n)`` builds every row of S_n in one integer
-pass of the Murnaghan-Nakayama border-strip recursion, each row at class
-mu a signed sum of rows of the (memoized) table of S_(n - mu[0]) read at
-the column of mu[1:]; each shape's border strips are enumerated once,
-for all lengths, from its beta-numbers.  ``character(nu, mu)`` is a
-lookup in that table.
+empty tuple is the unique partition of 0.  Centralizer orders and
+automorphism counts are read off the runs of equal parts, and
+dimensions multiply hook lengths taken from the conjugate.
+
+Characters come as whole tables: ``character_table(n)`` builds every
+row of S_n in one integer pass of the Murnaghan-Nakayama border-strip
+recursion, each row at class mu a signed sum of rows of the (memoized)
+table of S_(n - mu[0]) read at the column of mu[1:].  A shape is held
+for this as its beta set, one int with a bit per row (the abacus of
+James and Kerber): a border strip moves one bead down to a hole, its
+sign is the parity of the beads it passes (``int.bit_count``), and the
+remaining shape's mask is the old one with the bead moved.  Each table
+stores its rows once, by partition, with an index from beta mask to
+shape for the larger tables to read them through.  ``character(nu, mu)``
+is a lookup in that table.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cache
 from itertools import repeat
-from math import factorial
-from operator import add, neg
+from math import factorial, prod
+from operator import add, neg, sub
 from typing import Iterator, NamedTuple
 
 Partition = tuple[int, ...]
@@ -57,20 +64,24 @@ def format_partition(mu: Partition) -> str:
     return "[" + ",".join(str(p) for p in mu) + "]"
 
 
-def centralizer_order(mu: Partition) -> int:
-    """z_mu = prod_i i^(m_i) * m_i!  (m_i = multiplicity of part i)."""
-    z = 1
-    for part, m in Counter(mu).items():
-        z *= part**m * factorial(m)
-    return z
-
-
 def automorphism_count(mu: Partition) -> int:
-    """|Aut(mu)| = prod_i m_i! over part multiplicities."""
-    a = 1
-    for m in Counter(mu).values():
-        a *= factorial(m)
+    """|Aut(mu)| = prod_i m_i! over part multiplicities.
+
+    Read off the runs of equal parts: the k-th part of a run contributes
+    the factor k.
+    """
+    a, prev, k = 1, 0, 0
+    for p in mu:
+        k = k + 1 if p == prev else 1
+        prev = p
+        a *= k
     return a
+
+
+def centralizer_order(mu: Partition) -> int:
+    """z_mu = prod_i i^(m_i) * m_i!  (m_i = multiplicity of part i),
+    the product of the parts times |Aut(mu)|."""
+    return prod(mu) * automorphism_count(mu)
 
 
 def kappa(mu: Partition) -> int:
@@ -100,12 +111,17 @@ def hooks_and_contents(mu: Partition) -> list[tuple[Cell, int, int]]:
 
 
 def irrep_dimension(mu: Partition) -> int:
-    """Hook-length formula: |mu|! / prod of hooks."""
-    n = sum(mu)
+    """Hook-length formula: |mu|! / prod of hooks.
+
+    The hook of the cell in row i, column j (0-based) is
+    mu_i - j + mu'_j - i - 1, with mu' the conjugate.
+    """
+    conj = conjugate(mu)
     denom = 1
-    for _, hook, _ in hooks_and_contents(mu):
-        denom *= hook
-    return factorial(n) // denom
+    for i, row_len in enumerate(mu):
+        for j in range(row_len):
+            denom *= row_len - j + conj[j] - i - 1
+    return factorial(sum(mu)) // denom
 
 
 class CharacterTable(NamedTuple):
@@ -113,31 +129,43 @@ class CharacterTable(NamedTuple):
 
     index: dict[Partition, int]  # class -> column, in partitions_of(n) order
     rows: dict[Partition, tuple[int, ...]]  # shape -> its row
+    shapes: dict[int, Partition]  # beta mask -> shape
 
 
-def _border_strips(nu: Partition) -> dict[int, list[tuple[int, Partition]]]:
-    """Every border strip of nu, by length: (sign, remaining shape) pairs.
+def _beta_mask(nu: Partition) -> int:
+    """The beta set of nu as one int: bit nu_i + l - 1 - i set for each row i.
 
-    Via beta-numbers b_i = nu_i + l - 1 - i (strictly decreasing): a strip
-    of length t moves one b_i down to a free c = b_i - t.  Scanning c
-    downward from b_i, the moved number passes b_(i+1), ..., b_(k-1); the
-    height is the count passed, k - 1 - i, and the rows i..k-1 become
-    nu_(i+1) - 1, ..., nu_(k-1) - 1, nu_i - t + height (zeros dropped:
-    once one of them is 0, so are the rest, and nu has no row below).
+    Bit 0 is set only in masks with trailing zero parts; nu has none, so
+    its mask is the one with those shifted out (the empty shape's is 0).
     """
-    ell = len(nu)
-    beta = [p + ell - 1 - i for i, p in enumerate(nu)] + [-1]
-    out: dict[int, list[tuple[int, Partition]]] = {}
-    for i, b in enumerate(beta[:ell]):
-        k = i + 1
-        for c in range(b - 1, -1, -1):
-            if c == beta[k]:
-                k += 1
-                continue
-            t, height = b - c, k - 1 - i
-            moved = [p - 1 for p in nu[i + 1:k]] + [nu[i] - t + height]
-            shape = nu[:i] + tuple(p for p in moved if p) + nu[k:]
-            out.setdefault(t, []).append((-1 if height % 2 else 1, shape))
+    ell, mask = len(nu), 0
+    for i, p in enumerate(nu):
+        mask |= 1 << (p + ell - 1 - i)
+    return mask
+
+
+def _border_strips(mask: int) -> dict[int, list[tuple[int, int]]]:
+    """Every border strip of the shape with beta mask ``mask``, by length:
+    (sign, beta mask of the remaining shape) pairs.
+
+    A strip of length t moves a bead b down to a hole c = b - t >= 0, so
+    each (bead, hole below it) pair is one strip, |nu| of them.  The sign
+    is the parity of the beads strictly between c and b; the new mask's
+    trailing set bits, zero parts, are shifted out.
+    """
+    out: dict[int, list[tuple[int, int]]] = {}
+    beads = mask
+    while beads:
+        b = beads.bit_length() - 1
+        beads ^= 1 << b
+        holes = ~mask & (1 << b) - 1
+        while holes:
+            c = holes.bit_length() - 1
+            holes ^= 1 << c
+            sign = -1 if (mask >> c & (1 << b - c) - 1).bit_count() & 1 else 1
+            rest = mask ^ (1 << b | 1 << c)
+            rest >>= (rest ^ rest + 1).bit_length() - 1
+            out.setdefault(b - c, []).append((sign, rest))
     return out
 
 
@@ -147,34 +175,42 @@ def character_table(n: int) -> CharacterTable:
 
     Murnaghan-Nakayama by rows: chi_nu(mu) is the signed sum, over the
     border strips of nu of length mu[0], of the rows of
-    ``character_table(n - mu[0])`` read at the column of mu[1:].  In
-    reverse-lex order the classes with first part t are one block whose
-    rests mu[1:] are, in order, a tail of the classes of S_(n - t), so
-    each block of a row is a signed sum of tails of smaller rows.
+    ``character_table(n - mu[0])`` read at the column of mu[1:].  The
+    strips come from nu's beta mask (``_border_strips``), and a remaining
+    shape's row is read as ``smaller.rows[smaller.shapes[mask]]``: each
+    row is stored once, under its partition.  In reverse-lex order the
+    classes with first part t are one block whose rests mu[1:] are, in
+    order, a tail of the classes of S_(n - t), so each block of a row is
+    a signed sum of tails of smaller rows.
     """
     classes = partitions_of(n)
     index = {mu: j for j, mu in enumerate(classes)}
     if n == 0:
-        return CharacterTable(index, {(): (1,)})
+        return CharacterTable(index, {(): (1,)}, {0: ()})
     blocks = []  # (t, the column where the tail starts, table of S_(n - t))
     for mu in classes:
         if not blocks or blocks[-1][0] != mu[0]:
             smaller = character_table(n - mu[0])
             blocks.append((mu[0], smaller.index[mu[1:]], smaller))
-    rows = {}
+    rows, shapes = {}, {}
     for nu in classes:
-        strips = _border_strips(nu)
+        mask = _beta_mask(nu)
+        shapes[mask] = nu
+        strips = _border_strips(mask)
         row: list[int] = []
         for t, start, smaller in blocks:
-            block = repeat(0, len(smaller.index) - start)  # if no strip of length t
-            for i, (sign, shape) in enumerate(strips.get(t, ())):
-                tail = smaller.rows[shape][start:]
-                if sign < 0:
-                    tail = map(neg, tail)
-                block = map(add, block, tail) if i else tail
+            block = None
+            for sign, rest in strips.get(t, ()):
+                tail = smaller.rows[smaller.shapes[rest]][start:]
+                if block is None:
+                    block = tail if sign > 0 else map(neg, tail)
+                else:
+                    block = map(add if sign > 0 else sub, block, tail)
+            if block is None:  # no strip of length t
+                block = repeat(0, len(smaller.index) - start)
             row.extend(block)
         rows[nu] = tuple(row)
-    return CharacterTable(index, rows)
+    return CharacterTable(index, rows, shapes)
 
 
 @cache

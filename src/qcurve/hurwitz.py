@@ -76,11 +76,12 @@ class HurwitzTable:
 
     def rows(self) -> list[tuple[int, Partition, Fraction]]:
         """Deterministic row order: genus, then degree, then reverse-lex."""
+        degrees = {sum(mu) for _, mu in self.entries}
+        position = {mu: j for n in degrees for j, mu in enumerate(partitions_of(n))}
 
         def key(item):
             (g, mu) = item[0]
-            n = sum(mu)
-            return (g, n, partitions_of(n).index(mu))
+            return (g, sum(mu), position[mu])
 
         return [(g, mu, v) for (g, mu), v in sorted(self.entries.items(), key=key)]
 

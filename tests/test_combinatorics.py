@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from math import factorial
@@ -23,6 +24,7 @@ from qcurve.combinatorics import (
     kappa,
     partitions_of,
 )
+from qcurve.combinatorics import _beta_mask, _border_strips
 from qcurve.curves import conifold, framed_c3, lambert, z_closed, z_from_characters
 from qcurve.selftest import default_golden_dir, hurwitz_payload
 
@@ -123,10 +125,31 @@ def test_z_and_aut_examples():
 
 
 def test_class_sizes_sum_to_group_order():
-    for n in range(1, 9):
+    for n in range(1, 13):
         assert sum(
             factorial(n) // centralizer_order(mu) for mu in partitions_of(n)
         ) == factorial(n)
+
+
+def counter_centralizer_order(mu):
+    z = 1
+    for part, m in Counter(mu).items():
+        z *= part**m * factorial(m)
+    return z
+
+
+def counter_automorphism_count(mu):
+    a = 1
+    for m in Counter(mu).values():
+        a *= factorial(m)
+    return a
+
+
+def test_z_and_aut_against_multiplicity_counts():
+    for n in range(13):
+        for mu in partitions_of(n):
+            assert centralizer_order(mu) == counter_centralizer_order(mu), mu
+            assert automorphism_count(mu) == counter_automorphism_count(mu), mu
 
 
 def test_kappa_examples():
@@ -185,6 +208,13 @@ def test_dimension_examples_and_oracle():
     for n in range(1, 7):
         for mu in partitions_of(n):
             assert irrep_dimension(mu) == brute_syt_count(mu), mu
+
+
+def test_dimension_is_the_identity_column():
+    for n in range(13):
+        table = character_table(n)
+        for nu in partitions_of(n):
+            assert irrep_dimension(nu) == table.rows[nu][table.index[(1,) * n]], nu
 
 
 def test_dimension_squares_sum_to_factorial():
@@ -313,6 +343,42 @@ def reference_character(nu, mu):
     )
 
 
+def test_beta_mask_is_the_beta_set():
+    for n in range(13):
+        for nu in partitions_of(n):
+            ell = len(nu)
+            bits = {b for b in range(n + ell) if _beta_mask(nu) >> b & 1}
+            assert bits == {p + ell - 1 - i for i, p in enumerate(nu)}, nu
+            assert not _beta_mask(nu) & 1
+
+
+def test_strip_lengths_are_the_hook_lengths():
+    for n in range(13):
+        for nu in partitions_of(n):
+            strips = _border_strips(_beta_mask(nu))
+            lengths = Counter({t: len(found) for t, found in strips.items()})
+            assert lengths == Counter(h for _, h, _ in hooks_and_contents(nu)), nu
+
+
+def test_strips_equal_the_reference_removals():
+    masks = {_beta_mask(nu): nu for n in range(13) for nu in partitions_of(n)}
+    for nu in masks.values():
+        strips = _border_strips(_beta_mask(nu))
+        for t in range(1, sum(nu) + 1):
+            got = sorted((masks[rest], sign) for sign, rest in strips.get(t, ()))
+            want = sorted(
+                (shape, (-1) ** height)
+                for shape, height in reference_strip_removals(nu, t)
+            )
+            assert got == want, (nu, t)
+
+
+def test_table_indexes_every_shape_by_its_mask():
+    for n in range(13):
+        table = character_table(n)
+        assert table.shapes == {_beta_mask(nu): nu for nu in partitions_of(n)}
+
+
 def test_table_equals_the_per_entry_recursion():
     for n in range(11):
         table = character_table(n)
@@ -374,3 +440,22 @@ def test_wrong_table_entry_reaches_the_hurwitz_table(corrupt_table):
     assert hurwitz_payload(4, 2) == golden
     corrupt_table()
     assert hurwitz_payload(4, 2) != golden
+
+
+def test_wrong_table_entry_reaches_only_the_larger_tables_that_read_it(corrupt_table):
+    # chi_(3,1)((4,)) is read by S_n at classes (t, 4) with t >= 4, so by
+    # S_8 only at (4, 4), once per shape with a 4-strip leaving (3, 1)
+    corrupt_table()
+    for n in (5, 6, 7):
+        table = character_table(n)
+        for nu in partitions_of(n):
+            want = tuple(reference_character(nu, mu) for mu in partitions_of(n))
+            assert table.rows[nu] == want, nu
+    table = character_table(8)
+    wrong = [
+        (nu, mu)
+        for nu in partitions_of(8)
+        for mu in partitions_of(8)
+        if table.rows[nu][table.index[mu]] != reference_character(nu, mu)
+    ]
+    assert len(wrong) == 5 and {mu for _, mu in wrong} == {(4, 4)}
