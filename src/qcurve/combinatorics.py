@@ -90,9 +90,19 @@ def kappa(mu: Partition) -> int:
 
 
 def conjugate(mu: Partition) -> Partition:
-    if not mu:
-        return ()
-    return tuple(sum(1 for p in mu if p > i) for i in range(mu[0]))
+    """The column lengths of mu, in one pass up from its smallest part.
+
+    Where a run of equal parts p ends, i parts are >= p, so each column
+    from the previous, smaller part up to p has length i.
+    """
+    out: list[int] = []
+    prev, i = 0, len(mu)
+    for p in reversed(mu):
+        if p != prev:
+            out += [i] * (p - prev)
+            prev = p
+        i -= 1
+    return tuple(out)
 
 
 def hooks_and_contents(mu: Partition) -> list[tuple[Cell, int, int]]:

@@ -176,14 +176,17 @@ def apply_operator(op: tuple[QOpTerm, ...], series: XSeries, order: int) -> XSer
     """A(x^, y^) applied to a series, exact through x^order.
 
     Works one degree at a time: the x^n coefficient of the result is one
-    ``RatFun.sum`` of coeff * action(z_(n - xpow)) over the terms with
-    xpow <= n, so a degree that vanishes runs no gcd, and a degree that
-    does not is normalized only when its value is read.  At a fixed degree
-    every action multiplies by a monomial or a scalar, so it is applied
-    to the term's coefficient and the result multiplies the series
-    coefficient once: for the curve operators that is one unit product
-    per term, which keeps the coefficient canonical.  Terms raise the
-    x-degree by at most one (asserted structurally), so a series exact
+    ``RatFun.combine`` of the pairs (action(coeff), z_(n - xpow)) over the
+    terms with xpow <= n, so a degree that vanishes runs no gcd, and a
+    degree that does not is normalized only when its value is read.  At a
+    fixed degree every action multiplies by a monomial or a scalar, so it
+    is applied to the term's coefficient, and the series coefficient is
+    never copied: the coefficients on one z_m are added (for the c3 and
+    conifold operators 1 - s^(2n) on z_n), and each z_m is multiplied once,
+    by that sum times its cofactor, into the degree's numerator over the
+    lcm.  A coefficient with a denominator is multiplied out with its
+    series coefficient first and enters with coefficient 1.  Terms raise
+    the x-degree by at most one (asserted structurally), so a series exact
     through x^order determines the result through x^order.
     """
     if any(not 0 <= t.xpow <= 1 for t in op):
@@ -193,14 +196,14 @@ def apply_operator(op: tuple[QOpTerm, ...], series: XSeries, order: int) -> XSer
             f"series order {series.order} below requested {order}"
         )
     z = series.coeffs
-    return XSeries(order, [
-        RatFun.sum(
-            t.action.apply(n - t.xpow, t.coeff) * z[n - t.xpow]
-            for t in op
-            if t.xpow <= n
-        )
-        for n in range(order + 1)
-    ])
+
+    def pairs(n):
+        for t in op:
+            if t.xpow <= n:
+                c, zm = t.action.apply(n - t.xpow, t.coeff), z[n - t.xpow]
+                yield (c.num, zm) if c.den.is_one() else (1, c * zm)
+
+    return XSeries(order, [RatFun.combine(pairs(n)) for n in range(order + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -384,32 +387,30 @@ def recurrence_check(case: CurveCase, order: int) -> RecurrenceReport:
 
     Each line is a deliberately independent restatement of the operator,
     written by hand and not derived from ``curve_operator``: an oracle.
-    Each line is one ``RatFun.sum`` of unit multiples of a_n and a_(n+1)
-    (the factor 1 - E^(2(n+1)) or 1 - u^(2(n+1)) multiplied out over
-    a_(n+1)), so a line that vanishes runs no gcd, and neither does the
-    failing line, as only its index is reported.
+    Each line is one ``RatFun.combine`` of a_n and a_(n+1) with polynomial
+    coefficients, so no multiple of a coefficient is built, a line that
+    vanishes runs no gcd, and neither does the failing line, as only its
+    index is reported.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     a = case.framing
     z = z_closed(case, order)
+    one, term = LaurentPoly.one(), LaurentPoly.term
     first = None
     for n in range(order):
         cn, cn1 = z.coeff(n), z.coeff(n + 1)
         if case.kind is CurveKind.LAMBERT:
-            lhs = RatFun.sum((cn1.mul_term(n + 1, lam=1), cn.mul_term(-1, E=2 * n)))
+            lhs = RatFun.combine(((term(n + 1, lam=1), cn1), (term(-1, E=2 * n), cn)))
         elif case.kind is CurveKind.C3:
-            lhs = RatFun.sum((
-                cn1,
-                cn1.mul_term(-1, E=2 * (n + 1)),
-                cn.mul_term(-1, E=1 - 2 * a * n),
+            lhs = RatFun.combine((
+                (one - term(1, E=2 * (n + 1)), cn1),
+                (term(-1, E=1 - 2 * a * n), cn),
             ))
         else:
-            lhs = RatFun.sum((
-                cn1,
-                cn1.mul_term(-1, u=2 * (n + 1)),
-                cn.mul_term(1, u=2 * (a + 1) * n + 1),
-                cn.mul_term(-1, Qh=2, u=2 * a * n + 1),
+            lhs = RatFun.combine((
+                (one - term(1, u=2 * (n + 1)), cn1),
+                (term(1, u=2 * (a + 1) * n + 1) - term(1, Qh=2, u=2 * a * n + 1), cn),
             ))
         if not lhs.is_zero():
             first = n

@@ -33,11 +33,17 @@ binomial factor extends the ``LaurentPoly`` rule: the other factor is
 shifted and scaled by the first term, and its copy under the second term
 is merged in, a key deleted only where it cancels; no convolution runs.
 
-Adding is one rule, ``RatFun.sum``, and ``+`` is its two-term case.  The
-lcm of the distinct denominators is built once; each numerator is brought
-over it by one exact division for its cofactor, and the numerators are
-added.  A total that is zero over the lcm is the answer, so no gcd runs
-(an annihilated degree costs exact divisions only); any other total is
+Adding is one rule, ``RatFun.combine``, the linear combination sum c * r
+with polynomial coefficients c; ``RatFun.sum`` is its case with every c
+equal to 1, and ``+`` the two-term case of that.  The coefficients of one
+RatFun object are added first.  The lcm of the distinct denominators is
+built once; each numerator takes its cofactor from one exact division
+and is multiplied once, by its coefficient times its cofactor, into one
+int map over the lcm.  So a caller that would add unit multiples of a
+value (a curve operator's shifted copies of one series coefficient)
+passes the units as coefficients instead, and no copy is built.  An
+empty map is a zero total and the answer, so no gcd runs (an
+annihilated degree costs exact divisions only); any other total is
 normalized once, when its ``num`` or ``den`` is first read, and the
 canonical form makes the result the same as a pairwise fold would give.
 Zero-ness needs no read: the numerator over the lcm decides it exactly,
@@ -561,9 +567,9 @@ class RatFun:
     """Quotient of Laurent polynomials with a univariate denominator.
 
     Canonical (see module docstring) whenever ``num`` or ``den`` is read,
-    so ``==`` is plain structural comparison.  A nonzero ``sum`` is held
-    as its numerator over the lcm until the first such read normalizes it
-    once, through ``__init__``; ``is_zero`` never normalizes.
+    so ``==`` is plain structural comparison.  A nonzero ``combine`` total
+    is held as its numerator over the lcm until the first such read
+    normalizes it once, through ``__init__``; ``is_zero`` never normalizes.
     """
 
     __slots__ = ("num", "den")
@@ -621,32 +627,57 @@ class RatFun:
 
     @staticmethod
     def sum(terms: Iterable[RatFun]) -> RatFun:
-        """The sum of the terms over one common denominator.
+        """The sum of the terms: ``combine`` with every coefficient 1."""
+        return RatFun.combine((1, t) for t in terms)
 
-        Numerators that share a denominator are added first.  The lcm of
-        the distinct denominators is built once, starting from the longest:
-        a denominator that divides it is skipped, any other d is multiplied
-        in as d / gcd.  Each numerator sum then takes its cofactor lcm / d
-        from one exact division (kept from the divisibility test while the
-        lcm has not grown), and a sum that is zero over the lcm is returned
-        before any gcd runs.  Any other sum is returned deferred: it holds
-        the numerator over the lcm and is normalized once, when ``num`` or
-        ``den`` is first read, so ``is_zero`` of it costs no gcd.
+    @staticmethod
+    def combine(
+        pairs: Iterable[tuple[int | Fraction | LaurentPoly, RatFun]]
+    ) -> RatFun:
+        """The linear combination of the (c, r) pairs, sum c * r, over one
+        common denominator.
+
+        Each c is a polynomial: an int, a Fraction or a LaurentPoly.  The
+        coefficients of one RatFun object are added first, and a term whose
+        coefficient or value is zero is dropped; one term with coefficient 1
+        is returned as is.  The lcm of the distinct denominators is built
+        once, starting from the longest: a denominator that divides it is
+        skipped, any other d is multiplied in as d / gcd.  Each numerator
+        then takes its cofactor lcm / d from one exact division (kept from
+        the divisibility test while the lcm has not grown) and is multiplied
+        once, by its coefficient times its cofactor, into one int map over
+        the lcm.  An empty map is a zero sum, returned before any gcd runs.
+        Any other sum is returned deferred: it holds the numerator over the
+        lcm and is normalized once, when ``num`` or ``den`` is first read,
+        so ``is_zero`` of it costs no gcd.
         """
-        ts = [t for t in terms if t.num.terms]
-        if len(ts) < 2:
-            return ts[0] if ts else _RF_ZERO
-        groups: list[list] = []  # [denominator, numerator sum]
-        for t in ts:
+        merged: dict[int, list] = {}  # id(r) -> [r, coefficient]
+        for c, r in pairs:
+            m = merged.get(id(r))
+            if m is None:
+                merged[id(r)] = [r, c]
+            else:
+                m[1] = _poly(m[1]) + _poly(c)
+        ts = []
+        for r, c in merged.values():
+            c = _poly(c)
+            if c.terms and r.num.terms:
+                ts.append((r, c))
+        if not ts:
+            return _RF_ZERO
+        if len(ts) == 1 and ts[0][1].is_one():
+            return ts[0][0]
+        groups: list[list] = []  # [denominator, [(numerator, coefficient)]]
+        for r, c in ts:
             for g in groups:
-                if g[0] is t.den or g[0] == t.den:
-                    g[1] = g[1] + t.num
+                if g[0] is r.den or g[0] == r.den:
+                    g[1].append((r.num, c))
                     break
             else:
-                groups.append([t.den, t.num])
+                groups.append([r.den, [(r.num, c)]])
         if len(groups) == 1:
-            ((den, num),) = groups
-            return RatFun._deferred(num, den) if num.terms else _RF_ZERO
+            lcm, products = groups[0]
+            return _accumulated(products, lcm)
         sidx = None
         for d, _ in groups:
             s = _den_symbol(d)
@@ -673,17 +704,15 @@ class RatFun:
                 big, lcm, quot = _dense_mul(big, _dense_divexact(cs, common)), None, {}
         if lcm is None:
             lcm = _from_dense(big, sidx, big[-1])
-        num = _LP_ZERO
-        for i, (d, n) in enumerate(groups):
+        products = []
+        for i, (d, members) in enumerate(groups):
             if d is lcm:
-                num = num + n
+                products += members
                 continue
             q = quot[i] if i in quot else _dense_divexact(big, dense[i])
-            # lcm / d = (big / lcm.den) / (dense[i] / d.den)
-            num = num + n * _from_dense([c * d.den for c in q], sidx, lcm.den)
-        if not num.terms:
-            return _RF_ZERO
-        return RatFun._deferred(num, lcm)
+            k = _cofactor(q, sidx, d.den, lcm.den)
+            products += [(n, c * k) for n, c in members]
+        return _accumulated(products, lcm)
 
     def __add__(self, other: RatFun) -> RatFun:
         if not isinstance(other, RatFun):
@@ -762,6 +791,57 @@ class RatFun:
         )
 
 
+def _poly(c) -> LaurentPoly:
+    """A ``RatFun.combine`` coefficient as a LaurentPoly."""
+    return c if type(c) is LaurentPoly else LaurentPoly.term(c)
+
+
+def _cofactor(q: list[int], sidx: int, d_den: int, lcm_den: int) -> LaurentPoly:
+    """lcm / d from q, the quotient of their dense numerators:
+    lcm / d = (q / lcm.den) * d.den."""
+    return _from_dense([c * d_den for c in q], sidx, lcm_den)
+
+
+def _accumulated(
+    products: list[tuple[LaurentPoly, LaurentPoly]], lcm: LaurentPoly
+) -> RatFun:
+    """sum a * b over the pairs, over lcm: zero, or deferred when nonzero.
+
+    Every product is added straight into one int map over the lcm of the
+    products' denominators, the longer factor in the inner loop; the first
+    term into an empty map is a plain copy (sharing the factor's keys when
+    its shift is zero), and a key is deleted where it cancels, so an empty
+    map is a zero sum.
+    """
+    den = _int_lcm(*(a.den * b.den for a, b in products))
+    acc: dict[tuple[int, ...], int] = {}
+    for a, b in products:
+        if len(a.terms) < len(b.terms):
+            a, b = b, a
+        s = den // (a.den * b.den)
+        for shift, c in b.terms.items():
+            c *= s
+            s0, s1, s2, s3 = shift
+            if not acc:
+                if shift == _ZERO_MONO:
+                    acc = {m: v * c for m, v in a.terms.items()}
+                else:
+                    acc = {
+                        (e0 + s0, e1 + s1, e2 + s2, e3 + s3): v * c
+                        for (e0, e1, e2, e3), v in a.terms.items()
+                    }
+                continue
+            get = acc.get
+            for (e0, e1, e2, e3), v in a.terms.items():
+                key = (e0 + s0, e1 + s1, e2 + s2, e3 + s3)
+                w = get(key, 0) + v * c
+                if w:
+                    acc[key] = w
+                else:  # v * c != 0, so the key was there
+                    del acc[key]
+    return RatFun._deferred(_lp(acc, den), lcm) if acc else _RF_ZERO
+
+
 def _den_symbol(den: LaurentPoly) -> int | None:
     """The one symbol of a canonical denominator, or None for a constant."""
     for mono in den.terms:
@@ -808,7 +888,7 @@ def _normalize_ratfun(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, 
 
 
 class _DeferredRatFun(RatFun):
-    """A nonzero ``RatFun.sum`` whose ``num`` and ``den`` are set when first
+    """A nonzero ``RatFun.combine`` whose ``num`` and ``den`` are set when first
     read.
 
     Until then it holds the numerator over the lcm in ``_pending``; the
@@ -820,7 +900,7 @@ class _DeferredRatFun(RatFun):
     __slots__ = ("_pending",)
 
     def is_zero(self) -> bool:
-        return False  # RatFun.sum defers only a nonzero numerator
+        return False  # RatFun.combine defers only a nonzero numerator
 
     def __getattr__(self, name: str):
         # reached only for an unset slot

@@ -152,6 +152,20 @@ def test_z_and_aut_against_multiplicity_counts():
             assert automorphism_count(mu) == counter_automorphism_count(mu), mu
 
 
+def column_count_conjugate(mu):
+    # column i holds one cell of every row longer than i
+    return tuple(sum(1 for p in mu if p > i) for i in range(mu[0])) if mu else ()
+
+
+def test_conjugate_against_column_counts():
+    assert conjugate(()) == ()
+    for n in range(13):
+        for mu in partitions_of(n):
+            conj = conjugate(mu)
+            assert conj == column_count_conjugate(mu), mu
+            assert conjugate(conj) == mu, mu
+
+
 def test_kappa_examples():
     assert kappa(()) == 0
     for n in range(1, 7):

@@ -339,6 +339,44 @@ def test_operator_on_its_partition_function_runs_no_gcd(monkeypatch):
     assert calls == []
 
 
+def test_operator_builds_no_multiple_of_a_series_coefficient(monkeypatch):
+    cases = [framed_c3(a) for a in range(-3, 4)] + [conifold(a) for a in range(-3, 4)]
+    pairs = [(curve_operator(case), z_closed(case, 12)) for case in cases]
+    operands = []
+    for cls in (LaurentPoly, RatFun):
+        mul = cls.__mul__
+
+        def spy(a, b, _mul=mul):
+            operands.extend((a, b))
+            return _mul(a, b)
+
+        monkeypatch.setattr(cls, "__mul__", spy)
+        monkeypatch.setattr(cls, "__rmul__", spy)
+    for op, z in pairs:
+        series = {id(c) for c in z.coeffs} | {id(c.num) for c in z.coeffs}
+        operands.clear()
+        assert all(c.is_zero() for c in apply_operator(op, z, 12).coeffs)
+        # each z_m enters its degree's numerator once, uncopied
+        assert operands and not any(id(x) in series for x in operands)
+
+
+@pytest.mark.parametrize("case", [conifold(1), framed_c3(1)])
+def test_a_corrupted_cofactor_fails_annihilation_and_evaluation(monkeypatch, request, case):
+    op, z = curve_operator(case), z_closed(case, 6)
+    eager = _apply_by_whole_series(op, z, 6)
+    # +1 on one quotient coefficient of each cofactor lcm / d in the sum
+    cofactor = ring._cofactor
+    monkeypatch.setattr(ring, "_cofactor", lambda q, *a: cofactor([q[0] + 1, *q[1:]], *a))
+    z_closed.cache_clear()
+    request.addfinalizer(z_closed.cache_clear)
+    # x^0 holds z_0 alone; x^1 is the first degree with two denominators
+    report = verify_annihilation(case, 6)
+    assert report.status == "failed" and report.first_failure[0] == 1
+    point = ORACLE_POINTS[0]
+    got = apply_operator(op, z, 6).coeffs[1]
+    assert _value(got, point) != _value(eager.coeffs[1], point) == 0
+
+
 def test_hurwitz_table_runs_no_graded_log_and_no_ratfun(monkeypatch):
     calls = []
     graded_log = symfun.graded_log

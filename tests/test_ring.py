@@ -1,5 +1,6 @@
 """Ring kernel: Laurent polynomials, rational normalization, series."""
 
+import contextlib
 import copy
 import functools
 import json
@@ -714,6 +715,90 @@ def test_zero_sum_over_nested_denominators_runs_no_gcd(monkeypatch):
     xs = [_A, RatFun(LaurentPoly.term(-2), (ONE - U) * (ONE + U)), RatFun(ONE, ONE + U)]
     assert RatFun.sum(xs) is RatFun.zero()
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# one linear combination with polynomial coefficients
+# ---------------------------------------------------------------------------
+
+# an int, a Fraction or a Laurent polynomial with Fraction coefficients
+coefficients = st.one_of(st.integers(-3, 3), small_fracs, laurent_polys)
+
+
+def _as_ratfun(c):
+    return RatFun(c if isinstance(c, LaurentPoly) else LaurentPoly.term(c))
+
+
+@st.composite
+def combinations(draw):
+    """(c, r) pairs drawn from a small pool, so one RatFun object may come
+    back with several coefficients, which then merge."""
+    pool = draw(st.lists(summands(), min_size=1, max_size=4))
+    return draw(st.lists(st.tuples(coefficients, st.sampled_from(pool)), max_size=7))
+
+
+@settings(deadline=None)
+@given(combinations())
+# one object three times: its coefficients merge to 2 - 1/2 + u
+@example([(2, _B), (-HALF, _B), (U, _B), (1, _A)])
+# the coefficients of one object cancel, and a coprime denominator
+@example([(U, _A), (-U, _A), (HALF, RatFun(ONE, ONE + U * U))])
+def test_combination_is_the_eager_reference(pairs):
+    total = RatFun.combine(pairs)
+    products = [_as_ratfun(c) * r for c, r in pairs]
+    assert total == _over_product(products)
+    assert str(total) == str(_fold(products))
+    assert RatFun.combine(iter(pairs)) == total
+
+
+@contextlib.contextmanager
+def _counting(*names):
+    """Record every call of the named ``ring`` functions."""
+    calls = []
+    saved = {name: getattr(ring, name) for name in names}
+    for name, fn in saved.items():
+        setattr(ring, name, lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a))
+    try:
+        yield calls
+    finally:
+        for name, fn in saved.items():
+            setattr(ring, name, fn)
+
+
+@settings(deadline=None)
+@given(
+    laurent_polys, st.lists(coefficients, min_size=1, max_size=4),
+    st.permutations(_DEN_FACTORS), st.data(),
+)
+def test_a_combination_that_cancels_runs_no_gcd_and_no_normalization(num, cs, factors, data):
+    # r_j = num / (f_0 ... f_j): each denominator divides the last, r_k, and
+    # sum_j c_j r_j = (sum_j c_j g_j) r_k with g_j = f_(j+1) ... f_k
+    k = len(cs)
+    dens = [functools.reduce(operator.mul, factors[:j + 1]) for j in range(k + 1)]
+    rs = [RatFun(num, d) for d in dens]
+    assume(all(r.den == RatFun(ONE, d).den for r, d in zip(rs, dens)))
+    g = [functools.reduce(operator.mul, factors[j + 1:k + 1], ONE) for j in range(k)]
+    back = LaurentPoly.zero()
+    for c, gj in zip(cs, g):
+        back = back + _as_ratfun(c).num * gj
+    # the first coefficient split in two, so the same object comes twice
+    split = data.draw(coefficients)
+    pairs = [(split, rs[0]), *zip(cs, rs), (-_as_ratfun(split).num, rs[0]), (-back, rs[k])]
+    pairs = data.draw(st.permutations(pairs))
+    with _counting("_dense_gcd_int", "_normalize_ratfun") as calls:
+        total = RatFun.combine(pairs)
+    assert total is RatFun.zero()
+    assert calls == []
+
+
+def test_a_corrupted_cofactor_changes_the_value(monkeypatch):
+    # +1 on one quotient coefficient of each cofactor lcm / d
+    cofactor = ring._cofactor
+    monkeypatch.setattr(ring, "_cofactor", lambda q, *a: cofactor([q[0] + 1, *q[1:]], *a))
+    pt = {"E": Fraction(2), "Qh": Fraction(3), "lam": Fraction(5), "u": Fraction(1, 3)}
+    assert _ev(_A + _B, pt) != _ev(_A, pt) + _ev(_B, pt)
+    total = RatFun.combine([(U, _A), (2, _B)])
+    assert _ev(total, pt) != _ev(U, pt) * _ev(_A, pt) + 2 * _ev(_B, pt)
 
 
 # ---------------------------------------------------------------------------
