@@ -22,16 +22,18 @@ no negative exponents and a nonzero constant term (monomial content is
 pushed into the numerator), and shares no nontrivial univariate factor
 with the numerator.  Equal values therefore compare equal structurally.
 
-Multiplying by a unit, one nonzero term c * monomial over denominator 1,
-is one rule kept in two places.  ``LaurentPoly.__mul__`` shifts the
-exponents of the other factor and scales its coefficients by c (a factor
-of exactly 1 returns the other operand).  ``RatFun.__mul__`` keeps the
-other factor's denominator and skips normalization: a unit adds no
-univariate factor, so the gcd with the denominator stays 1.  Scalar
-products, ``scale`` and ``mul_term`` all delegate to these two.  A
-binomial factor extends the ``LaurentPoly`` rule: the other factor is
-shifted and scaled by the first term, and its copy under the second term
-is merged in, a key deleted only where it cancels; no convolution runs.
+Every product runs one loop, ``_sum_of_products``, which adds
+scale * a * b over (a, b, scale) triples of int term maps into one new
+map: the longer factor inner, a term into an empty map a plain copy, a
+key deleted where it cancels.  ``LaurentPoly.__mul__`` is its one-triple
+case after the zero and identity shortcuts, so a unit costs one copy and
+a binomial one copy and one merge.  The map is never an operand's:
+``z_closed`` shares numerators across coefficients, which a write into
+an operand would corrupt silently.  ``LaurentPoly.__add__`` keeps its
+own merge loop (as a zero-shift product it cost the route workload
+about 5 %).  ``RatFun.__mul__`` by a unit, one term c * monomial over
+1, keeps the other denominator and skips normalization: a unit adds no
+univariate factor.  ``scale`` and ``mul_term`` delegate to the two.
 
 Adding is one rule, ``RatFun.combine``, the linear combination sum c * r
 with polynomial coefficients c; ``RatFun.sum`` is its case with every c
@@ -39,13 +41,14 @@ equal to 1, and ``+`` the two-term case of that.  The coefficients of one
 RatFun object are added first.  The lcm of the distinct denominators is
 built once; each numerator takes its cofactor from one exact division
 and is multiplied once, by its coefficient times its cofactor, into one
-int map over the lcm.  So a caller that would add unit multiples of a
-value (a curve operator's shifted copies of one series coefficient)
-passes the units as coefficients instead, and no copy is built.  An
-empty map is a zero total and the answer, so no gcd runs (an
-annihilated degree costs exact divisions only); any other total is
-normalized once, when its ``num`` or ``den`` is first read, and the
-canonical form makes the result the same as a pairwise fold would give.
+int map over the lcm, by the same ``_sum_of_products``.  So a caller
+that would add unit multiples of a value (a curve operator's shifted
+copies of one series coefficient) passes the units as coefficients
+instead, and no copy is built.  An empty map is a zero total and the
+answer, so no gcd runs (an annihilated degree costs exact divisions
+only); any other total is normalized once, when its ``num`` or ``den``
+is first read, and the canonical form makes the result the same as a
+pairwise fold would give.
 Zero-ness needs no read: the numerator over the lcm decides it exactly,
 so a failing degree that nobody prints costs no gcd either.
 
@@ -162,7 +165,9 @@ class LaurentPoly:
         return not self.terms
 
     def is_one(self) -> bool:
-        return self.den == 1 and self.terms == {_ZERO_MONO: 1}
+        return (
+            self.den == 1 and len(self.terms) == 1 and self.terms.get(_ZERO_MONO) == 1
+        )
 
     def symbols_used(self) -> tuple[int, ...]:
         """Indices of symbols occurring with nonzero exponent."""
@@ -214,37 +219,12 @@ class LaurentPoly:
             return NotImplemented
         if not self.terms or not other.terms:
             return _LP_ZERO
-        if len(self.terms) > len(other.terms):
-            self, other = other, self
-        a, b = self.terms, other.terms
-        den = self.den * other.den
-        if len(a) <= 2:
-            # a unit or a binomial: shift and scale b by the first term,
-            # then merge in a binomial's second term; no convolution
-            if self.is_one():
-                return other
-            (shift, c), *rest = a.items()
-            items = b.items() if c == 1 else [(m, v * c) for m, v in b.items()]
-            s0, s1, s2, s3 = shift
-            out = {(m[0] + s0, m[1] + s1, m[2] + s2, m[3] + s3): v for m, v in items}
-            for (s0, s1, s2, s3), c in rest:
-                get = out.get
-                for (e0, e1, e2, e3), v in b.items():
-                    key = (e0 + s0, e1 + s1, e2 + s2, e3 + s3)
-                    w = get(key, 0) + v * c
-                    if w:
-                        out[key] = w
-                    else:  # v * c != 0, so the key was there
-                        del out[key]
-            return _lp(out, den)
-        bl = list(b.items())
-        out: dict[tuple[int, ...], int] = {}
-        get = out.get
-        for (e0, e1, e2, e3), ca in a.items():
-            for (f0, f1, f2, f3), cb in bl:
-                key = (e0 + f0, e1 + f1, e2 + f2, e3 + f3)
-                out[key] = get(key, 0) + ca * cb
-        return _lp({m: v for m, v in out.items() if v}, den)
+        if self.is_one():
+            return other
+        if other.is_one():
+            return self
+        terms = _sum_of_products(((self.terms, other.terms, 1),))
+        return _lp(terms, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -802,43 +782,62 @@ def _cofactor(q: list[int], sidx: int, d_den: int, lcm_den: int) -> LaurentPoly:
     return _from_dense([c * d_den for c in q], sidx, lcm_den)
 
 
-def _accumulated(
-    products: list[tuple[LaurentPoly, LaurentPoly]], lcm: LaurentPoly
-) -> RatFun:
-    """sum a * b over the pairs, over lcm: zero, or deferred when nonzero.
+def _sum_of_products(
+    products: Iterable[tuple[dict, dict, int]]
+) -> dict[tuple[int, ...], int]:
+    """sum scale * a * b over the (a, b, scale) triples of int term maps,
+    as one new int map with no zero value: the ring's one product loop.
 
-    Every product is added straight into one int map over the lcm of the
-    products' denominators, the longer factor in the inner loop; the first
-    term into an empty map is a plain copy (sharing the factor's keys when
-    its shift is zero), and a key is deleted where it cancels, so an empty
-    map is a zero sum.
+    The longer factor runs in the inner loop.  A term into an empty map is
+    a plain copy, with no key rebuilt for a zero shift and no multiply by
+    a coefficient 1; any other term is merged in, a key deleted where it
+    cancels.  No operand's map is ever returned or written.
     """
-    den = _int_lcm(*(a.den * b.den for a, b in products))
     acc: dict[tuple[int, ...], int] = {}
-    for a, b in products:
-        if len(a.terms) < len(b.terms):
+    for a, b, scale in products:
+        if len(a) < len(b):
             a, b = b, a
-        s = den // (a.den * b.den)
-        for shift, c in b.terms.items():
-            c *= s
+        for shift, c in b.items():
+            c *= scale
             s0, s1, s2, s3 = shift
             if not acc:
                 if shift == _ZERO_MONO:
-                    acc = {m: v * c for m, v in a.terms.items()}
+                    acc = dict(a) if c == 1 else {m: v * c for m, v in a.items()}
+                elif c == 1:
+                    acc = {
+                        (e0 + s0, e1 + s1, e2 + s2, e3 + s3): v
+                        for (e0, e1, e2, e3), v in a.items()
+                    }
                 else:
                     acc = {
                         (e0 + s0, e1 + s1, e2 + s2, e3 + s3): v * c
-                        for (e0, e1, e2, e3), v in a.terms.items()
+                        for (e0, e1, e2, e3), v in a.items()
                     }
                 continue
             get = acc.get
-            for (e0, e1, e2, e3), v in a.terms.items():
+            for (e0, e1, e2, e3), v in a.items():
                 key = (e0 + s0, e1 + s1, e2 + s2, e3 + s3)
                 w = get(key, 0) + v * c
                 if w:
                     acc[key] = w
                 else:  # v * c != 0, so the key was there
                     del acc[key]
+    return acc
+
+
+def _accumulated(
+    products: list[tuple[LaurentPoly, LaurentPoly]], lcm: LaurentPoly
+) -> RatFun:
+    """sum a * b over the pairs, over lcm: zero, or deferred when nonzero.
+
+    Every product is added by ``_sum_of_products`` straight into one int
+    map over the lcm of the products' denominators, so an empty map is a
+    zero sum.
+    """
+    den = _int_lcm(*(a.den * b.den for a, b in products))
+    acc = _sum_of_products(
+        [(a.terms, b.terms, den // (a.den * b.den)) for a, b in products]
+    )
     return RatFun._deferred(_lp(acc, den), lcm) if acc else _RF_ZERO
 
 

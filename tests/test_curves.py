@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from qcurve import combinatorics, curves, hurwitz, ring, symfun
+from qcurve import combinatorics, curves, hurwitz, ring, selftest, symfun
 from qcurve.combinatorics import centralizer_order, character, partitions_of
 from qcurve.curves import (
     ClassicalCurve,
@@ -375,6 +375,32 @@ def test_a_corrupted_cofactor_fails_annihilation_and_evaluation(monkeypatch, req
     point = ORACLE_POINTS[0]
     got = apply_operator(op, z, 6).coeffs[1]
     assert _value(got, point) != _value(eager.coeffs[1], point) == 0
+
+
+def test_a_corrupted_normalization_fails_the_routes_but_not_the_forward_checks(
+    monkeypatch, request
+):
+    # twice the numerator of every normalized value with a denominator
+    normalize = ring._normalize_ratfun
+
+    def doubled(num, den):
+        n, d = normalize(num, den)
+        return (n if d.is_one() else n * 2), d
+
+    monkeypatch.setattr(ring, "_normalize_ratfun", doubled)
+    monkeypatch.delenv(selftest.FAULT_ENV, raising=False)
+    _clear_caches()
+    request.addfinalizer(_clear_caches)
+    # the character route adds normalized weights
+    assert z_from_characters(framed_c3(1), 6) != z_closed(framed_c3(1), 6)
+    assert selftest._suite_specializations() is not None
+    assert selftest._suite_route_equivalence() is not None
+    # neither forward verdict normalizes, so neither sees the fault
+    for case in (lambert(), framed_c3(1), conifold(1)):
+        assert verify_annihilation(case, 6).ok, case
+        assert recurrence_check(case, 6).ok, case
+    # the conifold(1) weight is one raw quantum dimension with coefficient 1
+    assert z_from_characters(conifold(1), 6) == z_closed(conifold(1), 6)
 
 
 def test_hurwitz_table_runs_no_graded_log_and_no_ratfun(monkeypatch):

@@ -441,10 +441,15 @@ U, HALF, THIRD = sym("u"), Fraction(1, 2), Fraction(1, 3)
 @example(LaurentPoly.term(Fraction(-3, 4), E=1, u=2), U * HALF + sym("Qh") * THIRD)
 @example(ONE - sym("u", -3) * THIRD, LaurentPoly.term(Fraction(2, 5), Qh=-2, lam=-1))
 @example(ONE, U * HALF - sym("lam", -1))
+# three-term factors whose middle keys cancel: 1 + u^2 + u^4
+@example(ONE + U + U * U, ONE - U + U * U)
 def test_product_matches_fraction_convolution(a, b):
+    before = [(dict(x.terms), x.den) for x in (a, b)]
     p = a * b
     assert dict(p.sorted_terms()) == _fraction_convolution(a, b)
     assert all(type(c) is Fraction and c for _, c in p.sorted_terms())
+    # the product merges in place into a map seeded from an operand
+    assert [(x.terms, x.den) for x in (a, b)] == before
 
 
 def test_rf_unit_denominator_keeps_numerator():
@@ -743,8 +748,15 @@ def combinations(draw):
 @example([(2, _B), (-HALF, _B), (U, _B), (1, _A)])
 # the coefficients of one object cancel, and a coprime denominator
 @example([(U, _A), (-U, _A), (HALF, RatFun(ONE, ONE + U * U))])
+# two distinct objects of equal value empty the running map, and a later
+# product re-seeds it
+@example([(1, RatFun(ONE, ONE + U)), (-1, RatFun(ONE, ONE + U)), (1, RatFun(U, ONE + U))])
 def test_combination_is_the_eager_reference(pairs):
+    operands = [x for c, r in pairs for x in (c, r.num, r.den) if isinstance(x, LaurentPoly)]
+    before = [(dict(x.terms), x.den) for x in operands]
     total = RatFun.combine(pairs)
+    # the sum merges in place into a map seeded from an operand
+    assert [(x.terms, x.den) for x in operands] == before
     products = [_as_ratfun(c) * r for c, r in pairs]
     assert total == _over_product(products)
     assert str(total) == str(_fold(products))
