@@ -64,6 +64,8 @@ class CurveCase:
     framing: int = 0
 
     def __post_init__(self):
+        if type(self.framing) is not int:
+            raise TypeError(f"framing must be an int, got {self.framing!r}")
         if self.kind is CurveKind.LAMBERT and self.framing != 0:
             raise ValueError("the lambert case has no framing parameter")
 

@@ -220,7 +220,8 @@ def _parts(mu: Partition) -> Partition:
     mu = tuple(mu)
     if any(p < 1 for p in mu):
         raise ValueError(f"every part of mu must be >= 1, got {mu}")
-    return mu
+    # the closed forms are symmetric; automorphism_count reads runs of parts
+    return tuple(sorted(mu, reverse=True))
 
 
 def elsv_genus0(mu: Partition) -> Fraction:

@@ -7,9 +7,11 @@ group characters, the cut-and-join operator (whose eigenfunctions are the
 Schur functions, with eigenvalue kappa/2), graded log/exp, and the two
 evaluation homomorphisms used by the curve constructions:
 
-  PRINCIPAL        p_m -> 1/[m], the principal specialization at
-                   (q^(-1/2), q^(-3/2), ...) summed as a geometric series
-  CONIFOLD_Y       p_m -> (Qh^-m - Qh^m)/[m]
+  PRINCIPAL        p_m -> 1/[m] = u^m/(u^(2m) - 1), the principal
+                   specialization at (q^(-1/2), q^(-3/2), ...) summed as
+                   a geometric series
+  CONIFOLD_Y       p_m -> (Qh^-m - Qh^m)/[m]; each p_mu's image is built
+                   canonical in one pass over its parts, not normalized
 
 Adding is one rule.  Every sum of symmetric functions (``+`` and ``-``,
 the product, scaling, the constructor, the Schur inversion, cut-and-join,
@@ -172,9 +174,8 @@ def schur_to_powersums(nu: Partition, cap: int) -> SymFunc:
     nu = tuple(nu)
     if sum(nu) > cap:
         raise DegreeCapExceededError(f"|{nu}| exceeds cap {cap}")
-    return SymFunc(
-        cap, {mu: RatFun.term(c) for mu, c in _schur_terms(nu)}
-    )
+    # sorted partitions of degree |nu| <= cap, nonzero coefficients: clean
+    return _sf(cap, {mu: RatFun.term(c) for mu, c in _schur_terms(nu)})
 
 
 def powersum_from_schurs(nu: Partition, cap: int) -> SymFunc:
@@ -232,29 +233,21 @@ def cut_and_join(f: SymFunc) -> SymFunc:
 
 
 @cache
-def _principal_image(m: int) -> RatFun:
-    # p_m at (q^(-1/2), q^(-3/2), ...): geometric series = 1/(u^m - u^-m)
-    return RatFun(
-        LaurentPoly.one(),
-        LaurentPoly.symbol("u", m) - LaurentPoly.symbol("u", -m),
-    )
-
-
-@cache
-def _conifold_image(m: int) -> RatFun:
-    # p_m -> (Qh^-m - Qh^m) / (u^m - u^-m)
-    return RatFun(
-        LaurentPoly.symbol("Qh", -m) - LaurentPoly.symbol("Qh", m),
-        LaurentPoly.symbol("u", m) - LaurentPoly.symbol("u", -m),
-    )
-
-
-@cache
 def _powersum_product_image(mu: Partition, kind: Specialization) -> RatFun:
-    if not mu:
-        return RatFun.one()
-    image = _principal_image if kind is Specialization.PRINCIPAL else _conifold_image
-    return image(mu[0]) * _powersum_product_image(mu[1:], kind)
+    """p_mu's image: u^|mu|, times Qh^-m - Qh^m per part m for CONIFOLD_Y,
+    over prod (u^(2m) - 1), both multiplied out in one pass over the parts.
+
+    Canonical as built, so not normalized (as in ``quantum_dimension``):
+    the denominator is monic in u, has no negative exponents and has
+    constant term +-1; the numerator is u^|mu| times a polynomial in Qh
+    alone, so it shares no factor with a denominator in u alone.
+    """
+    num, den = LaurentPoly.symbol("u", sum(mu)), LaurentPoly.one()
+    for m in mu:
+        if kind is Specialization.CONIFOLD_Y:
+            num = num * (LaurentPoly.symbol("Qh", -m) - LaurentPoly.symbol("Qh", m))
+        den = den * (LaurentPoly.symbol("u", 2 * m) - LaurentPoly.one())
+    return RatFun._raw(num, den)
 
 
 def specialize(f: SymFunc, kind: Specialization) -> RatFun:

@@ -153,6 +153,14 @@ def test_lambert_rejects_framing():
         CurveCase(CurveKind.LAMBERT, 1)
 
 
+@pytest.mark.parametrize("framing", [1.5, 0.5, 0.0, Fraction(1), True])
+@pytest.mark.parametrize("kind", list(CurveKind))
+def test_framing_must_be_an_int(kind, framing):
+    # a float framing built float exponents (E^1.0) that still read annihilated
+    with pytest.raises(TypeError):
+        CurveCase(kind, framing)
+
+
 # ---------------------------------------------------------------------------
 # character-sum route
 # ---------------------------------------------------------------------------

@@ -278,6 +278,11 @@ def test_elsv_rejects_parts_below_one():
             elsv_genus0(mu)
 
 
+def _orderings(mu):
+    """Every distinct ordering of the parts of mu."""
+    return set(itertools.permutations(mu))
+
+
 def test_elsv_matches_series_extraction():
     # d = 9 is the paper's depth; (dmax, gmax, partitions with >= 3 parts)
     for dmax, gmax, count in ((5, 0, 7), (9, 1, 67)):
@@ -288,6 +293,9 @@ def test_elsv_matches_series_extraction():
                 if len(mu) >= 3:
                     assert tbl.value(0, mu) == elsv_genus0(mu), mu
                     checked += 1
+                    if n <= 6:  # the closed form is symmetric in the parts
+                        for order in _orderings(mu):
+                            assert elsv_genus0(order) == tbl.value(0, mu), order
         assert checked == count
 
 
@@ -323,6 +331,9 @@ def test_genus1_formula_matches_the_table():
     assert len(mus) == 271
     for mu in mus:
         assert tbl.value(1, mu) == hurwitz_genus1(mu), mu
+        if sum(mu) <= 6:  # the closed form is symmetric in the parts
+            for order in _orderings(mu):
+                assert hurwitz_genus1(order) == tbl.value(1, mu), order
 
 
 def test_one_part_formula_matches_the_table():

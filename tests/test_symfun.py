@@ -3,6 +3,7 @@
 import random
 import sys
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -10,10 +11,10 @@ from hypothesis import strategies as st
 
 import qcurve.symfun as symfun
 from qcurve.combinatorics import hooks_and_contents, kappa, partitions_of
-from qcurve.curves import conifold, z_closed, z_from_characters
+from qcurve.curves import conifold, framed_c3, z_closed, z_from_characters
 from qcurve.hurwitz import burnside_series, hurwitz_table
 from qcurve.ring import LaurentPoly, RatFun
-from qcurve.selftest import _suite_specializations
+from qcurve.selftest import _suite_route_equivalence, _suite_specializations
 from qcurve.symfun import (
     BadConstantTermError,
     DegreeCapExceededError,
@@ -110,10 +111,8 @@ def test_principal_of_p1():
 def test_principal_image_is_geometric_series_limit():
     # the p_m image 1/[m] is the summed alphabet (u^-1, u^-3, ...): the
     # K-term partial sum differs from it by exactly u^(-2mK)/[m]
-    from qcurve.symfun import _principal_image
-
     for m in range(1, 5):
-        image = _principal_image(m)
+        image = symfun._powersum_product_image((m,), Specialization.PRINCIPAL)
         for K in (1, 2, 5):
             partial = RatFun.zero()
             for k in range(K):
@@ -155,19 +154,23 @@ def test_specialize_is_multiplicative():
             assert specialize(f * g, kind) == specialize(f, kind) * specialize(g, kind)
 
 
-def test_powersum_product_image_is_product_over_parts():
-    from qcurve.symfun import _conifold_image, _powersum_product_image, _principal_image
+def per_part_image(mu, kind):
+    """The p_mu image folded one normalizing RatFun per part."""
+    acc = RatFun.one()
+    for m in mu:
+        num = ONE
+        if kind is Specialization.CONIFOLD_Y:
+            num = LaurentPoly.symbol("Qh", -m) - LaurentPoly.symbol("Qh", m)
+        acc = acc * RatFun(num, u(m) - u(-m))
+    return acc
 
-    for kind, image in (
-        (Specialization.PRINCIPAL, _principal_image),
-        (Specialization.CONIFOLD_Y, _conifold_image),
-    ):
-        for n in range(7):
+
+def test_powersum_product_image_is_product_over_parts():
+    for kind in Specialization:
+        for n in range(9):
             for mu in partitions_of(n):
-                want = RatFun.one()
-                for m in mu:
-                    want = want * image(m)
-                assert _powersum_product_image(mu, kind) == want, (kind, mu)
+                want = per_part_image(mu, kind)
+                assert symfun._powersum_product_image(mu, kind) == want, (kind, mu)
 
 
 def test_quantum_dimension_single_cell():
@@ -225,25 +228,39 @@ def _normalizations(monkeypatch, build, mu):
     return len(calls)
 
 
+# (built canonical, the same value folded one normalizing RatFun per
+# factor, the number of factors)
+BUILT_CANONICAL = [(quantum_dimension, per_cell_quantum_dimension, sum)] + [
+    (partial(symfun._powersum_product_image, kind=kind),
+     partial(per_part_image, kind=kind), len)
+    for kind in Specialization
+]
+
+
 @pytest.mark.parametrize("mu", [(), (1,), (3,), (2, 1), (3, 2, 1), (4, 2, 2, 1)])
 def test_quantum_dimension_makes_no_normalization(monkeypatch, mu):
-    quantum_dimension.cache_clear()
-    assert _normalizations(monkeypatch, quantum_dimension, mu) == 0
-    if sum(mu) > 1:  # the guard catches a per-cell fold
-        assert _normalizations(monkeypatch, per_cell_quantum_dimension, mu) > 1
+    # also the p_mu images of both specializations
+    for build, fold, factors in BUILT_CANONICAL:
+        quantum_dimension.cache_clear()
+        symfun._powersum_product_image.cache_clear()
+        assert _normalizations(monkeypatch, build, mu) == 0, fold
+        # the guard catches a per-factor fold
+        assert _normalizations(monkeypatch, fold, mu) >= factors(mu), fold
 
 
 def test_quantum_dimension_is_canonical_as_built():
-    for n in range(9):
-        for mu in partitions_of(n):
-            q = quantum_dimension(mu)
-            again = RatFun(q.num, q.den)
-            assert (again.num.terms, again.num.den) == (q.num.terms, q.num.den), mu
-            assert (again.den.terms, again.den.den) == (q.den.terms, q.den.den), mu
-            # monic in u, with constant term +-1
-            lead = max(q.den.terms)
-            assert q.den.den == 1 and q.den.terms[lead] == 1, mu
-            assert q.den.terms[(0, 0, 0, 0)] in (1, -1), mu
+    # also the p_mu images of both specializations
+    for build, _, _ in BUILT_CANONICAL:
+        for n in range(9):
+            for mu in partitions_of(n):
+                q = build(mu)
+                again = RatFun(q.num, q.den)
+                assert (again.num.terms, again.num.den) == (q.num.terms, q.num.den), mu
+                assert (again.den.terms, again.den.den) == (q.den.terms, q.den.den), mu
+                # monic in u, with constant term +-1
+                lead = max(q.den.terms)
+                assert q.den.den == 1 and q.den.terms[lead] == 1, mu
+                assert q.den.terms[(0, 0, 0, 0)] in (1, -1), mu
 
 
 def _hook_off_by_one(mu):
@@ -262,6 +279,20 @@ def test_a_wrong_hook_is_caught(monkeypatch):
         assert _suite_specializations() == "quantum dimension disagrees at (1,)"
     finally:
         quantum_dimension.cache_clear()
+
+
+def test_a_wrong_image_is_caught(monkeypatch):
+    assert _suite_specializations() is None
+    assert _suite_route_equivalence() is None
+    image = symfun._powersum_product_image
+
+    def extra_u_at_21(mu, kind):
+        return image(mu, kind).mul_term(1, u=1) if mu == (2, 1) else image(mu, kind)
+
+    monkeypatch.setattr(symfun, "_powersum_product_image", extra_u_at_21)
+    assert z_from_characters(framed_c3(1), 4) != z_closed(framed_c3(1), 4)
+    assert _suite_specializations() == "principal identity fails at n=3"
+    assert _suite_route_equivalence() == "routes disagree for c3 framing -1"
 
 
 # ---------------------------------------------------------------------------
