@@ -72,7 +72,7 @@ class HurwitzTable:
     genus_cap: int
 
     def value(self, g: int, mu: Partition) -> Fraction:
-        return self.entries[(g, tuple(mu))]
+        return self.entries[(g, tuple(sorted(mu, reverse=True)))]
 
     def rows(self) -> list[tuple[int, Partition, Fraction]]:
         """Deterministic row order: genus, then degree, then reverse-lex."""
@@ -205,6 +205,8 @@ def hurwitz_table(degree_cap: int, genus_cap: int) -> HurwitzTable:
     the p_mu coefficient of n * L_n, with n = |mu| and
     b = 2g - 2 + l + n >= 0.
     """
+    if genus_cap < 0:
+        raise ValueError("genus cap must be >= 0")
     dlogs = _graded_dlog(burnside_series(degree_cap))
     entries: dict[tuple[int, Partition], Fraction] = {}
     for n in range(1, degree_cap + 1):

@@ -169,15 +169,6 @@ class LaurentPoly:
             self.den == 1 and len(self.terms) == 1 and self.terms.get(_ZERO_MONO) == 1
         )
 
-    def symbols_used(self) -> tuple[int, ...]:
-        """Indices of symbols occurring with nonzero exponent."""
-        used = [False] * _NSYM
-        for mono in self.terms:
-            for i, e in enumerate(mono):
-                if e:
-                    used[i] = True
-        return tuple(i for i in range(_NSYM) if used[i])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -475,29 +466,24 @@ def _content_gcd(slices: list[_Slice]) -> list[int]:
     return g
 
 
-def _extract_monomial(p: LaurentPoly) -> tuple[tuple[int, ...], LaurentPoly]:
-    """Factor p = mono * core with core having min exponent 0 per symbol."""
-    if not p.terms:
-        return _ZERO_MONO, p
-    mins = [None] * _NSYM
-    for mono in p.terms:
-        for i, e in enumerate(mono):
-            if mins[i] is None or e < mins[i]:
-                mins[i] = e
-    shift = tuple(m if m else 0 for m in mins)
-    if shift == _ZERO_MONO:
-        return _ZERO_MONO, p
-    core = {tuple(e - s for e, s in zip(m, shift)): c for m, c in p.terms.items()}
-    return shift, _lp(core, p.den)
+def _dense_view(den: LaurentPoly) -> tuple[int | None, list[int]]:
+    """The symbol index of den (None for a constant) and its ascending
+    numerators, for a den in one symbol with lowest exponent 0, as a
+    canonical denominator is.
 
-
-def _univariate_dense(p: LaurentPoly, sidx: int) -> list[int]:
-    """Ascending numerators of p, a polynomial in symbol sidx alone with
-    lowest exponent 0, as a denominator is after content extraction."""
-    cs = [0] * (max(p.terms)[sidx] + 1)  # the monomials differ only at sidx
-    for mono, c in p.terms.items():
+    The monomials differ only at that index, so the largest is the top
+    term: one ``max`` finds the symbol and the length.
+    """
+    top = max(den.terms)
+    for sidx, e in enumerate(top):
+        if e:
+            break
+    else:
+        return None, [den.terms[top]]
+    cs = [0] * (e + 1)
+    for mono, c in den.terms.items():
         cs[mono[sidx]] = c
-    return cs
+    return sidx, cs
 
 
 def _slices_by_others(p: LaurentPoly, sidx: int) -> list[_Slice]:
@@ -658,9 +644,11 @@ class RatFun:
         if len(groups) == 1:
             lcm, products = groups[0]
             return _accumulated(products, lcm)
-        sidx = None
+        # a canonical denominator is monic, so its numerators are primitive
+        sidx, dense = None, []
         for d, _ in groups:
-            s = _den_symbol(d)
+            s, cs = _dense_view(d)
+            dense.append(cs)
             if s is None or s == sidx:
                 continue
             if sidx is not None:
@@ -669,8 +657,6 @@ class RatFun:
                     " univariate common denominator"
                 )
             sidx = s
-        # a canonical denominator is monic, so its numerators are primitive
-        dense = [_univariate_dense(d, sidx) for d, _ in groups]
         order = sorted(range(len(groups)), key=lambda i: -len(dense[i]))
         big, lcm = dense[order[0]], groups[order[0]][0]
         quot = {}  # i -> big / dense[i], while big is unchanged
@@ -841,31 +827,28 @@ def _accumulated(
     return RatFun._deferred(_lp(acc, den), lcm) if acc else _RF_ZERO
 
 
-def _den_symbol(den: LaurentPoly) -> int | None:
-    """The one symbol of a canonical denominator, or None for a constant."""
-    for mono in den.terms:
-        for i, e in enumerate(mono):
-            if e:
-                return i
-    return None
-
-
 def _normalize_ratfun(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
     if den.is_zero():
         raise ZeroDenominatorError("zero denominator")
     if num.is_zero():
         return _LP_ZERO, _LP_ONE
-    mono, core = _extract_monomial(den)
-    if mono != _ZERO_MONO:
-        num = num.mul_term(1, **{SYMBOLS[i]: -e for i, e in enumerate(mono) if e})
-    used = core.symbols_used()
-    if len(used) > 1:
+    # the lowest and highest exponent of each symbol in den
+    lo = tuple(map(min, zip(*den.terms)))
+    hi = tuple(map(max, zip(*den.terms)))
+    varying = [name for name, a, b in zip(SYMBOLS, lo, hi) if a != b]
+    if len(varying) > 1:
         raise MultivariateDenominatorError(
-            f"denominator mixes symbols {[SYMBOLS[i] for i in used]}: {den}"
+            f"denominator mixes symbols {varying}: {den}"
         )
-    sidx = used[0] if used else 0  # a constant is dense in any symbol
-    den_dense = _univariate_dense(core, sidx)
-    if used:
+    if lo != _ZERO_MONO:
+        # the monomial content moves to the numerator as one unit
+        num = num * _lp({tuple(-e for e in lo): 1}, 1)
+        den = _lp(
+            {tuple(e - s for e, s in zip(m, lo)): c for m, c in den.terms.items()},
+            den.den,
+        )
+    sidx, den_dense = _dense_view(den)
+    if sidx is not None:
         slices = _slices_by_others(num, sidx)
         content = _content_gcd(slices)
         if len(content) > 1:
@@ -877,8 +860,8 @@ def _normalize_ratfun(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, 
                     raise ArithmeticError("gcd does not divide denominator")
     # one scalar, the leading coefficient, makes the denominator monic
     lead = den_dense[-1]
-    if lead != core.den:
-        num = num * Fraction(core.den, lead)
+    if lead != den.den:
+        num = num * Fraction(den.den, lead)
     if len(den_dense) == 1:
         return num, _LP_ONE
     if lead < 0:

@@ -34,6 +34,7 @@ from .combinatorics import (
     Partition,
     centralizer_order,
     character,
+    character_table,
     hooks_and_contents,
     partitions_of,
 )
@@ -154,28 +155,31 @@ def _collect(cap: int, pairs: Iterable[tuple[Partition, RatFun]]) -> SymFunc:
     return _sf(cap, terms)
 
 
-@cache
-def _schur_terms(nu: Partition) -> tuple[tuple[Partition, Fraction], ...]:
-    n = sum(nu)
-    out = []
-    for mu in partitions_of(n):
-        chi = character(nu, mu)
-        if chi:
-            out.append((mu, Fraction(chi, centralizer_order(mu))))
-    return tuple(out)
+def _shape(nu: Partition) -> Partition:
+    """nu as a tuple, if its parts are positive and weakly decreasing."""
+    nu = tuple(nu)
+    if any(p < 1 for p in nu) or any(a < b for a, b in zip(nu, nu[1:])):
+        raise ValueError(f"{nu} is not a partition: its parts must be"
+                         " positive and weakly decreasing")
+    return nu
 
 
 def schur_to_powersums(nu: Partition, cap: int) -> SymFunc:
     """Schur function expanded in the power-sum basis.
 
-    s_nu = sum over classes mu of chi_nu(mu)/z_mu * p_mu; all terms have
-    degree exactly |nu|.
+    s_nu = sum over classes mu of chi_nu(mu)/z_mu * p_mu, read from nu's
+    row of ``character_table(|nu|)``; all terms have degree exactly |nu|.
     """
-    nu = tuple(nu)
-    if sum(nu) > cap:
+    nu = _shape(nu)
+    n = sum(nu)
+    if n > cap:
         raise DegreeCapExceededError(f"|{nu}| exceeds cap {cap}")
     # sorted partitions of degree |nu| <= cap, nonzero coefficients: clean
-    return _sf(cap, {mu: RatFun.term(c) for mu, c in _schur_terms(nu)})
+    return _sf(cap, {
+        mu: RatFun.term(Fraction(chi, centralizer_order(mu)))
+        for mu, chi in zip(partitions_of(n), character_table(n).rows[nu])
+        if chi
+    })
 
 
 def powersum_from_schurs(nu: Partition, cap: int) -> SymFunc:
@@ -273,6 +277,7 @@ def quantum_dimension(mu: Partition) -> RatFun:
     units, so its u-content is 1 and it shares no factor with a
     denominator in u alone.
     """
+    _shape(mu)
     num = den = LaurentPoly.one()
     minus_qh2, minus_one = LaurentPoly.term(-1, Qh=2), LaurentPoly.term(-1)
     shift = 0

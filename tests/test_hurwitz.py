@@ -121,9 +121,13 @@ def test_hurwitz_basic_values():
 
 def test_empty_and_negative_caps():
     assert hurwitz_table(0, 2).entries == {}
-    assert hurwitz_table(2, -1).entries == {}
     with pytest.raises(ValueError, match="degree cap must be >= 0"):
         hurwitz_table(-1, 2)
+    # a negative genus cap fails as a negative degree cap does, not with
+    # an empty table
+    for degree_cap in (0, 2, 3):
+        with pytest.raises(ValueError, match="genus cap must be >= 0"):
+            hurwitz_table(degree_cap, -1)
 
 
 def _lam_log_table(degree_cap, genus_cap):
@@ -296,6 +300,7 @@ def test_elsv_matches_series_extraction():
                     if n <= 6:  # the closed form is symmetric in the parts
                         for order in _orderings(mu):
                             assert elsv_genus0(order) == tbl.value(0, mu), order
+                            assert tbl.value(0, order) == tbl.value(0, mu), order
         assert checked == count
 
 
@@ -334,6 +339,7 @@ def test_genus1_formula_matches_the_table():
         if sum(mu) <= 6:  # the closed form is symmetric in the parts
             for order in _orderings(mu):
                 assert hurwitz_genus1(order) == tbl.value(1, mu), order
+                assert tbl.value(1, order) == tbl.value(1, mu), order
 
 
 def test_one_part_formula_matches_the_table():

@@ -142,8 +142,13 @@ def test_rf_zero_denominator_error():
 
 
 def test_rf_multivariate_denominator_error():
-    with pytest.raises(MultivariateDenominatorError):
-        RatFun(ONE, (ONE - sym("u", 2)) * (ONE - sym("E", 2)))
+    mixed = (ONE - sym("u", 2)) * (ONE - sym("E", 2))
+    # monomial content in a third symbol neither hides nor joins the mix
+    for content in (ONE, sym("Qh", 3), sym("lam", -2) * sym("Qh")):
+        with pytest.raises(
+            MultivariateDenominatorError, match=r"mixes symbols \['E', 'u'\]: "
+        ):
+            RatFun(ONE, mixed * content)
 
 
 def test_rf_mixed_denominator_add_error():
@@ -624,6 +629,21 @@ def test_unit_product_keeps_the_other_denominator(unit, fa):
     assert f.scale(c) == RatFun(f.num * LaurentPoly.term(c), f.den) == f * c
 
 
+@settings(deadline=None)
+@given(laurent_polys, rational_polys, names, units)
+# E^3 (u^2 - 1): the content is in a symbol the denominator does not vary in
+@example(ONE + U, [-1, 0, 1], "u", (Fraction(1), {"E": 3}))
+def test_monomial_content_of_a_denominator_moves_to_the_numerator(n, cs, name, unit):
+    # m * d, m a unit in all four symbols and d canonical in one symbol
+    c, powers = unit
+    d = RatFun(ONE, _from_coeffs(cs, name)).den
+    m = LaurentPoly.term(c, **powers)
+    m_inv = LaurentPoly.term(1 / c, **{s: -e for s, e in powers.items()})
+    got, want = RatFun(n, m * d), RatFun(n * m_inv, d)
+    assert _fields(got.num) == _fields(want.num)
+    assert _fields(got.den) == _fields(want.den)
+
+
 def test_unit_zero_and_float_coefficients():
     p = ONE + U
     f = RatFun(p, ONE - sym("u", 3))
@@ -701,12 +721,15 @@ def test_sum_text_is_deterministic(xs, data):
 
 
 def test_sum_rejects_mixed_denominators():
-    a, b = RatFun(ONE, ONE - sym("u", 2)), RatFun(ONE, ONE - sym("E", 2))
-    with pytest.raises(MultivariateDenominatorError):
-        a + b
-    for xs in ([a, b], [b, RatFun.one(), a], [a, _A, b, -b]):
+    # also with monomial content in a third symbol, moved to the numerator
+    for content in (ONE, sym("Qh", 3), sym("lam", -2)):
+        a = RatFun(ONE, (ONE - sym("u", 2)) * content)
+        b = RatFun(ONE, ONE - sym("E", 2))
         with pytest.raises(MultivariateDenominatorError):
-            RatFun.sum(xs)
+            a + b
+        for xs in ([a, b], [b, RatFun.one(), a], [a, _A, b, -b]):
+            with pytest.raises(MultivariateDenominatorError):
+                RatFun.sum(xs)
 
 
 def test_zero_sum_over_nested_denominators_runs_no_gcd(monkeypatch):

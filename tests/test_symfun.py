@@ -1,6 +1,7 @@
 """Power-sum symmetric functions, Schur expansion, specializations."""
 
 import random
+import re
 import sys
 from fractions import Fraction
 from functools import partial
@@ -54,6 +55,16 @@ def test_schur_degree_two():
 def test_schur_cap_error():
     with pytest.raises(DegreeCapExceededError):
         schur_to_powersums((3, 1), 3)
+
+
+@pytest.mark.parametrize("nu", [(1, 2), (2, 1, 3), (1, 1, 2), (-1,), (0,), (2, 0), (3, -1)])
+@pytest.mark.parametrize("entry", [
+    quantum_dimension, partial(schur_to_powersums, cap=8),
+], ids=["quantum_dimension", "schur_to_powersums"])
+def test_a_tuple_that_is_not_a_partition_is_rejected(entry, nu):
+    # the parts must be positive and weakly decreasing: (1, 2) is not (2, 1)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(nu))} is not a partition"):
+        entry(nu)
 
 
 def test_powersum_inverse_expansion():
