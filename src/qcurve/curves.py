@@ -23,7 +23,11 @@ honestly rather than collapsed to its known delta value; agreement of
 the two routes is the computational content of the closed forms.  A
 shape whose sum is exactly 0 contributes nothing and builds no weight;
 the sums are still evaluated in full, so a wrong character value that
-makes a multi-row sum nonzero brings that shape's weight into Z.
+makes a multi-row sum nonzero brings that shape's weight into Z.  Each
+weight is built canonical, so the route runs no normalization and no
+gcd: lambert's is one term, the conifold's a quantum dimension, and
+c3's the principal image of the Schur function (``principal_schur``),
+a sum over its character row held on cyclotomic multiplicity maps.
 
 The conifold y^ admits two sign conventions.  The dilation must send
 x^n to q^n x^n ("forward") for the operator to reproduce the coefficient
@@ -49,7 +53,7 @@ from .combinatorics import (
     partitions_of,
 )
 from .ring import LaurentPoly, OrderMismatchError, RatFun, XSeries
-from .symfun import Specialization, quantum_dimension, schur_to_powersums, specialize
+from .symfun import principal_schur, quantum_dimension
 
 
 class CurveKind(enum.Enum):
@@ -260,6 +264,13 @@ def _character_sum(n: int) -> dict[tuple, Fraction]:
 
 
 def _weight(case: CurveCase, nu: tuple, n: int) -> RatFun:
+    """The shape's weight in Z's x^n coefficient, canonical as built:
+
+    lambert    dim(nu)/n! E^kappa lam^-n
+    c3         q^(a kappa/2) s_nu(principal) at u = E^-1, read from nu's
+               character row by ``principal_schur``
+    conifold   the quantum dimension times Qh^n u^(a kappa)
+    """
     a = case.framing
     k = kappa(nu)
     if case.kind is CurveKind.LAMBERT:
@@ -269,9 +280,7 @@ def _weight(case: CurveCase, nu: tuple, n: int) -> RatFun:
     if case.kind is CurveKind.C3:
         # q^(a*kappa/2) * s_nu(principal), then u -> E^(-1): the change of
         # expansion variable sends q to e^(-lam), i.e. u to E^(-1).
-        w = specialize(schur_to_powersums(nu, n), Specialization.PRINCIPAL)
-        w = w.mul_term(1, u=a * k)
-        return w.subs_symbol_power("u", "E", -1)
+        return principal_schur(nu).mul_term(1, E=-a * k)
     return quantum_dimension(nu).mul_term(1, Qh=n, u=a * k)
 
 

@@ -59,6 +59,10 @@ numerator over 1) and is built as such, with no Fraction and no gcd.
 Products convolve the numerators and multiply the denominators; the gcd
 (primitive pseudo-remainder sequence) and exact division of
 normalization run on the numerators of dense slices, all in Python ints.
+A normalization in which nothing cancels and whose denominator is
+already monic returns that denominator object, not a rebuilt copy.
+``_cyclotomic(d)`` gives Phi_d as dense ints (cached), for a builder that
+holds a denominator as a cyclotomic multiplicity map.
 Fractions appear only at the edges: the public constructor (and so a
 Fraction term), ``sorted_terms`` (and so text and JSON) and the one
 scalar that makes a denominator monic.  Invariant: every divisor handed to
@@ -70,6 +74,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from fractions import Fraction
+from functools import cache
 from math import gcd as _int_gcd
 from math import lcm as _int_lcm
 from operator import itemgetter
@@ -453,6 +458,17 @@ def _dense_divexact(f: list[int], g: list[int]) -> list[int] | None:
     if any(r[:dg]):
         return None
     return q
+
+
+@cache
+def _cyclotomic(d: int) -> tuple[int, ...]:
+    """The cyclotomic polynomial Phi_d, ascending ints: s^d - 1 divided
+    exactly by Phi_e for every proper divisor e of d."""
+    cs = [-1] + [0] * (d - 1) + [1]
+    for e in range(1, d):
+        if d % e == 0:
+            cs = _dense_divexact(cs, _cyclotomic(e))
+    return tuple(cs)
 
 
 def _content_gcd(slices: list[_Slice]) -> list[int]:
@@ -847,15 +863,16 @@ def _normalize_ratfun(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, 
             {tuple(e - s for e, s in zip(m, lo)): c for m, c in den.terms.items()},
             den.den,
         )
-    sidx, den_dense = _dense_view(den)
+    sidx, dense = _dense_view(den)
+    den_dense = dense
     if sidx is not None:
         slices = _slices_by_others(num, sidx)
         content = _content_gcd(slices)
         if len(content) > 1:
-            g = _dense_gcd_int(content, _int_primitive(den_dense))
+            g = _dense_gcd_int(content, _int_primitive(dense))
             if len(g) > 1:
                 num = _divexact_slices(slices, g, sidx, num.den)
-                den_dense = _dense_divexact(den_dense, g)
+                den_dense = _dense_divexact(dense, g)
                 if den_dense is None:
                     raise ArithmeticError("gcd does not divide denominator")
     # one scalar, the leading coefficient, makes the denominator monic
@@ -864,6 +881,8 @@ def _normalize_ratfun(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, 
         num = num * Fraction(den.den, lead)
     if len(den_dense) == 1:
         return num, _LP_ONE
+    if den_dense is dense and lead == den.den:
+        return num, den  # monic, and nothing cancelled: den is canonical
     if lead < 0:
         den_dense = [-c for c in den_dense]
     return num, _from_dense(den_dense, sidx, abs(lead))

@@ -7,7 +7,7 @@ from math import factorial
 import pytest
 
 from qcurve import combinatorics, curves, hurwitz, ring, selftest, symfun
-from qcurve.combinatorics import centralizer_order, character, partitions_of
+from qcurve.combinatorics import centralizer_order, character, kappa, partitions_of
 from qcurve.curves import (
     ClassicalCurve,
     CurveCase,
@@ -205,21 +205,87 @@ def test_wrong_character_value_reaches_the_route(monkeypatch, case):
 @pytest.mark.parametrize("case", [lambert(), framed_c3(-1), conifold(2)])
 def test_route_builds_one_weight_per_degree(monkeypatch, case):
     order = 7
-    weights, specializations = [], []
-    weight, specialize = curves._weight, curves.specialize
-    monkeypatch.setattr(
-        curves, "_weight", lambda *args: weights.append(args) or weight(*args)
-    )
-    monkeypatch.setattr(
-        curves,
-        "specialize",
-        lambda *args: specializations.append(args) or specialize(*args),
-    )
+    weights, images, specializations = [], [], []
+
+    def spy(module, name, calls):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a: calls.append(a) or fn(*a))
+
+    spy(curves, "_weight", weights)
+    spy(curves, "principal_schur", images)
+    spy(symfun, "specialize", specializations)
     assert z_from_characters(case, order) == z_closed(case, order)
     # only the one-row shape has a nonzero character sum
     assert [nu for _, nu, _ in weights] == [(n,) for n in range(1, order + 1)]
     c3 = case.kind is CurveKind.C3
-    assert len(specializations) == (order if c3 else 0)
+    assert images == ([((n,),) for n in range(1, order + 1)] if c3 else [])
+    # the c3 weight is built without a SymFunc
+    assert specializations == []
+
+
+def test_c3_weight_is_the_specialized_schur_function():
+    # every shape, not only the one-row shape the route builds
+    for n in range(1, 11):
+        for nu in partitions_of(n):
+            image = symfun.specialize(
+                symfun.schur_to_powersums(nu, n), symfun.Specialization.PRINCIPAL
+            )
+            for a in range(-3, 4):
+                got = curves._weight(framed_c3(a), nu, n)
+                want = image.mul_term(1, u=a * kappa(nu)).subs_symbol_power("u", "E", -1)
+                assert got == want, (nu, a)
+                # canonical as built
+                again = RatFun(got.num, got.den)
+                assert (again.num.terms, again.num.den) == (got.num.terms, got.num.den)
+                assert (again.den.terms, again.den.den) == (got.den.terms, got.den.den)
+
+
+def test_the_c3_route_runs_no_normalization_and_no_gcd(monkeypatch):
+    calls = []
+    for name in ("_normalize_ratfun", "_dense_gcd_int"):
+        fn = getattr(ring, name)
+        monkeypatch.setattr(ring, name, lambda *a, _fn=fn: calls.append(_fn) or _fn(*a))
+    _clear_caches()
+    for a in (-2, 1):
+        assert z_from_characters(framed_c3(a), 8) == z_closed(framed_c3(a), 8)
+    assert calls == []
+
+
+def _lower_multiplicity(mu, d):
+    """``_binomial_multiplicities`` with Phi_d's count one too low at mu."""
+    multiplicities = symfun._binomial_multiplicities
+
+    def lowered(nu):
+        m = multiplicities(nu)
+        return {**m, d: m[d] - 1} if nu == mu else m
+
+    return lowered
+
+
+def _wrong_phi3(d):
+    # Phi_3 = 1 + s + s^2 with its middle coefficient 2
+    return (1, 2, 1) if d == 3 else ring._cyclotomic(d)
+
+
+@pytest.mark.parametrize("name, fault, first", [
+    # the (1, 1) class's Phi_2 count is the lcm's, so the lcm loses a factor
+    ("_binomial_multiplicities", _lower_multiplicity((1, 1), 2), 2),
+    # Phi_3 first divides a binomial at the class (3)
+    ("_cyclotomic", _wrong_phi3, 3),
+], ids=["multiplicity", "phi3"])
+def test_a_wrong_cyclotomic_factor_fails_the_c3_route_but_not_annihilation(
+    monkeypatch, request, name, fault, first
+):
+    monkeypatch.setattr(symfun, name, fault)
+    _clear_caches()
+    request.addfinalizer(_clear_caches)
+    for a in (-1, 2):
+        rebuilt, closed = z_from_characters(framed_c3(a), 5), z_closed(framed_c3(a), 5)
+        differ = [n for n in range(6) if rebuilt.coeff(n) != closed.coeff(n)]
+        assert differ[0] == first, a
+        # neither forward verdict builds a weight
+        assert verify_annihilation(framed_c3(a), 5).ok
+        assert recurrence_check(framed_c3(a), 5).ok
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +451,7 @@ def test_a_corrupted_cofactor_fails_annihilation_and_evaluation(monkeypatch, req
     assert _value(got, point) != _value(eager.coeffs[1], point) == 0
 
 
-def test_a_corrupted_normalization_fails_the_routes_but_not_the_forward_checks(
+def test_a_corrupted_normalization_fails_the_specializations_but_no_curve_check(
     monkeypatch, request
 ):
     # twice the numerator of every normalized value with a denominator
@@ -399,16 +465,17 @@ def test_a_corrupted_normalization_fails_the_routes_but_not_the_forward_checks(
     monkeypatch.delenv(selftest.FAULT_ENV, raising=False)
     _clear_caches()
     request.addfinalizer(_clear_caches)
-    # the character route adds normalized weights
-    assert z_from_characters(framed_c3(1), 6) != z_closed(framed_c3(1), 6)
+    # specialize adds p_mu images, and the suite normalizes its reference
     assert selftest._suite_specializations() is not None
-    assert selftest._suite_route_equivalence() is not None
-    # neither forward verdict normalizes, so neither sees the fault
+    # no curve check normalizes, so none sees the fault: not the forward
+    # verdicts, and not the character route, whose c3 weights (principal
+    # Schur images) and conifold weights (quantum dimensions) are built
+    # canonical and enter each degree alone with coefficient 1
+    assert selftest._suite_route_equivalence() is None
     for case in (lambert(), framed_c3(1), conifold(1)):
         assert verify_annihilation(case, 6).ok, case
         assert recurrence_check(case, 6).ok, case
-    # the conifold(1) weight is one raw quantum dimension with coefficient 1
-    assert z_from_characters(conifold(1), 6) == z_closed(conifold(1), 6)
+        assert z_from_characters(case, 6) == z_closed(case, 6), case
 
 
 def test_hurwitz_table_runs_no_graded_log_and_no_ratfun(monkeypatch):

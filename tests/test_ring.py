@@ -400,6 +400,18 @@ def test_rf_common_factor_cancels(a, b, c, qh):
     assert RatFun(num * common, den * common) == RatFun(num, den)
 
 
+def test_cyclotomic_products_are_binomials():
+    # prod over d | m of Phi_d is u^m - 1
+    for m in range(1, 61):
+        prod = [1]
+        for d in range(1, m + 1):
+            if m % d == 0:
+                prod = ring._dense_mul(ring._cyclotomic(d), prod)
+        assert prod == [-1] + [0] * (m - 1) + [1], m
+    assert ring._cyclotomic(1) == (-1, 1)
+    assert ring._cyclotomic(12) == (1, 0, -1, 0, 1)
+
+
 def test_rf_add_shared_denominator_non_integer(monkeypatch):
     # canonical denominators u + 1/2 and (u + 1/2)(u + 1) are not integer
     d1 = sym("u") + LaurentPoly.term(Fraction(1, 2))
@@ -642,6 +654,19 @@ def test_monomial_content_of_a_denominator_moves_to_the_numerator(n, cs, name, u
     got, want = RatFun(n, m * d), RatFun(n * m_inv, d)
     assert _fields(got.num) == _fields(want.num)
     assert _fields(got.den) == _fields(want.den)
+
+
+@settings(deadline=None)
+@given(laurent_polys, rational_polys, names)
+@example(sym("E") + ONE, [Fraction(-1), 0, Fraction(1)], "E")  # E + 1 over E^2 - 1
+def test_a_canonical_denominator_that_nothing_cancels_is_kept(n, cs, name):
+    d = RatFun(ONE, _from_coeffs(cs, name)).den
+    assume(not n.is_zero() and not d.is_one() and RatFun(n, d).den == d)
+    fields = _fields(d)
+    with _counting("_from_dense") as rebuilt:
+        got = RatFun(n, d)
+    assert got.den is d and _fields(d) == fields
+    assert rebuilt == []
 
 
 def test_unit_zero_and_float_coefficients():

@@ -301,9 +301,22 @@ def test_a_wrong_image_is_caught(monkeypatch):
         return image(mu, kind).mul_term(1, u=1) if mu == (2, 1) else image(mu, kind)
 
     monkeypatch.setattr(symfun, "_powersum_product_image", extra_u_at_21)
-    assert z_from_characters(framed_c3(1), 4) != z_closed(framed_c3(1), 4)
     assert _suite_specializations() == "principal identity fails at n=3"
+    # the c3 route builds its weights without the p_mu images
+    assert z_from_characters(framed_c3(1), 4) == z_closed(framed_c3(1), 4)
+    assert _suite_route_equivalence() is None
+    monkeypatch.undo()
+    # its own seam: the (2, 1) class's denominator short of Phi_4
+    multiplicities = symfun._binomial_multiplicities
+
+    def no_phi4_at_21(mu):
+        m = multiplicities(mu)
+        return {d: k for d, k in m.items() if d != 4} if mu == (2, 1) else m
+
+    monkeypatch.setattr(symfun, "_binomial_multiplicities", no_phi4_at_21)
+    assert z_from_characters(framed_c3(1), 4) != z_closed(framed_c3(1), 4)
     assert _suite_route_equivalence() == "routes disagree for c3 framing -1"
+    assert _suite_specializations() is None
 
 
 # ---------------------------------------------------------------------------
