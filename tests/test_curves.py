@@ -451,6 +451,100 @@ def test_a_corrupted_cofactor_fails_annihilation_and_evaluation(monkeypatch, req
     assert _value(got, point) != _value(eager.coeffs[1], point) == 0
 
 
+_MAPPED_CASES = [framed_c3(a) for a in range(-3, 4)] + [conifold(a) for a in range(-3, 4)]
+
+
+def _binomial_product(binomials):
+    sidx, mult = binomials
+    den = ONE
+    for m, k in mult.items():
+        for _ in range(k):
+            den = den * (sym(SYMBOLS[sidx], m) - ONE)
+    return den
+
+
+@pytest.mark.parametrize("case", _MAPPED_CASES)
+def test_z_closed_records_each_denominator_as_its_binomials(case):
+    z = z_closed(case, 15)
+    assert z.coeff(0).den.is_one()
+    for c in z.coeffs[1:]:
+        assert c._binomials is not None and c.den == _binomial_product(c._binomials)
+    # no other value carries a map
+    c = z.coeff(15)
+    unmapped = [
+        *z_closed(lambert(), 6).coeffs, RatFun.sum([c, z.coeff(14)]),
+        RatFun.combine([(ONE + sym("u"), c)]), RatFun(c.num, c.den),
+        RatFun.from_json(c.to_json()), c.mul_term(1, E=1), -c,
+    ]
+    assert all(x._binomials is None for x in unmapped)
+
+
+def _unmapped(z):
+    return XSeries(z.order, [RatFun._raw(c.num, c.den) for c in z.coeffs])
+
+
+@pytest.mark.parametrize(
+    "case, direction",
+    [(case, "forward") for case in _MAPPED_CASES]
+    + [(conifold(a), "inverse") for a in range(-3, 4)],
+)
+def test_the_binomial_lcm_and_the_dense_lcm_give_one_verdict(monkeypatch, case, direction):
+    op, z = curve_operator(case, direction), z_closed(case, 14)
+    mapped = apply_operator(op, z, 14)
+    dense = apply_operator(op, _unmapped(z), 14)
+    assert [c.is_zero() for c in mapped.coeffs] == [c.is_zero() for c in dense.coeffs]
+    if direction == "inverse":
+        assert str(mapped.coeffs[1]) == str(dense.coeffs[1])
+    checks = [recurrence_check(case, 14)]
+    monkeypatch.setattr(curves, "z_closed", lambda *args: _unmapped(z))
+    checks.append(recurrence_check(case, 14))
+    assert checks[0] == checks[1]
+
+
+@pytest.mark.parametrize("k", [1, 6])
+@pytest.mark.parametrize("case", [framed_c3(2), conifold(-1)])
+def test_a_wrong_denominator_factor_is_caught(monkeypatch, request, case, k):
+    # s^(2k+2) - 1 in place of s^(2k) - 1 in r(k): the map must record the
+    # factor z_closed multiplied, not the one the degree calls for
+    symbol = "u" if case.kind is CurveKind.CONIFOLD else "E"
+    ratio = curves._ratio
+
+    def wrong_factor(case, n):
+        num, den = ratio(case, n)
+        return num, (sym(symbol, 2 * k + 2) - ONE if n == k else den)
+
+    monkeypatch.setattr(curves, "_ratio", wrong_factor)
+    z_closed.cache_clear()
+    request.addfinalizer(z_closed.cache_clear)
+    z = z_closed(case, 8)
+    assert all(c.den == _binomial_product(c._binomials) for c in z.coeffs[1:])
+    report = verify_annihilation(case, 8)
+    assert [n for n, ok in enumerate(report.degrees_ok) if not ok] == [k]
+    assert report.first_failure[0] == k
+    assert recurrence_check(case, 8).first_failure == k - 1
+
+
+def test_annihilation_takes_every_lcm_from_the_binomial_maps(monkeypatch):
+    calls = []
+    for name in ("_dense_view", "_dense_divexact", "_normalize_ratfun"):
+        fn = getattr(ring, name)
+        monkeypatch.setattr(
+            ring, name, lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a)
+        )
+    z_closed.cache_clear()
+    for case in _MAPPED_CASES:
+        assert verify_annihilation(case, 14).ok
+        assert recurrence_check(case, 14).ok
+    assert calls == []
+    # the inverse control fails at 14 degrees with no dense call; the dense
+    # view is read only by the normalization of the one degree it prints
+    for a in range(-3, 4):
+        calls.clear()
+        report = verify_annihilation(conifold(a), 14, y_direction="inverse")
+        assert report.degrees_ok.count(False) == 14
+        assert calls[0] == "_normalize_ratfun" and calls.count("_normalize_ratfun") == 1
+
+
 def test_a_corrupted_normalization_fails_the_specializations_but_no_curve_check(
     monkeypatch, request
 ):
