@@ -1,9 +1,11 @@
 """Integer partitions and symmetric-group representation data.
 
 Partitions are plain tuples of weakly decreasing positive integers; the
-empty tuple is the unique partition of 0.  Centralizer orders and
-automorphism counts are read off the runs of equal parts, and
-dimensions multiply hook lengths taken from the conjugate.
+empty tuple is the unique partition of 0; ``kappa``, ``irrep_dimension``
+and the symfun shapes reject any other tuple through one check,
+``_shape``.  Centralizer orders and automorphism counts are read off the
+runs of equal parts, and dimensions multiply hook lengths taken from the
+conjugate.
 
 Characters come as whole tables: ``character_table(n)`` builds every
 row of S_n in one integer pass of the Murnaghan-Nakayama border-strip
@@ -59,6 +61,18 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     return tuple(_gen_partitions(n, n))
 
 
+def _shape(nu: Partition) -> Partition:
+    """nu as a tuple, if its parts are positive and weakly decreasing.
+
+    Weakly decreasing parts are positive when the last one is.
+    """
+    nu = tuple(nu)
+    if nu and nu[-1] < 1 or sorted(nu, reverse=True) != list(nu):
+        raise ValueError(f"{nu} is not a partition: its parts must be"
+                         " positive and weakly decreasing")
+    return nu
+
+
 def format_partition(mu: Partition) -> str:
     """Bracketed text form, e.g. ``[3,1,1]``; the empty partition is ``[]``."""
     return "[" + ",".join(str(p) for p in mu) + "]"
@@ -86,7 +100,7 @@ def centralizer_order(mu: Partition) -> int:
 
 def kappa(mu: Partition) -> int:
     """kappa_mu = sum_i mu_i * (mu_i - 2i + 1); always even."""
-    return sum(p * (p - 2 * i + 1) for i, p in enumerate(mu, start=1))
+    return sum(p * (p - 2 * i + 1) for i, p in enumerate(_shape(mu), start=1))
 
 
 def conjugate(mu: Partition) -> Partition:
@@ -126,6 +140,7 @@ def irrep_dimension(mu: Partition) -> int:
     The hook of the cell in row i, column j (0-based) is
     mu_i - j + mu'_j - i - 1, with mu' the conjugate.
     """
+    mu = _shape(mu)
     conj = conjugate(mu)
     denom = 1
     for i, row_len in enumerate(mu):

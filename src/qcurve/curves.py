@@ -27,7 +27,7 @@ makes a multi-row sum nonzero brings that shape's weight into Z.  Each
 weight is built canonical, so the route runs no normalization and no
 gcd: lambert's is one term, the conifold's a quantum dimension, and
 c3's the principal image of the Schur function (``principal_schur``),
-a sum over its character row held on cyclotomic multiplicity maps.
+its hook-content product.
 
 The conifold y^ admits two sign conventions.  The dilation must send
 x^n to q^n x^n ("forward") for the operator to reproduce the coefficient
@@ -68,6 +68,8 @@ class CurveCase:
     framing: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.kind, CurveKind):
+            raise TypeError(f"kind must be a CurveKind, got {self.kind!r}")
         if type(self.framing) is not int:
             raise TypeError(f"framing must be an int, got {self.framing!r}")
         if self.kind is CurveKind.LAMBERT and self.framing != 0:
@@ -276,8 +278,8 @@ def _weight(case: CurveCase, nu: tuple, n: int) -> RatFun:
     """The shape's weight in Z's x^n coefficient, canonical as built:
 
     lambert    dim(nu)/n! E^kappa lam^-n
-    c3         q^(a kappa/2) s_nu(principal) at u = E^-1, read from nu's
-               character row by ``principal_schur``
+    c3         q^(a kappa/2) s_nu(principal) at u = E^-1, the
+               hook-content product of ``principal_schur``
     conifold   the quantum dimension times Qh^n u^(a kappa)
     """
     a = case.framing

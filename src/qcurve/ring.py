@@ -66,8 +66,6 @@ Products convolve the numerators and multiply the denominators; the gcd
 normalization run on the numerators of dense slices, all in Python ints.
 A normalization in which nothing cancels and whose denominator is
 already monic returns that denominator object, not a rebuilt copy.
-``_cyclotomic(d)`` gives Phi_d as dense ints (cached), for a builder that
-holds a denominator as a cyclotomic multiplicity map.
 Fractions appear only at the edges: the public constructor (and so a
 Fraction term), ``sorted_terms`` (and so text and JSON) and the one
 scalar that makes a denominator monic.  Invariant: every divisor handed to
@@ -79,7 +77,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from fractions import Fraction
-from functools import cache
 from math import gcd as _int_gcd
 from math import lcm as _int_lcm
 from operator import itemgetter
@@ -465,17 +462,6 @@ def _dense_divexact(f: list[int], g: list[int]) -> list[int] | None:
     if any(r[:dg]):
         return None
     return q
-
-
-@cache
-def _cyclotomic(d: int) -> tuple[int, ...]:
-    """The cyclotomic polynomial Phi_d, ascending ints: s^d - 1 divided
-    exactly by Phi_e for every proper divisor e of d."""
-    cs = [-1] + [0] * (d - 1) + [1]
-    for e in range(1, d):
-        if d % e == 0:
-            cs = _dense_divexact(cs, _cyclotomic(e))
-    return tuple(cs)
 
 
 def _content_gcd(slices: list[_Slice]) -> list[int]:

@@ -14,12 +14,10 @@ evaluation homomorphisms used by the curve constructions:
                    canonical in one pass over its parts, not normalized
 
 The Schur function's principal image at u = E^-1, the c3 weight of the
-character route, is built by ``principal_schur`` without a ``SymFunc``:
-one sum over its character row, each denominator held as its
-multiplicity map {d: k} of cyclotomic factors Phi_d, so the lcm is an
-elementwise max and cancelling is trial division by the Phi_d present.
-``specialize`` of ``schur_to_powersums`` stays as its independent
-reference.
+character route, is built by ``principal_schur`` without a ``SymFunc``,
+from the hook-content product as ``quantum_dimension`` builds the
+conifold weight.  ``specialize`` of ``schur_to_powersums`` stays as its
+independent reference.
 
 Adding is one rule.  Every sum of symmetric functions (``+`` and ``-``,
 the product, scaling, the constructor, the Schur inversion, cut-and-join,
@@ -33,31 +31,21 @@ equal after sorting are added; ``coeff`` sorts its argument the same way.
 from __future__ import annotations
 
 import enum
-from collections import Counter
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import cache
 from itertools import chain
-from math import factorial
 
 from .combinatorics import (
     Partition,
+    _shape,
     centralizer_order,
     character,
     character_table,
     hooks_and_contents,
     partitions_of,
 )
-from .ring import (
-    SYMBOLS,
-    LaurentPoly,
-    RatFun,
-    _cyclotomic,
-    _dense_divexact,
-    _dense_mul,
-    _dense_strip,
-    _from_dense,
-)
+from .ring import LaurentPoly, RatFun
 
 
 class DegreeCapExceededError(ValueError):
@@ -174,15 +162,6 @@ def _collect(cap: int, pairs: Iterable[tuple[Partition, RatFun]]) -> SymFunc:
     return _sf(cap, terms)
 
 
-def _shape(nu: Partition) -> Partition:
-    """nu as a tuple, if its parts are positive and weakly decreasing."""
-    nu = tuple(nu)
-    if any(p < 1 for p in nu) or any(a < b for a, b in zip(nu, nu[1:])):
-        raise ValueError(f"{nu} is not a partition: its parts must be"
-                         " positive and weakly decreasing")
-    return nu
-
-
 def schur_to_powersums(nu: Partition, cap: int) -> SymFunc:
     """Schur function expanded in the power-sum basis.
 
@@ -273,80 +252,26 @@ def _powersum_product_image(mu: Partition, kind: Specialization) -> RatFun:
     return RatFun._raw(num, den)
 
 
-def _binomial_multiplicities(mu: Partition) -> Counter:
-    """{d: k} with prod_i (s^(2 mu_i) - 1) = prod_d Phi_d^k: as
-    s^(2m) - 1 = prod_(d | 2m) Phi_d, k counts the parts m with d | 2m."""
-    return Counter(d for m in mu for d in range(1, 2 * m + 1) if not 2 * m % d)
-
-
-def _divide_binomial(f: list[int], m: int) -> list[int]:
-    """f / (s^m - 1), ascending ints, for an f that it divides: from the
-    top, q_j = f_(j+m) + q_(j+m).  Nothing checks the remainder; a
-    divisor that does not divide gives a wrong quotient, not an error."""
-    q = f[m:]
-    for j in range(len(q) - 1 - m, -1, -1):
-        q[j] += q[j + m]
-    return q
-
-
 def principal_schur(nu: Partition) -> RatFun:
     """s_nu(E, E^3, E^5, ...), the PRINCIPAL image of s_nu at u = E^-1,
     written in E.
 
-    It is sum_mu chi_nu(mu)/z_mu prod_i p_(mu_i)(E, E^3, ...) over the
-    classes mu of nu's row of ``character_table(n)``, n = |nu|, with
-    chi_nu(mu) != 0; every such class enters the sum.  Each p_m is the
-    geometric series E^m / (1 - E^(2m)), so p_mu is
-    (-1)^l(mu) E^n / prod_i (E^(2 mu_i) - 1).
-
-    Each denominator is the product of the cyclotomic Phi_d in its
-    multiplicity map (``_binomial_multiplicities``).  The lcm L is their
-    elementwise max, multiplied out from the cached ``_cyclotomic``; each
-    class's cofactor is L divided by its binomials, and the numerator is
-    one dense int sum of +-chi_nu(mu) (n!/z_mu) times the cofactor, over
-    n!.  Trial division by the Phi_d of L then removes every common
-    factor, as each Phi_d is irreducible.  So no gcd runs and the result
-    is canonical as built, not normalized: the denominator is a product
-    of monic Phi_d with constant term +-1, and shares no factor with the
-    numerator.
+    Hook-content product form (Macdonald I.3 Ex. 2):
+    (-1)^n E^(sum h - sum c) / prod over cells of (E^(2h) - 1), with h
+    the hook length and c the content of each cell and n = |nu|.  As in
+    ``quantum_dimension`` the binomials are multiplied out and the
+    monomial is applied once.  The result is canonical as built, so it is
+    not normalized: a unit over a denominator that is monic in E, has no
+    negative exponents and has constant term +-1.
     """
     nu = _shape(nu)
-    n = sum(nu)
-    classes = [
-        (mu, chi)
-        for mu, chi in zip(partitions_of(n), character_table(n).rows[nu])
-        if chi
-    ]
-    lcm = Counter()  # | is the elementwise max
-    for mu, _ in classes:
-        lcm |= _binomial_multiplicities(mu)
-    den = [1]
-    for d, k in lcm.items():
-        for _ in range(k):
-            den = _dense_mul(_cyclotomic(d), den)
-    nfact = factorial(n)
-    num = [0] * len(den)
-    for mu, chi in classes:
-        cofactor = den
-        for m in mu:
-            cofactor = _divide_binomial(cofactor, 2 * m)
-        c = (-1) ** len(mu) * chi * (nfact // centralizer_order(mu))
-        for j, v in enumerate(cofactor):
-            num[j] += c * v
-    _dense_strip(num)
-    if not num:
-        return RatFun.zero()
-    for d, k in lcm.items():
-        phi = _cyclotomic(d)
-        for _ in range(k):
-            q = _dense_divexact(num, phi)
-            if q is None:
-                break
-            num, den = q, _dense_divexact(den, phi)
-    sidx = SYMBOLS.index("E")
-    return RatFun._raw(
-        _from_dense(num, sidx, nfact).mul_term(1, E=n), _from_dense(den, sidx)
-    )
+    den = LaurentPoly.one()
+    minus_one = LaurentPoly.term(-1)
+    shift = 0
+    for _, hook, content in hooks_and_contents(nu):
+        den = den * (LaurentPoly.symbol("E", 2 * hook) + minus_one)
+        shift += hook - content
+    return RatFun._raw(LaurentPoly.term((-1) ** sum(nu), E=shift), den)
 
 
 def specialize(f: SymFunc, kind: Specialization) -> RatFun:

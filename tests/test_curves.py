@@ -153,6 +153,15 @@ def test_lambert_rejects_framing():
         CurveCase(CurveKind.LAMBERT, 1)
 
 
+@pytest.mark.parametrize("kind", ["c3", "lambert", None])
+def test_kind_must_be_a_curve_kind(kind):
+    # a string kind matched no CurveKind branch and built the conifold
+    with pytest.raises(TypeError, match="kind must be a CurveKind"):
+        CurveCase(kind, 1)
+    with pytest.raises(TypeError, match="kind must be a CurveKind"):
+        CurveCase(kind)
+
+
 @pytest.mark.parametrize("framing", [1.5, 0.5, 0.0, Fraction(1), True])
 @pytest.mark.parametrize("kind", list(CurveKind))
 def test_framing_must_be_an_int(kind, framing):
@@ -249,43 +258,6 @@ def test_the_c3_route_runs_no_normalization_and_no_gcd(monkeypatch):
     for a in (-2, 1):
         assert z_from_characters(framed_c3(a), 8) == z_closed(framed_c3(a), 8)
     assert calls == []
-
-
-def _lower_multiplicity(mu, d):
-    """``_binomial_multiplicities`` with Phi_d's count one too low at mu."""
-    multiplicities = symfun._binomial_multiplicities
-
-    def lowered(nu):
-        m = multiplicities(nu)
-        return {**m, d: m[d] - 1} if nu == mu else m
-
-    return lowered
-
-
-def _wrong_phi3(d):
-    # Phi_3 = 1 + s + s^2 with its middle coefficient 2
-    return (1, 2, 1) if d == 3 else ring._cyclotomic(d)
-
-
-@pytest.mark.parametrize("name, fault, first", [
-    # the (1, 1) class's Phi_2 count is the lcm's, so the lcm loses a factor
-    ("_binomial_multiplicities", _lower_multiplicity((1, 1), 2), 2),
-    # Phi_3 first divides a binomial at the class (3)
-    ("_cyclotomic", _wrong_phi3, 3),
-], ids=["multiplicity", "phi3"])
-def test_a_wrong_cyclotomic_factor_fails_the_c3_route_but_not_annihilation(
-    monkeypatch, request, name, fault, first
-):
-    monkeypatch.setattr(symfun, name, fault)
-    _clear_caches()
-    request.addfinalizer(_clear_caches)
-    for a in (-1, 2):
-        rebuilt, closed = z_from_characters(framed_c3(a), 5), z_closed(framed_c3(a), 5)
-        differ = [n for n in range(6) if rebuilt.coeff(n) != closed.coeff(n)]
-        assert differ[0] == first, a
-        # neither forward verdict builds a weight
-        assert verify_annihilation(framed_c3(a), 5).ok
-        assert recurrence_check(framed_c3(a), 5).ok
 
 
 # ---------------------------------------------------------------------------

@@ -400,18 +400,6 @@ def test_rf_common_factor_cancels(a, b, c, qh):
     assert RatFun(num * common, den * common) == RatFun(num, den)
 
 
-def test_cyclotomic_products_are_binomials():
-    # prod over d | m of Phi_d is u^m - 1
-    for m in range(1, 61):
-        prod = [1]
-        for d in range(1, m + 1):
-            if m % d == 0:
-                prod = ring._dense_mul(ring._cyclotomic(d), prod)
-        assert prod == [-1] + [0] * (m - 1) + [1], m
-    assert ring._cyclotomic(1) == (-1, 1)
-    assert ring._cyclotomic(12) == (1, 0, -1, 0, 1)
-
-
 def test_rf_add_shared_denominator_non_integer(monkeypatch):
     # canonical denominators u + 1/2 and (u + 1/2)(u + 1) are not integer
     d1 = sym("u") + LaurentPoly.term(Fraction(1, 2))

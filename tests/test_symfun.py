@@ -11,8 +11,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcurve.symfun as symfun
-from qcurve.combinatorics import hooks_and_contents, kappa, partitions_of
-from qcurve.curves import conifold, framed_c3, z_closed, z_from_characters
+from qcurve.combinatorics import (
+    hooks_and_contents,
+    irrep_dimension,
+    kappa,
+    partitions_of,
+)
+from qcurve.curves import (
+    conifold,
+    framed_c3,
+    verify_annihilation,
+    z_closed,
+    z_from_characters,
+)
 from qcurve.hurwitz import burnside_series, hurwitz_table
 from qcurve.ring import LaurentPoly, RatFun
 from qcurve.selftest import _suite_route_equivalence, _suite_specializations
@@ -25,6 +36,7 @@ from qcurve.symfun import (
     graded_exp,
     graded_log,
     powersum_from_schurs,
+    principal_schur,
     quantum_dimension,
     schur_to_powersums,
     specialize,
@@ -59,8 +71,10 @@ def test_schur_cap_error():
 
 @pytest.mark.parametrize("nu", [(1, 2), (2, 1, 3), (1, 1, 2), (-1,), (0,), (2, 0), (3, -1)])
 @pytest.mark.parametrize("entry", [
-    quantum_dimension, partial(schur_to_powersums, cap=8),
-], ids=["quantum_dimension", "schur_to_powersums"])
+    quantum_dimension, partial(schur_to_powersums, cap=8), principal_schur,
+    irrep_dimension, kappa,
+], ids=["quantum_dimension", "schur_to_powersums", "principal_schur",
+        "irrep_dimension", "kappa"])
 def test_a_tuple_that_is_not_a_partition_is_rejected(entry, nu):
     # the parts must be positive and weakly decreasing: (1, 2) is not (2, 1)
     with pytest.raises(ValueError, match=rf"^{re.escape(str(nu))} is not a partition"):
@@ -219,6 +233,16 @@ def per_cell_quantum_dimension(mu):
     return acc
 
 
+def per_cell_principal_schur(mu):
+    """The hook-content product E^(h-c)/(1 - E^(2h)) folded one
+    normalizing RatFun per cell."""
+    acc = RatFun.one()
+    for _, hook, content in hooks_and_contents(mu):
+        e = LaurentPoly.symbol("E", 2 * hook)
+        acc = acc * RatFun(LaurentPoly.term(1, E=hook - content), ONE - e)
+    return acc
+
+
 def test_quantum_dimension_is_the_per_cell_fold():
     for n in range(10):
         for mu in partitions_of(n):
@@ -241,7 +265,10 @@ def _normalizations(monkeypatch, build, mu):
 
 # (built canonical, the same value folded one normalizing RatFun per
 # factor, the number of factors)
-BUILT_CANONICAL = [(quantum_dimension, per_cell_quantum_dimension, sum)] + [
+BUILT_CANONICAL = [
+    (quantum_dimension, per_cell_quantum_dimension, sum),
+    (principal_schur, per_cell_principal_schur, sum),
+] + [
     (partial(symfun._powersum_product_image, kind=kind),
      partial(per_part_image, kind=kind), len)
     for kind in Specialization
@@ -250,7 +277,7 @@ BUILT_CANONICAL = [(quantum_dimension, per_cell_quantum_dimension, sum)] + [
 
 @pytest.mark.parametrize("mu", [(), (1,), (3,), (2, 1), (3, 2, 1), (4, 2, 2, 1)])
 def test_quantum_dimension_makes_no_normalization(monkeypatch, mu):
-    # also the p_mu images of both specializations
+    # also the c3 weight and the p_mu images of both specializations
     for build, fold, factors in BUILT_CANONICAL:
         quantum_dimension.cache_clear()
         symfun._powersum_product_image.cache_clear()
@@ -260,7 +287,7 @@ def test_quantum_dimension_makes_no_normalization(monkeypatch, mu):
 
 
 def test_quantum_dimension_is_canonical_as_built():
-    # also the p_mu images of both specializations
+    # also the c3 weight and the p_mu images of both specializations
     for build, _, _ in BUILT_CANONICAL:
         for n in range(9):
             for mu in partitions_of(n):
@@ -268,7 +295,7 @@ def test_quantum_dimension_is_canonical_as_built():
                 again = RatFun(q.num, q.den)
                 assert (again.num.terms, again.num.den) == (q.num.terms, q.num.den), mu
                 assert (again.den.terms, again.den.den) == (q.den.terms, q.den.den), mu
-                # monic in u, with constant term +-1
+                # monic in its one symbol, with constant term +-1
                 lead = max(q.den.terms)
                 assert q.den.den == 1 and q.den.terms[lead] == 1, mu
                 assert q.den.terms[(0, 0, 0, 0)] in (1, -1), mu
@@ -282,12 +309,20 @@ def _hook_off_by_one(mu):
 
 def test_a_wrong_hook_is_caught(monkeypatch):
     assert _suite_specializations() is None
+    assert _suite_route_equivalence() is None
     quantum_dimension.cache_clear()
     monkeypatch.setattr(symfun, "hooks_and_contents", _hook_off_by_one)
     try:
         for a in (-1, 0, 2):
             assert z_from_characters(conifold(a), 6) != z_closed(conifold(a), 6), a
+            # the c3 weight reads the same hooks: the route fails at x^1
+            rebuilt, closed = z_from_characters(framed_c3(a), 6), z_closed(framed_c3(a), 6)
+            differ = [n for n in range(7) if rebuilt.coeff(n) != closed.coeff(n)]
+            assert differ[0] == 1, a
+            # forward annihilation builds no weight
+            assert verify_annihilation(framed_c3(a), 6).ok, a
         assert _suite_specializations() == "quantum dimension disagrees at (1,)"
+        assert _suite_route_equivalence() == "routes disagree for c3 framing -1"
     finally:
         quantum_dimension.cache_clear()
 
@@ -305,18 +340,6 @@ def test_a_wrong_image_is_caught(monkeypatch):
     # the c3 route builds its weights without the p_mu images
     assert z_from_characters(framed_c3(1), 4) == z_closed(framed_c3(1), 4)
     assert _suite_route_equivalence() is None
-    monkeypatch.undo()
-    # its own seam: the (2, 1) class's denominator short of Phi_4
-    multiplicities = symfun._binomial_multiplicities
-
-    def no_phi4_at_21(mu):
-        m = multiplicities(mu)
-        return {d: k for d, k in m.items() if d != 4} if mu == (2, 1) else m
-
-    monkeypatch.setattr(symfun, "_binomial_multiplicities", no_phi4_at_21)
-    assert z_from_characters(framed_c3(1), 4) != z_closed(framed_c3(1), 4)
-    assert _suite_route_equivalence() == "routes disagree for c3 framing -1"
-    assert _suite_specializations() is None
 
 
 # ---------------------------------------------------------------------------
