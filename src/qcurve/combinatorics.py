@@ -16,8 +16,10 @@ James and Kerber): a border strip moves one bead down to a hole, its
 sign is the parity of the beads it passes (``int.bit_count``), and the
 remaining shape's mask is the old one with the bead moved.  Each table
 stores its rows once, by partition, with an index from beta mask to
-shape for the larger tables to read them through.  ``character(nu, mu)``
-is a lookup in that table.
+shape for the larger tables to read them through.  The character route
+and the Hurwitz series read whole rows; ``character(nu, mu)`` is one
+lookup in that table, the single value the identity suites and
+``powersum_from_schurs`` ask for.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from functools import cache
 from itertools import repeat
 from math import factorial, prod
 from operator import add, neg, sub
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 Partition = tuple[int, ...]
 
@@ -40,25 +42,34 @@ class Cell(NamedTuple):
     col: int  # 1-based
 
 
-def _gen_partitions(n: int, max_part: int) -> Iterator[Partition]:
-    if n == 0:
-        yield ()
-        return
-    for k in range(min(n, max_part), 0, -1):
-        for rest in _gen_partitions(n - k, k):
-            yield (k,) + rest
-
-
 @cache
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n in reverse lexicographic order.
 
     Reverse lex means descending comparison of part sequences, e.g. for
-    n = 4: (4), (3,1), (2,2), (2,1,1), (1,1,1,1).
+    n = 4: (4), (3,1), (2,2), (2,1,1), (1,1,1,1).  Each partition is the
+    successor of the one before, in a loop: drop the trailing 1s, lower
+    the last part k > 1 by one, and refill what was taken away with parts
+    k - 1 and a remainder.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    return tuple(_gen_partitions(n, n))
+    if n == 0:
+        return ((),)
+    out, parts = [], [n]
+    while True:
+        out.append(tuple(parts))
+        ones = 0
+        while parts and parts[-1] == 1:
+            parts.pop()
+            ones += 1
+        if not parts:
+            return tuple(out)
+        k = parts.pop() - 1
+        q, r = divmod(k + 1 + ones, k)
+        parts += [k] * q
+        if r:
+            parts.append(r)
 
 
 def _shape(nu: Partition) -> Partition:

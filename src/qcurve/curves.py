@@ -20,14 +20,16 @@ x^ (multiplication by x) and a y^-action realized on series coefficients:
 Every Z is also rebuilt independently from symmetric-group character
 sums (``z_from_characters``), with the inner character sum evaluated
 honestly rather than collapsed to its known delta value; agreement of
-the two routes is the computational content of the closed forms.  A
-shape whose sum is exactly 0 contributes nothing and builds no weight;
-the sums are still evaluated in full, so a wrong character value that
-makes a multi-row sum nonzero brings that shape's weight into Z.  Each
-weight is built canonical, so the route runs no normalization and no
-gcd: lambert's is one term, the conifold's a quantum dimension, and
-c3's the principal image of the Schur function (``principal_schur``),
-its hook-content product.
+the two routes is the computational content of the closed forms.  Each
+shape's sum is its row of ``character_table(n)`` summed against the
+class sizes, so every class of every shape is read.  A shape whose sum
+is exactly 0 contributes nothing and builds no weight; the sums are
+still evaluated in full, so a wrong table entry that makes a multi-row
+sum nonzero brings that shape's weight into Z.  Each weight is built
+canonical, so the route runs no normalization and no gcd: lambert's is
+one term, the conifold's a quantum dimension, and c3's the principal
+image of the Schur function (``principal_schur``), its hook-content
+product.
 
 The conifold y^ admits two sign conventions.  The dilation must send
 x^n to q^n x^n ("forward") for the operator to reproduce the coefficient
@@ -44,10 +46,11 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from operator import mul
 
 from .combinatorics import (
     centralizer_order,
-    character,
+    character_table,
     irrep_dimension,
     kappa,
     partitions_of,
@@ -261,17 +264,15 @@ def _character_sum(n: int) -> dict[tuple, Fraction]:
     """sum over classes mu of chi_nu(mu)/z_mu, per shape nu, evaluated
     honestly (no delta shortcut): every class of every shape is read.
 
-    Each sum is one integer class sum over n!, as n!/z_mu is the size
-    of the class mu; the class sizes are computed once per n.
+    Each sum is nu's row of ``character_table(n)`` summed against the
+    class sizes n!/z_mu, in ``partitions_of(n)`` order, over n!; the
+    class sizes are computed once per n.
     """
     classes = partitions_of(n)
     nfact = factorial(n)
     sizes = [nfact // centralizer_order(mu) for mu in classes]
-    out = {}
-    for nu in classes:
-        total = sum(character(nu, mu) * size for mu, size in zip(classes, sizes))
-        out[nu] = Fraction(total, nfact)
-    return out
+    rows = character_table(n).rows
+    return {nu: Fraction(sum(map(mul, rows[nu], sizes)), nfact) for nu in classes}
 
 
 def _weight(case: CurveCase, nu: tuple, n: int) -> RatFun:

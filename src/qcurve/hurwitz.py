@@ -51,7 +51,6 @@ from .combinatorics import (
     automorphism_count,
     centralizer_order,
     character_table,
-    irrep_dimension,
     kappa,
     partitions_of,
 )
@@ -122,14 +121,15 @@ def burnside_series(degree_cap: int) -> list[dict[Partition, _EPoly]]:
 
     One pass per degree n over the rows of ``character_table(n)``, the
     zero characters skipped and the weights chi * dim of equal kappa
-    merged into one E^kappa term over z_mu * n!.
+    merged into one E^kappa term over z_mu * n!.  Each dim is read off
+    its row, as the character at the last class, (1^n).
     """
     if degree_cap < 0:
         raise ValueError("degree cap must be >= 0")
     comps = [{(): ({0: 1}, 1)}]
     for n in range(1, degree_cap + 1):
         rows = character_table(n).rows
-        shapes = [(irrep_dimension(nu), kappa(nu), rows[nu]) for nu in partitions_of(n)]
+        shapes = [(row[-1], kappa(nu), row) for nu, row in rows.items()]
         comp = {}
         for j, mu in enumerate(partitions_of(n)):
             weights: dict[int, int] = {}

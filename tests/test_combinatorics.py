@@ -45,6 +45,21 @@ def test_partitions_reverse_lex_order():
         assert all(ps[i] > ps[i + 1] for i in range(len(ps) - 1))
 
 
+def test_partitions_match_a_brute_force_order():
+    # every partition of n is one of n - 1 with a part 1 added or one part
+    # raised by 1; reverse lex is descending tuple order
+    shapes = {()}
+    for n in range(1, 21):
+        shapes = {
+            tuple(sorted(grown, reverse=True))
+            for mu in shapes
+            for grown in [mu + (1,)] + [
+                mu[:i] + (mu[i] + 1,) + mu[i + 1:] for i in range(len(mu))
+            ]
+        }
+        assert partitions_of(n) == tuple(sorted(shapes, reverse=True)), n
+
+
 def pentagonal_counts(limit):
     """Independent count oracle: Euler's pentagonal-number recurrence."""
     p = [1] + [0] * limit

@@ -188,7 +188,7 @@ def _clear_caches():
 
 
 def test_character_sum_is_the_per_class_fraction_sum():
-    for n in range(1, 11):
+    for n in range(1, 13):
         ps = partitions_of(n)
         want = {
             nu: sum(Fraction(character(nu, mu), centralizer_order(mu)) for mu in ps)
@@ -198,13 +198,29 @@ def test_character_sum_is_the_per_class_fraction_sum():
 
 
 @pytest.mark.parametrize("case", [lambert(), framed_c3(1), conifold(1)])
+def test_the_route_reads_rows_with_no_character_lookup(case):
+    _clear_caches()
+    assert z_from_characters(case, 9) == z_closed(case, 9)
+    info = combinatorics.character.cache_info()
+    assert info.hits + info.misses == 0
+
+
+@pytest.mark.parametrize("case", [lambert(), framed_c3(1), conifold(1)])
 def test_wrong_character_value_reaches_the_route(monkeypatch, case):
-    # chi_(3,1)((4,)) is -1; one value off by 1 makes the (3,1) sum nonzero
-    def corrupted(nu, mu):
-        return character(nu, mu) + (nu == (3, 1) and mu == (4,))
+    # chi_(3,1)((4,)) is -1; one table entry off by 1 makes the (3,1) sum
+    # nonzero
+    real = combinatorics.character_table
+
+    def corrupted(n):
+        table = real(n)
+        if n != 4:
+            return table
+        row = list(table.rows[(3, 1)])
+        row[table.index[(4,)]] += 1
+        return table._replace(rows={**table.rows, (3, 1): tuple(row)})
 
     _clear_caches()
-    monkeypatch.setattr(curves, "character", corrupted)
+    monkeypatch.setattr(curves, "character_table", corrupted)
     rebuilt, closed = z_from_characters(case, 5), z_closed(case, 5)
     assert rebuilt != closed
     differ = [n for n in range(6) if rebuilt.coeff(n) != closed.coeff(n)]
