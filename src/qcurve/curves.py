@@ -55,7 +55,7 @@ from .combinatorics import (
     kappa,
     partitions_of,
 )
-from .ring import LaurentPoly, OrderMismatchError, RatFun, XSeries, _times_binomial
+from .ring import LaurentPoly, OrderMismatchError, RatFun, XSeries
 from .symfun import principal_schur, quantum_dimension
 
 
@@ -242,21 +242,20 @@ def z_closed(case: CurveCase, order: int) -> XSeries:
       is a unit, so its content in u is 1 and it shares no factor with a
       denominator in u alone.
 
-    Each c3 and conifold coefficient also records its denominator as its
-    binomial map {m: k}, den == prod (s^m - 1)^k, read from the factors
-    actually multiplied (``_times_binomial``), so that ``RatFun.combine``
-    takes the lcm of z_(n-1) and z_n, and the cofactor s^(2n) - 1, from
-    the maps with no division.  A wrong factor is recorded as it is, and
-    the degree it enters fails.
+    Each c3 and conifold coefficient also records its denominator's step
+    (z_(n-1)'s den object, the factor), the very objects multiplied, so
+    that ``RatFun.combine`` takes the lcm of z_(n-1) and z_n, z_n's den,
+    and the cofactor, the factor, with no division.  A wrong factor is
+    recorded as it is, and the degree it enters fails.  Lambert's factor
+    is 1, so its coefficients record no step.
     """
     coeffs = [RatFun.one()]
     num = den = LaurentPoly.one()
-    binomials = None
     for n in range(1, order + 1):
         f, d = _ratio(case, n)
-        binomials = _times_binomial(binomials, den, d)
+        step = None if d.is_one() else (den, d)
         num, den = num * f, den * d
-        coeffs.append(RatFun._raw(num, den, binomials))
+        coeffs.append(RatFun._raw(num, den, step))
     return XSeries(order, coeffs)
 
 

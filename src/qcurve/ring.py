@@ -41,19 +41,19 @@ equal to 1, and ``+`` the two-term case of that.  The coefficients of one
 RatFun object are added first.  The lcm of the distinct denominators is
 built once, and each numerator is multiplied once, by its coefficient
 times its cofactor lcm / d, into one int map over the lcm, by the same
-``_sum_of_products``.  Where every denominator carries a binomial map
-(``RatFun._binomials``, den == prod (s^m - 1)^k, recorded by
-``z_closed``) and one map holds every other, that denominator is the lcm
-and each cofactor is the product of the binomials the maps differ by: no
-dense view and no division.  Any other set of denominators takes the
-dense search, an exact division per denominator and a gcd where one
-fails.  So a caller that would add unit multiples of a value (a curve
-operator's shifted copies of one series coefficient) passes the units as
-coefficients instead, and no copy is built.  An empty map is a zero
-total and the answer, so no gcd runs (an annihilated degree costs exact
-divisions at most, and none on a ``z_closed`` series); any other total
-is normalized once, when its ``num`` or ``den`` is first read, and the
-canonical form makes the result the same as a pairwise fold would give.
+``_sum_of_products``.  Where there are two denominators and one carries
+a step from the other (``RatFun._step``, den == prev * factor with prev
+the other's very object, recorded by ``z_closed``), that denominator is
+the lcm and the factor the other's cofactor: no dense view and no
+division.  Any other set of denominators takes the dense search, an
+exact division per denominator and a gcd where one fails.  So a caller
+that would add unit multiples of a value (a curve operator's shifted
+copies of one series coefficient) passes the units as coefficients
+instead, and no copy is built.  An empty map is a zero total and the
+answer, so no gcd runs (an annihilated degree costs exact divisions at
+most, and none on a ``z_closed`` series); any other total is normalized
+once, when its ``num`` or ``den`` is first read, and the canonical form
+makes the result the same as a pairwise fold would give.
 Zero-ness needs no read: the numerator over the lcm decides it exactly,
 so a failing degree that nobody prints costs no gcd either.
 
@@ -358,8 +358,6 @@ _LP_ONE = LaurentPoly.term(1)
 
 # (exponents of the other symbols, lowest exponent, ascending numerators)
 _Slice = tuple[tuple[int, ...], int, list[int]]
-# a binomial map (symbol index, {m: k}): prod (s^m - 1)^k
-_Binomials = tuple[int, dict[int, int]]
 # the exponents of the other symbols, per symbol index
 _OTHERS = [itemgetter(*(j for j in range(_NSYM) if j != i)) for i in range(_NSYM)]
 
@@ -546,15 +544,15 @@ class RatFun:
     is held as its numerator over the lcm until the first such read
     normalizes it once, through ``__init__``; ``is_zero`` never normalizes.
 
-    ``_binomials`` is None or den's binomial map (sidx, {m: k}), the exact
-    statement den == prod (s^m - 1)^k with s = SYMBOLS[sidx].  Only
-    ``_raw`` sets one, for a builder that multiplied den out of such
-    binomials (``z_closed``); ``combine`` reads it, and nothing else does:
-    equality, hash, text, JSON and pickling ignore it, and no derived value
-    (a negation, a unit multiple, a sum) carries it.
+    ``_step`` is None or den's step (prev, factor), the exact statement
+    den == prev * factor about the very objects a builder multiplied
+    (``z_closed``).  Only ``_raw`` sets one; ``combine`` reads it, and
+    nothing else does: equality, hash, text, JSON, copying and pickling
+    ignore it, and no derived value (a negation, a unit multiple, a sum)
+    carries it.
     """
 
-    __slots__ = ("num", "den", "_binomials")
+    __slots__ = ("num", "den", "_step")
 
     def __init__(self, num: LaurentPoly, den: LaurentPoly | None = None):
         if den is None:
@@ -562,18 +560,21 @@ class RatFun:
         n, d = _normalize_ratfun(num, den)
         self.num = n
         self.den = d
-        self._binomials = None
+        self._step = None
 
     @classmethod
     def _raw(
-        cls, num: LaurentPoly, den: LaurentPoly, binomials: _Binomials | None = None
+        cls,
+        num: LaurentPoly,
+        den: LaurentPoly,
+        step: tuple[LaurentPoly, LaurentPoly] | None = None,
     ) -> RatFun:
-        """Wrap already-canonical parts without re-normalizing; ``binomials``
-        is den's binomial map, if the caller knows it."""
+        """Wrap already-canonical parts without re-normalizing; ``step`` is
+        (prev, factor) with den == prev * factor, if the caller built den so."""
         r = cls.__new__(cls)
         r.num = num
         r.den = den
-        r._binomials = binomials
+        r._step = step
         return r
 
     @staticmethod
@@ -581,7 +582,7 @@ class RatFun:
         """num / den, nonzero, normalized when ``num`` or ``den`` is first read."""
         r = _DeferredRatFun.__new__(_DeferredRatFun)
         r._pending = (num, den)
-        r._binomials = None
+        r._step = None
         return r
 
     @classmethod
@@ -629,13 +630,13 @@ class RatFun:
         coefficients of one RatFun object are added first, and a term whose
         coefficient or value is zero is dropped; one term with coefficient 1
         is returned as is.  The lcm of the distinct denominators and each
-        cofactor lcm / d are read from their binomial maps when one map
-        holds every other (``_binomial_lcm``, no division: a ``z_closed``
-        chain), and are otherwise found by the dense search of
-        ``_dense_lcm`` (exact divisions, and a gcd where one fails).  Each
-        numerator is multiplied once, by its coefficient times its cofactor,
-        into one int map over the lcm.  An empty map is a zero sum, returned
-        before any gcd runs.
+        cofactor lcm / d are read from a step when there are two
+        denominators and one steps from the other (``_step_lcm``, no
+        division: neighbours in a ``z_closed`` series), and are otherwise
+        found by the dense search of ``_dense_lcm`` (exact divisions, and a
+        gcd where one fails).  Each numerator is multiplied once, by its
+        coefficient times its cofactor, into one int map over the lcm.  An
+        empty map is a zero sum, returned before any gcd runs.
         Any other sum is returned deferred: it holds the numerator over the
         lcm and is normalized once, when ``num`` or ``den`` is first read,
         so ``is_zero`` of it costs no gcd.
@@ -656,25 +657,21 @@ class RatFun:
             return _RF_ZERO
         if len(ts) == 1 and ts[0][1].is_one():
             return ts[0][0]
-        groups: list[list] = []  # [denominator, [(numerator, coefficient)], map]
+        groups: list[list] = []  # [denominator, [(numerator, coefficient)], step]
         for r, c in ts:
             for g in groups:
                 if g[0] is r.den or g[0] == r.den:
                     g[1].append((r.num, c))
                     break
             else:
-                groups.append([r.den, [(r.num, c)], r._binomials])
+                groups.append([r.den, [(r.num, c)], r._step])
         if len(groups) == 1:
             lcm, products, _ = groups[0]
             return _accumulated(products, lcm)
-        sidx, lcm, quot = _binomial_lcm(groups) or _dense_lcm(groups)
+        lcm, cofactors = _step_lcm(groups) or _dense_lcm(groups)
         products = []
-        for i, (d, members, _) in enumerate(groups):
-            if d is lcm:
-                products += members
-                continue
-            k = _cofactor(quot[i], sidx, d.den, lcm.den)
-            products += [(n, c * k) for n, c in members]
+        for (_, members, _), k in zip(groups, cofactors):
+            products += members if k is None else [(n, c * k) for n, c in members]
         return _accumulated(products, lcm)
 
     def __add__(self, other: RatFun) -> RatFun:
@@ -762,9 +759,12 @@ def _poly(c) -> LaurentPoly:
     return c if type(c) is LaurentPoly else LaurentPoly.term(c)
 
 
-def _dense_lcm(groups: list[list]) -> tuple[int, LaurentPoly, dict[int, list[int]]]:
-    """(symbol index, lcm, {group index: dense lcm / d}) of the groups'
-    denominators, by exact division and gcd on their dense numerators.
+def _dense_lcm(
+    groups: list[list],
+) -> tuple[LaurentPoly, list[LaurentPoly | None]]:
+    """(lcm, cofactors) of the groups' denominators, by exact division and
+    gcd on their dense numerators: each cofactor is lcm / d, and None for
+    the group whose denominator is the lcm.
 
     The search starts from the longest: a denominator that divides the lcm
     is skipped, any other d is multiplied in as d / gcd, and a quotient is
@@ -796,62 +796,32 @@ def _dense_lcm(groups: list[list]) -> tuple[int, LaurentPoly, dict[int, list[int
             big, lcm, quot = _dense_mul(big, _dense_divexact(cs, common)), None, {}
     if lcm is None:
         lcm = _from_dense(big, sidx, big[-1])
+    cofactors = []
     for i, (d, *_) in enumerate(groups):
-        if d is not lcm and i not in quot:
-            quot[i] = _dense_divexact(big, dense[i])
-    return sidx, lcm, quot
-
-
-def _binomial_lcm(
-    groups: list[list],
-) -> tuple[int, LaurentPoly, dict[int, list[int]]] | None:
-    """``_dense_lcm`` read from the groups' binomial maps, with no division:
-    None unless every denominator has a map in one symbol (a denominator 1
-    has the empty map) and one map holds every other as a multiset.  That
-    denominator is a multiple of every other, so it is the lcm, and each
-    cofactor is the product of the binomials the two maps differ by.
-    """
-    if any(b is None and not d.is_one() for d, _, b in groups):
-        return None
-    symbols = {b[0] for *_, b in groups if b}
-    if len(symbols) != 1:
-        return None
-    maps = [b[1] if b else {} for *_, b in groups]
-    top = max(range(len(maps)), key=lambda i: sum(maps[i].values()))
-    high, quot = maps[top], {}
-    for i, mult in enumerate(maps):
-        if i == top:
+        if d is lcm:
+            cofactors.append(None)
             continue
-        if any(high.get(m, 0) < k for m, k in mult.items()):
-            return None
-        q = [1]
-        for m, k in high.items():
-            for _ in range(k - mult.get(m, 0)):
-                q = _dense_mul([-1] + [0] * (m - 1) + [1], q)
-        quot[i] = q
-    return symbols.pop(), groups[top][0], quot
+        q = quot[i] if i in quot else _dense_divexact(big, dense[i])
+        cofactors.append(_cofactor(q, sidx, d.den, lcm.den))
+    return lcm, cofactors
 
 
-def _times_binomial(
-    binomials: _Binomials | None, den: LaurentPoly, factor: LaurentPoly
-) -> _Binomials | None:
-    """The binomial map of den * factor, read from the factor: den's map
-    (the empty one when den is 1) with m added for a factor s^m - 1, m > 0,
-    in the map's symbol; None for any other factor or an unknown den."""
-    # the top monomial of s^m - 1 is s^m: one exponent, and it is positive
-    top = max(factor.terms, default=_ZERO_MONO)
-    if (
-        factor.den != 1
-        or factor.terms != {top: 1, _ZERO_MONO: -1}
-        or top.count(0) != _NSYM - 1
-    ):
+def _step_lcm(
+    groups: list[list],
+) -> tuple[LaurentPoly, list[LaurentPoly | None]] | None:
+    """``_dense_lcm`` read from a step, with no division: None unless there
+    are two groups and one's denominator steps from the other's, den ==
+    prev * factor with prev the other's very object.  That den is the lcm,
+    and the factor is the other's cofactor.
+    """
+    if len(groups) != 2:
         return None
-    m = max(top)
-    s = top.index(m)
-    if binomials is None:
-        return (s, {m: 1}) if den.is_one() else None
-    sidx, mult = binomials
-    return (s, {**mult, m: mult.get(m, 0) + 1}) if s == sidx else None
+    (d0, _, step0), (d1, _, step1) = groups
+    if step1 is not None and step1[0] is d0:
+        return d1, [step1[1], None]
+    if step0 is not None and step0[0] is d1:
+        return d0, [None, step0[1]]
+    return None
 
 
 def _cofactor(q: list[int], sidx: int, d_den: int, lcm_den: int) -> LaurentPoly:

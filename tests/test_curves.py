@@ -422,69 +422,78 @@ def test_operator_builds_no_multiple_of_a_series_coefficient(monkeypatch):
         assert operands and not any(id(x) in series for x in operands)
 
 
-@pytest.mark.parametrize("case", [conifold(1), framed_c3(1)])
+@pytest.mark.parametrize("case", [conifold(1), framed_c3(1), framed_c3(-2), conifold(-3)])
 def test_a_corrupted_cofactor_fails_annihilation_and_evaluation(monkeypatch, request, case):
     op, z = curve_operator(case), z_closed(case, 6)
     eager = _apply_by_whole_series(op, z, 6)
-    # +1 on one quotient coefficient of each cofactor lcm / d in the sum
-    cofactor = ring._cofactor
-    monkeypatch.setattr(ring, "_cofactor", lambda q, *a: cofactor([q[0] + 1, *q[1:]], *a))
+    # +1 on each cofactor read from a step
+    step_lcm = ring._step_lcm
+
+    def corrupted(groups):
+        found = step_lcm(groups)
+        if found is None:
+            return None
+        lcm, cofactors = found
+        return lcm, [k if k is None else k + ONE for k in cofactors]
+
+    monkeypatch.setattr(ring, "_step_lcm", corrupted)
     z_closed.cache_clear()
     request.addfinalizer(z_closed.cache_clear)
     # x^0 holds z_0 alone; x^1 is the first degree with two denominators
     report = verify_annihilation(case, 6)
     assert report.status == "failed" and report.first_failure[0] == 1
+    assert recurrence_check(case, 6).first_failure == 0
     point = ORACLE_POINTS[0]
     got = apply_operator(op, z, 6).coeffs[1]
     assert _value(got, point) != _value(eager.coeffs[1], point) == 0
 
 
-_MAPPED_CASES = [framed_c3(a) for a in range(-3, 4)] + [conifold(a) for a in range(-3, 4)]
+_STEPPED_CASES = [framed_c3(a) for a in range(-3, 4)] + [conifold(a) for a in range(-3, 4)]
 
 
-def _binomial_product(binomials):
-    sidx, mult = binomials
-    den = ONE
-    for m, k in mult.items():
-        for _ in range(k):
-            den = den * (sym(SYMBOLS[sidx], m) - ONE)
-    return den
+def _assert_steps(z):
+    """Each coefficient past z_0 steps from its predecessor's den object."""
+    for prev, c in zip(z.coeffs, z.coeffs[1:]):
+        before, factor = c._step
+        assert before is prev.den and c.den == before * factor
 
 
-@pytest.mark.parametrize("case", _MAPPED_CASES)
+@pytest.mark.parametrize("case", _STEPPED_CASES)
 def test_z_closed_records_each_denominator_as_its_binomials(case):
     z = z_closed(case, 15)
-    assert z.coeff(0).den.is_one()
-    for c in z.coeffs[1:]:
-        assert c._binomials is not None and c.den == _binomial_product(c._binomials)
-    # no other value carries a map
+    assert z.coeff(0).den.is_one() and z.coeff(0)._step is None
+    _assert_steps(z)
+    assert [c._step[1] for c in z.coeffs[1:]] == [
+        curves._ratio(case, n)[1] for n in range(1, 16)
+    ]
+    # no other value carries a step
     c = z.coeff(15)
-    unmapped = [
+    unstepped = [
         *z_closed(lambert(), 6).coeffs, RatFun.sum([c, z.coeff(14)]),
         RatFun.combine([(ONE + sym("u"), c)]), RatFun(c.num, c.den),
         RatFun.from_json(c.to_json()), c.mul_term(1, E=1), -c,
     ]
-    assert all(x._binomials is None for x in unmapped)
+    assert all(x._step is None for x in unstepped)
 
 
-def _unmapped(z):
+def _unstepped(z):
     return XSeries(z.order, [RatFun._raw(c.num, c.den) for c in z.coeffs])
 
 
 @pytest.mark.parametrize(
     "case, direction",
-    [(case, "forward") for case in _MAPPED_CASES]
+    [(case, "forward") for case in _STEPPED_CASES]
     + [(conifold(a), "inverse") for a in range(-3, 4)],
 )
 def test_the_binomial_lcm_and_the_dense_lcm_give_one_verdict(monkeypatch, case, direction):
     op, z = curve_operator(case, direction), z_closed(case, 14)
-    mapped = apply_operator(op, z, 14)
-    dense = apply_operator(op, _unmapped(z), 14)
-    assert [c.is_zero() for c in mapped.coeffs] == [c.is_zero() for c in dense.coeffs]
+    stepped = apply_operator(op, z, 14)
+    dense = apply_operator(op, _unstepped(z), 14)
+    assert [c.is_zero() for c in stepped.coeffs] == [c.is_zero() for c in dense.coeffs]
     if direction == "inverse":
-        assert str(mapped.coeffs[1]) == str(dense.coeffs[1])
+        assert str(stepped.coeffs[1]) == str(dense.coeffs[1])
     checks = [recurrence_check(case, 14)]
-    monkeypatch.setattr(curves, "z_closed", lambda *args: _unmapped(z))
+    monkeypatch.setattr(curves, "z_closed", lambda *args: _unstepped(z))
     checks.append(recurrence_check(case, 14))
     assert checks[0] == checks[1]
 
@@ -492,7 +501,7 @@ def test_the_binomial_lcm_and_the_dense_lcm_give_one_verdict(monkeypatch, case, 
 @pytest.mark.parametrize("k", [1, 6])
 @pytest.mark.parametrize("case", [framed_c3(2), conifold(-1)])
 def test_a_wrong_denominator_factor_is_caught(monkeypatch, request, case, k):
-    # s^(2k+2) - 1 in place of s^(2k) - 1 in r(k): the map must record the
+    # s^(2k+2) - 1 in place of s^(2k) - 1 in r(k): the step must record the
     # factor z_closed multiplied, not the one the degree calls for
     symbol = "u" if case.kind is CurveKind.CONIFOLD else "E"
     ratio = curves._ratio
@@ -505,7 +514,7 @@ def test_a_wrong_denominator_factor_is_caught(monkeypatch, request, case, k):
     z_closed.cache_clear()
     request.addfinalizer(z_closed.cache_clear)
     z = z_closed(case, 8)
-    assert all(c.den == _binomial_product(c._binomials) for c in z.coeffs[1:])
+    _assert_steps(z)
     report = verify_annihilation(case, 8)
     assert [n for n, ok in enumerate(report.degrees_ok) if not ok] == [k]
     assert report.first_failure[0] == k
@@ -514,13 +523,14 @@ def test_a_wrong_denominator_factor_is_caught(monkeypatch, request, case, k):
 
 def test_annihilation_takes_every_lcm_from_the_binomial_maps(monkeypatch):
     calls = []
-    for name in ("_dense_view", "_dense_divexact", "_normalize_ratfun"):
+    for name in ("_dense_view", "_dense_divexact", "_cofactor", "_normalize_ratfun"):
         fn = getattr(ring, name)
         monkeypatch.setattr(
             ring, name, lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a)
         )
     z_closed.cache_clear()
-    for case in _MAPPED_CASES:
+    # no dense call, so every degree with two denominators took the step
+    for case in _STEPPED_CASES:
         assert verify_annihilation(case, 14).ok
         assert recurrence_check(case, 14).ok
     assert calls == []
@@ -531,6 +541,14 @@ def test_annihilation_takes_every_lcm_from_the_binomial_maps(monkeypatch):
         report = verify_annihilation(conifold(a), 14, y_direction="inverse")
         assert report.degrees_ok.count(False) == 14
         assert calls[0] == "_normalize_ratfun" and calls.count("_normalize_ratfun") == 1
+
+
+def _assert_no_curve_check_fails():
+    assert selftest._suite_route_equivalence() is None
+    for case in (lambert(), framed_c3(1), conifold(1)):
+        assert verify_annihilation(case, 6).ok, case
+        assert recurrence_check(case, 6).ok, case
+        assert z_from_characters(case, 6) == z_closed(case, 6), case
 
 
 def test_a_corrupted_normalization_fails_the_specializations_but_no_curve_check(
@@ -553,11 +571,22 @@ def test_a_corrupted_normalization_fails_the_specializations_but_no_curve_check(
     # verdicts, and not the character route, whose c3 weights (principal
     # Schur images) and conifold weights (quantum dimensions) are built
     # canonical and enter each degree alone with coefficient 1
-    assert selftest._suite_route_equivalence() is None
-    for case in (lambert(), framed_c3(1), conifold(1)):
-        assert verify_annihilation(case, 6).ok, case
-        assert recurrence_check(case, 6).ok, case
-        assert z_from_characters(case, 6) == z_closed(case, 6), case
+    _assert_no_curve_check_fails()
+
+
+def test_a_corrupted_dense_cofactor_fails_the_specializations_but_no_curve_check(
+    monkeypatch, request
+):
+    # +1 on one quotient coefficient of each cofactor the dense search finds
+    cofactor = ring._cofactor
+    monkeypatch.setattr(ring, "_cofactor", lambda q, *a: cofactor([q[0] + 1, *q[1:]], *a))
+    monkeypatch.delenv(selftest.FAULT_ENV, raising=False)
+    _clear_caches()
+    request.addfinalizer(_clear_caches)
+    # specialize adds p_mu images over distinct denominators
+    assert selftest._suite_specializations() == "principal identity fails at n=2"
+    # a curve check takes each lcm from a step or adds over one denominator
+    _assert_no_curve_check_fails()
 
 
 def test_hurwitz_table_runs_no_graded_log_and_no_ratfun(monkeypatch):

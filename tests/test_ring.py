@@ -850,90 +850,73 @@ def test_a_corrupted_cofactor_changes_the_value(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# lcms read from binomial maps
+# lcms read from steps
 # ---------------------------------------------------------------------------
 
-def _mapped(num, *ms, name="u"):
-    """num / prod (s^m - 1) over the ms, wrapped with its binomial map."""
-    den, mult = ONE, {}
-    for m in ms:
-        den, mult[m] = den * (sym(name, m) - ONE), mult.get(m, 0) + 1
-    return RatFun._raw(num, den, (ring.SYMBOLS.index(name), mult))
+def _stepped(num, prev, factor):
+    """num / (prev * factor), wrapped with its step (prev, factor)."""
+    return RatFun._raw(num, prev * factor, (prev, factor))
 
 
-def _unmapped(pairs):
+def _unstepped(pairs):
     return [(c, RatFun._raw(r.num, r.den)) for c, r in pairs]
 
 
-_NESTED = [
-    # a chain with a repeated binomial, z_0-like 1 with and without a map
-    [(U, _mapped(ONE, 2)), (2, _mapped(U, 2, 4, 4)), (ONE + U, _mapped(ONE, 2, 4))],
-    [(1, RatFun.one()), (-HALF, _mapped(U, 6)), (U, _mapped(ONE, name="u"))],
-    [(sym("E"), _mapped(ONE, 2, name="E")), (1, _mapped(ONE, 4, 2, name="E"))],
+_U2, _U4, _E2 = sym("u", 2) - ONE, sym("u", 4) - ONE, sym("E", 2) - ONE
+_STEPPED = [
+    # the later group steps from the earlier, and the earlier from the later
+    [(U, RatFun._raw(ONE, _U2)), (2, _stepped(U, _U2, _U4))],
+    [(ONE + U, _stepped(ONE, _U2, _U4)), (HALF, RatFun._raw(U, _U2))],
+    # z_0-like 1, a repeated binomial, and two members over the prev den
+    [(1, RatFun.one()), (-HALF, _stepped(U, ONE, sym("u", 6) - ONE))],
+    [(U, _stepped(ONE, _U2, _U2)), (1, RatFun._raw(ONE, _U2)), (2, RatFun._raw(U, _U2))],
+    [(sym("E"), RatFun._raw(ONE, _E2)), (1, _stepped(ONE, _E2, sym("E", 4) - ONE))],
 ]
-_NOT_NESTED = [
-    # u^2 - 1 divides u^4 - 1, but the map {4: 1} does not hold {2: 1}
-    [(1, _mapped(ONE, 2, 2)), (1, _mapped(U, 4))],
-    [(1, _mapped(ONE, 2)), (U, _mapped(ONE, 2, 4)), (1, _mapped(ONE, 6))],
-    # a denominator with no map
-    [(1, _mapped(ONE, 2)), (2, _A)],
+_NOT_STEPPED = [
+    # a step from an equal prev that is not the other's very object
+    [(1, RatFun._raw(ONE, sym("u", 2) - ONE)), (U, _stepped(ONE, _U2, _U4))],
+    # three denominators, each a step from the one before
+    [(U, _stepped(ONE, ONE, _U2)), (2, _stepped(U, _U2 * _U4, _U4)),
+     (ONE + U, _stepped(ONE, _U2, _U4))],
+    # u^2 - 1 divides u^4 - 1, but neither has a step
+    [(1, RatFun._raw(ONE, _U2 * _U2)), (1, RatFun._raw(U, _U4))],
+    # a step from 1, and a denominator that is not 1
+    [(1, _stepped(ONE, ONE, _U2)), (2, _A)],
     [(U, _A), (2, _B)],
 ]
 
 
-@pytest.mark.parametrize("pairs", _NESTED + _NOT_NESTED)
+@pytest.mark.parametrize("pairs", _STEPPED + _NOT_STEPPED)
 def test_a_binomial_lcm_equals_the_dense_one(pairs):
-    with _counting("_dense_view", "_dense_divexact") as calls:
+    with _counting("_dense_view", "_dense_divexact", "_cofactor") as calls:
         total = RatFun.combine(pairs)
-        # the map branch runs only where one map holds every other
-        assert (calls == []) == (pairs in _NESTED)
-    with _counting("_dense_view") as calls_unmapped:
-        dense = RatFun.combine(_unmapped(pairs))
-    assert calls_unmapped
+        # the step branch runs only where one of two groups steps from the other
+        assert (calls == []) == any(pairs is p for p in _STEPPED)
+    with _counting("_dense_view") as calls_unstepped:
+        dense = RatFun.combine(_unstepped(pairs))
+    assert calls_unstepped
     products = [_as_ratfun(c) * r for c, r in pairs]
     assert total == dense == _over_product(products)
     assert str(total) == str(dense)
 
 
 def test_maps_in_two_symbols_take_the_dense_branch():
+    # neither steps from the other, so the dense search meets two symbols
     with pytest.raises(MultivariateDenominatorError):
-        RatFun.combine([(1, _mapped(ONE, 2)), (1, _mapped(ONE, 2, 4, name="E"))])
-
-
-_NOT_BINOMIALS = [
-    # the other sign, a negative power, a scalar multiple, another
-    # constant, two symbols, 1
-    ONE - sym("u", 2), sym("u", -2) - ONE, (sym("u", 2) - ONE) * HALF,
-    sym("u", 2) + ONE, sym("u", 2) * sym("E") - ONE, ONE,
-]
-
-
-@pytest.mark.parametrize("factor, first, grown", [
-    (sym("u", 4) - ONE, (3, {4: 1}), (3, {2: 1, 4: 1})),
-    (sym("u", 2) - ONE, (3, {2: 1}), (3, {2: 2})),
-    # a binomial in another symbol than the map's
-    (sym("E", 2) - ONE, (0, {2: 1}), None),
-    *((f, None, None) for f in _NOT_BINOMIALS),
-])
-def test_a_binomial_map_grows_only_by_a_binomial(factor, first, grown):
-    # the map of den * factor: from the empty map of 1, and from {2: 1}
-    assert ring._times_binomial(None, ONE, factor) == first
-    assert ring._times_binomial((3, {2: 1}), sym("u", 2) - ONE, factor) == grown
-    # a denominator other than 1 with no map stays unknown
-    assert ring._times_binomial(None, sym("u", 2) - ONE, factor) is None
+        RatFun.combine([(1, _stepped(ONE, ONE, _U2)), (1, _stepped(ONE, _E2, _E2))])
 
 
 def test_only_raw_carries_a_binomial_map():
-    r = _mapped(U, 2, 4)
-    assert r._binomials == (3, {2: 1, 4: 1})
+    r = _stepped(U, _U2, _U4)
+    assert r._step[0] is _U2 and r._step[1] is _U4
     derived = [
         RatFun(r.num, r.den), RatFun.from_json(r.to_json()), -r, r.mul_term(1, u=1),
-        r.scale(2), RatFun.sum([r, _mapped(ONE, 2)]), RatFun.combine([(U, r)]),
-        copy.copy(r), pickle.loads(pickle.dumps(r)),
+        r.scale(2), RatFun.sum([r, _stepped(ONE, ONE, _U2)]), RatFun.combine([(U, r)]),
+        copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r)),
     ]
     for x in derived:
-        assert x._binomials is None
-    # equality, hash and text ignore the map
+        assert x._step is None
+    # equality, hash and text ignore the step
     bare = RatFun._raw(r.num, r.den)
     assert bare == r and hash(bare) == hash(r) and str(bare) == str(r)
     assert json.dumps(bare.to_json()) == json.dumps(r.to_json())
