@@ -109,7 +109,7 @@ class Dilation:
     symbol: str
     step: int
 
-    def apply(self, n: int, c: RatFun) -> RatFun:
+    def apply(self, n: int, c: LaurentPoly) -> LaurentPoly:
         if self.step == 0 or n == 0:
             return c
         return c.mul_term(1, **{self.symbol: self.step * n})
@@ -119,17 +119,23 @@ class Dilation:
 class LambdaEuler:
     """Scale the x^n coefficient by n * lam (the Euler operator)."""
 
-    def apply(self, n: int, c: RatFun) -> RatFun:
+    def apply(self, n: int, c: LaurentPoly) -> LaurentPoly:
         if n == 0:
-            return RatFun.zero()
+            return LaurentPoly.zero()
         return c.mul_term(n, lam=1)
 
 
 @dataclass(frozen=True)
 class QOpTerm:
-    coeff: RatFun
+    """coeff * x^xpow * action, with a polynomial coefficient."""
+
+    coeff: LaurentPoly
     xpow: int
     action: Dilation | LambdaEuler
+
+    def __post_init__(self):
+        if not isinstance(self.coeff, LaurentPoly):
+            raise TypeError(f"coeff must be a LaurentPoly, got {self.coeff!r}")
 
 
 def curve_operator(
@@ -145,7 +151,7 @@ def curve_operator(
         raise ValueError(f"unknown y_direction {y_direction!r}")
     if y_direction == "inverse" and case.kind is not CurveKind.CONIFOLD:
         raise ValueError("y_direction 'inverse' applies to the conifold only")
-    one = RatFun.one()
+    one, term = LaurentPoly.one(), LaurentPoly.term
     a = case.framing
     if case.kind is CurveKind.LAMBERT:
         return (
@@ -156,14 +162,14 @@ def curve_operator(
         return (
             QOpTerm(one, 0, Dilation("E", 0)),
             QOpTerm(-one, 0, Dilation("E", 2)),
-            QOpTerm(RatFun.term(-1, E=1), 1, Dilation("E", -2 * a)),
+            QOpTerm(term(-1, E=1), 1, Dilation("E", -2 * a)),
         )
     s = 2 if y_direction == "forward" else -2
     return (
         QOpTerm(one, 0, Dilation("u", 0)),
         QOpTerm(-one, 0, Dilation("u", s)),
-        QOpTerm(RatFun.term(1, u=1), 1, Dilation("u", s * (a + 1))),
-        QOpTerm(RatFun.term(-1, u=1, Qh=2), 1, Dilation("u", s * a)),
+        QOpTerm(term(1, u=1), 1, Dilation("u", s * (a + 1))),
+        QOpTerm(term(-1, u=1, Qh=2), 1, Dilation("u", s * a)),
     )
 
 
@@ -186,19 +192,18 @@ def _ratio(case: CurveCase, n: int) -> tuple[LaurentPoly, LaurentPoly]:
 def apply_operator(op: tuple[QOpTerm, ...], series: XSeries, order: int) -> XSeries:
     """A(x^, y^) applied to a series, exact through x^order.
 
-    Works one degree at a time: the x^n coefficient of the result is one
-    ``RatFun.combine`` of the pairs (action(coeff), z_(n - xpow)) over the
-    terms with xpow <= n, so a degree that vanishes runs no gcd, and a
-    degree that does not is normalized only when its value is read.  At a
-    fixed degree every action multiplies by a monomial or a scalar, so it
-    is applied to the term's coefficient, and the series coefficient is
-    never copied: the coefficients on one z_m are added (for the c3 and
-    conifold operators 1 - s^(2n) on z_n), and each z_m is multiplied once,
-    by that sum times its cofactor, into the degree's numerator over the
-    lcm.  A coefficient with a denominator is multiplied out with its
-    series coefficient first and enters with coefficient 1.  Terms raise
-    the x-degree by at most one (asserted structurally), so a series exact
-    through x^order determines the result through x^order.
+    Works one degree at a time.  At a fixed degree n every action
+    multiplies by a monomial or a scalar, so it is applied to the term's
+    polynomial coefficient, and the series coefficient is never copied:
+    the applied coefficients of each x-power are added (for the c3 and
+    conifold operators 1 - s^(2n) on z_n), and the x^n coefficient of the
+    result is one ``RatFun.combine`` of the two pairs (the x^0 sum, z_n)
+    and (the x^1 sum, z_(n-1)).  So each z_m is multiplied once, by its
+    sum times its cofactor, into the degree's numerator over the lcm; a
+    degree that vanishes runs no normalization, and a degree that does not
+    is normalized only when its value is read.  Terms raise the x-degree
+    by at most one (asserted structurally), so a series exact through
+    x^order determines the result through x^order.
     """
     if any(not 0 <= t.xpow <= 1 for t in op):
         raise ValueError("operator terms must have x-power 0 or 1")
@@ -206,15 +211,18 @@ def apply_operator(op: tuple[QOpTerm, ...], series: XSeries, order: int) -> XSer
         raise OrderMismatchError(
             f"series order {series.order} below requested {order}"
         )
-    z = series.coeffs
+    z, zero = series.coeffs, LaurentPoly.zero()
 
-    def pairs(n):
+    def degree(n):
+        c0 = c1 = zero  # the applied coefficients on z_n and on z_(n-1)
         for t in op:
-            if t.xpow <= n:
-                c, zm = t.action.apply(n - t.xpow, t.coeff), z[n - t.xpow]
-                yield (c.num, zm) if c.den.is_one() else (1, c * zm)
+            if t.xpow == 0:
+                c0 = c0 + t.action.apply(n, t.coeff)
+            elif n:
+                c1 = c1 + t.action.apply(n - 1, t.coeff)
+        return RatFun.combine(((c0, z[n]), (c1, z[n - 1])) if n else ((c0, z[0]),))
 
-    return XSeries(order, [RatFun.combine(pairs(n)) for n in range(order + 1)])
+    return XSeries(order, [degree(n) for n in range(order + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -553,9 +561,7 @@ def classical_limit(op: tuple[QOpTerm, ...]) -> ClassicalCurve:
                 eye = step // 2
             else:
                 ye = step // 2
-        if not term.coeff.den.is_one():
-            raise ValueError("operator coefficients are polynomial")
-        for mono, c in term.coeff.num.sorted_terms():
+        for mono, c in term.coeff.sorted_terms():
             e_exp, qh_exp, lam_exp, u_exp = mono
             if lam_exp:
                 raise ValueError("no lam in operator coefficients")

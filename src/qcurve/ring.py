@@ -36,26 +36,25 @@ about 5 %).  ``RatFun.__mul__`` by a unit, one term c * monomial over
 univariate factor.  ``scale`` and ``mul_term`` delegate to the two.
 
 Adding is one rule, ``RatFun.combine``, the linear combination sum c * r
-with polynomial coefficients c; ``RatFun.sum`` is its case with every c
-equal to 1, and ``+`` the two-term case of that.  The coefficients of one
-RatFun object are added first.  The lcm of the distinct denominators is
-built once, and each numerator is multiplied once, by its coefficient
-times its cofactor lcm / d, into one int map over the lcm, by the same
-``_sum_of_products``.  Where there are two denominators and one carries
-a step from the other (``RatFun._step``, den == prev * factor with prev
-the other's very object, recorded by ``z_closed``), that denominator is
-the lcm and the factor the other's cofactor: no dense view and no
-division.  Any other set of denominators takes the dense search, an
-exact division per denominator and a gcd where one fails.  So a caller
-that would add unit multiples of a value (a curve operator's shifted
-copies of one series coefficient) passes the units as coefficients
-instead, and no copy is built.  An empty map is a zero total and the
-answer, so no gcd runs (an annihilated degree costs exact divisions at
-most, and none on a ``z_closed`` series); any other total is normalized
-once, when its ``num`` or ``den`` is first read, and the canonical form
-makes the result the same as a pairwise fold would give.
+with LaurentPoly coefficients c; ``RatFun.sum`` is its case with every c
+equal to 1, and ``+`` the two-term case of that.  The lcm of the distinct
+denominators is built once, and each numerator is multiplied once, by
+its coefficient times its cofactor lcm / d, into one int map over the
+lcm, by the same ``_sum_of_products``.  Where there are two denominators
+and one carries a step from the other (``RatFun._step``, den == prev *
+factor with prev the other's very object, recorded by ``z_closed``), that
+denominator is the lcm and the factor the other's cofactor: no dense
+view and no division.  Any other set of denominators takes the dense
+fold, lcm = lcm * (d / gcd(lcm, d)), and one exact division per
+cofactor.  So a caller that would add unit multiples of a value (a curve
+operator's shifted copies of one series coefficient) passes the units as
+coefficients instead, and no copy is built.  An empty map is a zero
+total and the answer, so no normalization runs (an annihilated degree of
+a ``z_closed`` series costs no division at all); any other total is
+normalized once, when its ``num`` or ``den`` is first read, and the
+canonical form makes the result the same as a pairwise fold would give.
 Zero-ness needs no read: the numerator over the lcm decides it exactly,
-so a failing degree that nobody prints costs no gcd either.
+so a failing degree that nobody prints costs no normalization either.
 
 Storage: a LaurentPoly holds int numerators over one positive int
 denominator, with no common factor, built through one canonicalizing
@@ -617,42 +616,27 @@ class RatFun:
     @staticmethod
     def sum(terms: Iterable[RatFun]) -> RatFun:
         """The sum of the terms: ``combine`` with every coefficient 1."""
-        return RatFun.combine((1, t) for t in terms)
+        return RatFun.combine((_LP_ONE, t) for t in terms)
 
     @staticmethod
-    def combine(
-        pairs: Iterable[tuple[int | Fraction | LaurentPoly, RatFun]]
-    ) -> RatFun:
+    def combine(pairs: Iterable[tuple[LaurentPoly, RatFun]]) -> RatFun:
         """The linear combination of the (c, r) pairs, sum c * r, over one
         common denominator.
 
-        Each c is a polynomial: an int, a Fraction or a LaurentPoly.  The
-        coefficients of one RatFun object are added first, and a term whose
-        coefficient or value is zero is dropped; one term with coefficient 1
-        is returned as is.  The lcm of the distinct denominators and each
-        cofactor lcm / d are read from a step when there are two
-        denominators and one steps from the other (``_step_lcm``, no
-        division: neighbours in a ``z_closed`` series), and are otherwise
-        found by the dense search of ``_dense_lcm`` (exact divisions, and a
-        gcd where one fails).  Each numerator is multiplied once, by its
-        coefficient times its cofactor, into one int map over the lcm.  An
-        empty map is a zero sum, returned before any gcd runs.
-        Any other sum is returned deferred: it holds the numerator over the
-        lcm and is normalized once, when ``num`` or ``den`` is first read,
-        so ``is_zero`` of it costs no gcd.
+        Each c is a LaurentPoly.  A term whose coefficient or value is zero
+        is dropped; one term with coefficient 1 is returned as is.  The lcm
+        of the distinct denominators and each cofactor lcm / d are read
+        from a step when there are two denominators and one steps from the
+        other (``_step_lcm``, no division: neighbours in a ``z_closed``
+        series), and are otherwise folded by ``_dense_lcm``.  Each
+        numerator is multiplied once, by its coefficient times its
+        cofactor, into one int map over the lcm.  An empty map is a zero
+        sum, returned before any normalization.  Any other sum is returned
+        deferred: it holds the numerator over the lcm and is normalized
+        once, when ``num`` or ``den`` is first read, so ``is_zero`` of it
+        costs no gcd.
         """
-        merged: dict[int, list] = {}  # id(r) -> [r, coefficient]
-        for c, r in pairs:
-            m = merged.get(id(r))
-            if m is None:
-                merged[id(r)] = [r, c]
-            else:
-                m[1] = _poly(m[1]) + _poly(c)
-        ts = []
-        for r, c in merged.values():
-            c = _poly(c)
-            if c.terms and r.num.terms:
-                ts.append((r, c))
+        ts = [(r, c) for c, r in pairs if c.terms and r.num.terms]
         if not ts:
             return _RF_ZERO
         if len(ts) == 1 and ts[0][1].is_one():
@@ -754,21 +738,10 @@ class RatFun:
         return RatFun._raw, (self.num, self.den)
 
 
-def _poly(c) -> LaurentPoly:
-    """A ``RatFun.combine`` coefficient as a LaurentPoly."""
-    return c if type(c) is LaurentPoly else LaurentPoly.term(c)
-
-
-def _dense_lcm(
-    groups: list[list],
-) -> tuple[LaurentPoly, list[LaurentPoly | None]]:
-    """(lcm, cofactors) of the groups' denominators, by exact division and
-    gcd on their dense numerators: each cofactor is lcm / d, and None for
-    the group whose denominator is the lcm.
-
-    The search starts from the longest: a denominator that divides the lcm
-    is skipped, any other d is multiplied in as d / gcd, and a quotient is
-    kept from the divisibility test while the lcm has not grown.
+def _dense_lcm(groups: list[list]) -> tuple[LaurentPoly, list[LaurentPoly]]:
+    """(lcm, cofactors) of the groups' denominators, on their dense
+    numerators: the fold big = big * (d / gcd(big, d)), then each cofactor
+    lcm / d by one exact division.
     """
     # a canonical denominator is monic, so its numerators are primitive
     sidx, dense = None, []
@@ -783,27 +756,14 @@ def _dense_lcm(
                 " univariate common denominator"
             )
         sidx = s
-    order = sorted(range(len(groups)), key=lambda i: -len(dense[i]))
-    big, lcm = dense[order[0]], groups[order[0]][0]
-    quot = {}  # i -> big / dense[i], while big is unchanged
-    for i in order[1:]:
-        cs = dense[i]
-        q = _dense_divexact(big, cs)
-        if q is not None:
-            quot[i] = q
-        else:
-            common = _dense_gcd_int(big, cs)
-            big, lcm, quot = _dense_mul(big, _dense_divexact(cs, common)), None, {}
-    if lcm is None:
-        lcm = _from_dense(big, sidx, big[-1])
-    cofactors = []
-    for i, (d, *_) in enumerate(groups):
-        if d is lcm:
-            cofactors.append(None)
-            continue
-        q = quot[i] if i in quot else _dense_divexact(big, dense[i])
-        cofactors.append(_cofactor(q, sidx, d.den, lcm.den))
-    return lcm, cofactors
+    big = dense[0]
+    for cs in dense[1:]:
+        big = _dense_mul(big, _dense_divexact(cs, _dense_gcd_int(big, cs)))
+    lcm = _from_dense(big, sidx, big[-1])
+    return lcm, [
+        _cofactor(_dense_divexact(big, cs), sidx, d.den, lcm.den)
+        for (d, *_), cs in zip(groups, dense)
+    ]
 
 
 def _step_lcm(

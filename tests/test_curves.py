@@ -282,8 +282,8 @@ def test_the_c3_route_runs_no_normalization_and_no_gcd(monkeypatch):
 
 def test_lambert_operator_structure():
     assert curve_operator(lambert()) == (
-        QOpTerm(RatFun.one(), 0, LambdaEuler()),
-        QOpTerm(RatFun.term(-1), 1, Dilation("E", 2)),
+        QOpTerm(ONE, 0, LambdaEuler()),
+        QOpTerm(LaurentPoly.term(-1), 1, Dilation("E", 2)),
     )
 
 
@@ -294,17 +294,18 @@ def test_c3_zero_framing_operator():
         (0, Dilation("E", 2)),
         (1, Dilation("E", 0)),
     ]
-    assert op[2].coeff == RatFun.term(-1, E=1)
+    assert op[2].coeff == LaurentPoly.term(-1, E=1)
+    assert all(type(t.coeff) is LaurentPoly for t in op)
 
 
 def test_identity_operator_preserves_series():
-    op = (QOpTerm(RatFun.one(), 0, Dilation("E", 0)),)
+    op = (QOpTerm(ONE, 0, Dilation("E", 0)),)
     z = z_closed(framed_c3(0), 5)
     assert apply_operator(op, z, 5) == z
 
 
 def test_x_multiplication_shifts():
-    op = (QOpTerm(RatFun.one(), 1, Dilation("E", 0)),)
+    op = (QOpTerm(ONE, 1, Dilation("E", 0)),)
     z = z_closed(lambert(), 4)
     shifted = apply_operator(op, z, 4)
     assert shifted.coeff(0).is_zero()
@@ -348,29 +349,29 @@ def test_dilation_x_commutation():
 def test_operator_with_large_xpow_refused():
     z = z_closed(lambert(), 3)
     for xpow in (2, -1):  # x^-1 would read past the series
-        bad = (QOpTerm(RatFun.one(), xpow, Dilation("E", 0)),)
+        bad = (QOpTerm(ONE, xpow, Dilation("E", 0)),)
         with pytest.raises(ValueError):
             apply_operator(bad, z, 3)
 
 
+def _act(action, m, v):
+    """The y^-action on the x^m coefficient v, stated by hand."""
+    if isinstance(action, LambdaEuler):
+        return v.mul_term(m, lam=1)
+    return v.mul_term(1, **{action.symbol: action.step * m})
+
+
 def _apply_by_whole_series(op, series, order):
-    """Reference: one whole-series pass per operator term (map the action,
-    multiply by the coefficient, shift by x^xpow, add)."""
-    z = series if series.order == order else series.truncate(order)
-    acc = XSeries(order)
+    """Reference on plain coefficient lists: one pass over the series per
+    operator term (act on each coefficient, multiply by the term's
+    coefficient, shift by x^xpow, add), one pairwise sum per product."""
+    z = series.coeffs[: order + 1]
+    acc = [RatFun.zero()] * (order + 1)
     for term in op:
-        part = z.map_coeffs(term.action.apply)
-        c = term.coeff
-        if not c.is_one():
-            if c.den.is_one() and len(c.num.terms) == 1:
-                ((mono, coeff),) = c.num.sorted_terms()
-                powers = {SYMBOLS[i]: e for i, e in enumerate(mono) if e}
-                part = part.map_coeffs(lambda _, v: v.mul_term(coeff, **powers))
-            else:
-                part = part.scale(c)
-        part = part.shift(term.xpow)
-        acc = acc.add(part)
-    return acc
+        c = RatFun(term.coeff)
+        for m, v in enumerate(z[: order + 1 - term.xpow]):
+            acc[m + term.xpow] = acc[m + term.xpow] + c * _act(term.action, m, v)
+    return XSeries(order, acc)
 
 
 @pytest.mark.parametrize(
@@ -577,7 +578,7 @@ def test_a_corrupted_normalization_fails_the_specializations_but_no_curve_check(
 def test_a_corrupted_dense_cofactor_fails_the_specializations_but_no_curve_check(
     monkeypatch, request
 ):
-    # +1 on one quotient coefficient of each cofactor the dense search finds
+    # +1 on one quotient coefficient of each cofactor the dense fold finds
     cofactor = ring._cofactor
     monkeypatch.setattr(ring, "_cofactor", lambda q, *a: cofactor([q[0] + 1, *q[1:]], *a))
     monkeypatch.delenv(selftest.FAULT_ENV, raising=False)
@@ -683,14 +684,24 @@ def test_z_closed_keeps_one_series():
 
 def test_non_unit_coefficients_match_whole_series_reference():
     op = (
-        QOpTerm(RatFun(ONE + sym("u")), 0, Dilation("u", 2)),
-        QOpTerm(RatFun(ONE, ONE - sym("u", 2)), 1, Dilation("u", -2)),
-        QOpTerm(RatFun(sym("Qh", 2) - sym("u"), ONE + sym("u", 3)), 1, LambdaEuler()),
+        QOpTerm(ONE + sym("u"), 0, Dilation("u", 2)),
+        QOpTerm(sym("E", -1) - LaurentPoly.term(Fraction(1, 3), u=2), 0, LambdaEuler()),
+        QOpTerm(ONE - sym("u", 2), 1, Dilation("u", -2)),
+        QOpTerm(sym("Qh", 2) - sym("u"), 1, LambdaEuler()),
+        QOpTerm(LaurentPoly.term(2, u=-1), 1, Dilation("u", 4)),
     )
     z = z_closed(conifold(1), 8)
     result = apply_operator(op, z, 8)
     assert result == _apply_by_whole_series(op, z, 8)
     assert not all(c.is_zero() for c in result.coeffs)
+
+
+@pytest.mark.parametrize(
+    "coeff", [RatFun.one(), RatFun(ONE, ONE - sym("u", 2)), 1, Fraction(1, 2), None]
+)
+def test_an_operator_coefficient_must_be_a_polynomial(coeff):
+    with pytest.raises(TypeError, match="LaurentPoly"):
+        QOpTerm(coeff, 0, Dilation("u", 2))
 
 
 # ---------------------------------------------------------------------------

@@ -745,55 +745,86 @@ def test_sum_rejects_mixed_denominators():
                 RatFun.sum(xs)
 
 
-def test_zero_sum_over_nested_denominators_runs_no_gcd(monkeypatch):
-    calls = []
-    gcd_int = ring._dense_gcd_int
-    monkeypatch.setattr(
-        ring, "_dense_gcd_int", lambda f, g: calls.append(1) or gcd_int(f, g)
-    )
-    # 2/(1 - u^2) = 1/(1 - u) + 1/(1 + u): the longest denominator is the
-    # lcm, and the other two divide it
+def test_zero_sum_over_nested_denominators_runs_no_normalization():
+    # 2/(1 - u^2) = 1/(1 - u) + 1/(1 + u): the fold takes one gcd per
+    # further denominator, and the zero total is not normalized
     xs = [_A, RatFun(LaurentPoly.term(-2), (ONE - U) * (ONE + U)), RatFun(ONE, ONE + U)]
-    assert RatFun.sum(xs) is RatFun.zero()
-    assert calls == []
+    with _counting("_dense_gcd_int", "_normalize_ratfun") as calls:
+        assert RatFun.sum(xs) is RatFun.zero()
+    assert calls == ["_dense_gcd_int"] * 2
+
+
+def _lcm_of_products(dens):
+    """The canonical lcm of products of the coprime irreducible
+    ``_DEN_FACTORS``, given as lists of factor indices: each factor to its
+    largest multiplicity (so one list gives its product)."""
+    out = ONE
+    for i, f in enumerate(_DEN_FACTORS):
+        for _ in range(max(d.count(i) for d in dens)):
+            out = out * f
+    return RatFun(ONE, out).den
+
+
+factor_lists = st.lists(st.integers(0, len(_DEN_FACTORS) - 1), max_size=4)
+
+
+@settings(deadline=None)
+@given(st.lists(factor_lists, min_size=2, max_size=4))
+# one denominator divides another: (u - 1) and (u - 1)(u + 1)
+@example([[0], [0, 1]])
+# coprime denominators
+@example([[0], [2], [4]])
+# a repeated factor: (u - 1)^2 and (u - 1)(u^2 + 1), then (u - 1)^3
+@example([[0, 0], [0, 3], [0, 0, 0]])
+def test_a_sum_is_held_over_the_least_common_multiple(dens):
+    assume(any(dens))  # denominators all 1 are one group: no lcm is folded
+    want = _lcm_of_products(dens)
+    products = [_lcm_of_products([d]) for d in dens]
+    # distinct powers of Qh keep the sum of these u-only values nonzero
+    xs = [RatFun(sym("Qh", i), d) for i, d in enumerate(products)]
+    assert RatFun.sum(xs)._pending[1] == want
+    groups = [[d, [], None] for d in products]
+    lcm, cofactors = ring._dense_lcm(groups)
+    assert lcm == want
+    assert [k * d for k, (d, *_) in zip(cofactors, groups)] == [want] * len(dens)
 
 
 # ---------------------------------------------------------------------------
 # one linear combination with polynomial coefficients
 # ---------------------------------------------------------------------------
 
-# an int, a Fraction or a Laurent polynomial with Fraction coefficients
-coefficients = st.one_of(st.integers(-3, 3), small_fracs, laurent_polys)
-
-
-def _as_ratfun(c):
-    return RatFun(c if isinstance(c, LaurentPoly) else LaurentPoly.term(c))
+# constant or Laurent polynomial coefficients, with Fraction coefficients
+coefficients = st.one_of(
+    st.integers(-3, 3).map(LaurentPoly.term), small_fracs.map(LaurentPoly.term),
+    laurent_polys,
+)
+_k = LaurentPoly.term  # a constant coefficient
 
 
 @st.composite
 def combinations(draw):
     """(c, r) pairs drawn from a small pool, so one RatFun object may come
-    back with several coefficients, which then merge."""
+    back with several coefficients."""
     pool = draw(st.lists(summands(), min_size=1, max_size=4))
     return draw(st.lists(st.tuples(coefficients, st.sampled_from(pool)), max_size=7))
 
 
 @settings(deadline=None)
 @given(combinations())
-# one object three times: its coefficients merge to 2 - 1/2 + u
-@example([(2, _B), (-HALF, _B), (U, _B), (1, _A)])
+# one object three times: its coefficients add to 2 - 1/2 + u
+@example([(_k(2), _B), (_k(-HALF), _B), (U, _B), (ONE, _A)])
 # the coefficients of one object cancel, and a coprime denominator
-@example([(U, _A), (-U, _A), (HALF, RatFun(ONE, ONE + U * U))])
+@example([(U, _A), (-U, _A), (_k(HALF), RatFun(ONE, ONE + U * U))])
 # two distinct objects of equal value empty the running map, and a later
 # product re-seeds it
-@example([(1, RatFun(ONE, ONE + U)), (-1, RatFun(ONE, ONE + U)), (1, RatFun(U, ONE + U))])
+@example([(ONE, RatFun(ONE, ONE + U)), (-ONE, RatFun(ONE, ONE + U)), (ONE, RatFun(U, ONE + U))])
 def test_combination_is_the_eager_reference(pairs):
-    operands = [x for c, r in pairs for x in (c, r.num, r.den) if isinstance(x, LaurentPoly)]
+    operands = [x for c, r in pairs for x in (c, r.num, r.den)]
     before = [(dict(x.terms), x.den) for x in operands]
     total = RatFun.combine(pairs)
     # the sum merges in place into a map seeded from an operand
     assert [(x.terms, x.den) for x in operands] == before
-    products = [_as_ratfun(c) * r for c, r in pairs]
+    products = [RatFun(c) * r for c, r in pairs]
     assert total == _over_product(products)
     assert str(total) == str(_fold(products))
     assert RatFun.combine(iter(pairs)) == total
@@ -818,7 +849,7 @@ def _counting(*names):
     laurent_polys, st.lists(coefficients, min_size=1, max_size=4),
     st.permutations(_DEN_FACTORS), st.data(),
 )
-def test_a_combination_that_cancels_runs_no_gcd_and_no_normalization(num, cs, factors, data):
+def test_a_combination_that_cancels_runs_no_normalization(num, cs, factors, data):
     # r_j = num / (f_0 ... f_j): each denominator divides the last, r_k, and
     # sum_j c_j r_j = (sum_j c_j g_j) r_k with g_j = f_(j+1) ... f_k
     k = len(cs)
@@ -828,15 +859,17 @@ def test_a_combination_that_cancels_runs_no_gcd_and_no_normalization(num, cs, fa
     g = [functools.reduce(operator.mul, factors[j + 1:k + 1], ONE) for j in range(k)]
     back = LaurentPoly.zero()
     for c, gj in zip(cs, g):
-        back = back + _as_ratfun(c).num * gj
+        back = back + c * gj
     # the first coefficient split in two, so the same object comes twice
     split = data.draw(coefficients)
-    pairs = [(split, rs[0]), *zip(cs, rs), (-_as_ratfun(split).num, rs[0]), (-back, rs[k])]
+    pairs = [(split, rs[0]), *zip(cs, rs), (-split, rs[0]), (-back, rs[k])]
     pairs = data.draw(st.permutations(pairs))
+    dens = {r.den for c, r in pairs if c.terms and r.num.terms}
     with _counting("_dense_gcd_int", "_normalize_ratfun") as calls:
         total = RatFun.combine(pairs)
     assert total is RatFun.zero()
-    assert calls == []
+    # the lcm fold takes one gcd per further denominator; nothing normalizes
+    assert calls == ["_dense_gcd_int"] * max(len(dens) - 1, 0)
 
 
 def test_a_corrupted_cofactor_changes_the_value(monkeypatch):
@@ -845,7 +878,7 @@ def test_a_corrupted_cofactor_changes_the_value(monkeypatch):
     monkeypatch.setattr(ring, "_cofactor", lambda q, *a: cofactor([q[0] + 1, *q[1:]], *a))
     pt = {"E": Fraction(2), "Qh": Fraction(3), "lam": Fraction(5), "u": Fraction(1, 3)}
     assert _ev(_A + _B, pt) != _ev(_A, pt) + _ev(_B, pt)
-    total = RatFun.combine([(U, _A), (2, _B)])
+    total = RatFun.combine([(U, _A), (_k(2), _B)])
     assert _ev(total, pt) != _ev(U, pt) * _ev(_A, pt) + 2 * _ev(_B, pt)
 
 
@@ -865,24 +898,24 @@ def _unstepped(pairs):
 _U2, _U4, _E2 = sym("u", 2) - ONE, sym("u", 4) - ONE, sym("E", 2) - ONE
 _STEPPED = [
     # the later group steps from the earlier, and the earlier from the later
-    [(U, RatFun._raw(ONE, _U2)), (2, _stepped(U, _U2, _U4))],
-    [(ONE + U, _stepped(ONE, _U2, _U4)), (HALF, RatFun._raw(U, _U2))],
+    [(U, RatFun._raw(ONE, _U2)), (_k(2), _stepped(U, _U2, _U4))],
+    [(ONE + U, _stepped(ONE, _U2, _U4)), (_k(HALF), RatFun._raw(U, _U2))],
     # z_0-like 1, a repeated binomial, and two members over the prev den
-    [(1, RatFun.one()), (-HALF, _stepped(U, ONE, sym("u", 6) - ONE))],
-    [(U, _stepped(ONE, _U2, _U2)), (1, RatFun._raw(ONE, _U2)), (2, RatFun._raw(U, _U2))],
-    [(sym("E"), RatFun._raw(ONE, _E2)), (1, _stepped(ONE, _E2, sym("E", 4) - ONE))],
+    [(ONE, RatFun.one()), (_k(-HALF), _stepped(U, ONE, sym("u", 6) - ONE))],
+    [(U, _stepped(ONE, _U2, _U2)), (ONE, RatFun._raw(ONE, _U2)), (_k(2), RatFun._raw(U, _U2))],
+    [(sym("E"), RatFun._raw(ONE, _E2)), (ONE, _stepped(ONE, _E2, sym("E", 4) - ONE))],
 ]
 _NOT_STEPPED = [
     # a step from an equal prev that is not the other's very object
-    [(1, RatFun._raw(ONE, sym("u", 2) - ONE)), (U, _stepped(ONE, _U2, _U4))],
+    [(ONE, RatFun._raw(ONE, sym("u", 2) - ONE)), (U, _stepped(ONE, _U2, _U4))],
     # three denominators, each a step from the one before
-    [(U, _stepped(ONE, ONE, _U2)), (2, _stepped(U, _U2 * _U4, _U4)),
+    [(U, _stepped(ONE, ONE, _U2)), (_k(2), _stepped(U, _U2 * _U4, _U4)),
      (ONE + U, _stepped(ONE, _U2, _U4))],
     # u^2 - 1 divides u^4 - 1, but neither has a step
-    [(1, RatFun._raw(ONE, _U2 * _U2)), (1, RatFun._raw(U, _U4))],
+    [(ONE, RatFun._raw(ONE, _U2 * _U2)), (ONE, RatFun._raw(U, _U4))],
     # a step from 1, and a denominator that is not 1
-    [(1, _stepped(ONE, ONE, _U2)), (2, _A)],
-    [(U, _A), (2, _B)],
+    [(ONE, _stepped(ONE, ONE, _U2)), (_k(2), _A)],
+    [(U, _A), (_k(2), _B)],
 ]
 
 
@@ -895,15 +928,15 @@ def test_a_binomial_lcm_equals_the_dense_one(pairs):
     with _counting("_dense_view") as calls_unstepped:
         dense = RatFun.combine(_unstepped(pairs))
     assert calls_unstepped
-    products = [_as_ratfun(c) * r for c, r in pairs]
+    products = [RatFun(c) * r for c, r in pairs]
     assert total == dense == _over_product(products)
     assert str(total) == str(dense)
 
 
 def test_maps_in_two_symbols_take_the_dense_branch():
-    # neither steps from the other, so the dense search meets two symbols
+    # neither steps from the other, so the dense fold meets two symbols
     with pytest.raises(MultivariateDenominatorError):
-        RatFun.combine([(1, _stepped(ONE, ONE, _U2)), (1, _stepped(ONE, _E2, _E2))])
+        RatFun.combine([(ONE, _stepped(ONE, ONE, _U2)), (ONE, _stepped(ONE, _E2, _E2))])
 
 
 def test_only_raw_carries_a_binomial_map():
