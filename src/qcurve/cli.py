@@ -196,7 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("hurwitz", cmd_hurwitz, "exact Hurwitz numbers H_{g,mu}")
     _size(p, "--dmax", 1, DMAX_MAX, required=True)
     _size(p, "--gmax", 0, GMAX_MAX, default=0)
-    framings = {"nargs": "+", "default": [], "help": (
+    # a repeated --framing adds its values to the earlier ones
+    framings = {"nargs": "+", "action": "extend", "default": [], "help": (
         f"framings to test, each at most {FRAMING_MAX} in absolute value "
         "(default: -3..3 for c3/conifold)")}
     for name, fn, summary, xorder, lo, framing in (

@@ -5,7 +5,8 @@ empty tuple is the unique partition of 0; ``kappa``, ``irrep_dimension``
 and the symfun shapes reject any other tuple through one check,
 ``_shape``.  Centralizer orders and automorphism counts are read off the
 runs of equal parts, and dimensions multiply hook lengths taken from the
-conjugate.
+conjugate; ``hooks_and_contents`` gives each cell's (hook, content) pair,
+row-major, for the hook-content products of ``symfun``.
 
 Characters come as whole tables: ``character_table(n)`` builds every
 row of S_n in one integer pass of the Murnaghan-Nakayama border-strip
@@ -16,10 +17,10 @@ James and Kerber): a border strip moves one bead down to a hole, its
 sign is the parity of the beads it passes (``int.bit_count``), and the
 remaining shape's mask is the old one with the bead moved.  Each table
 stores its rows once, by partition, with an index from beta mask to
-shape for the larger tables to read them through.  The character route
-and the Hurwitz series read whole rows; ``character(nu, mu)`` is one
-lookup in that table, the single value the identity suites and
-``powersum_from_schurs`` ask for.
+shape for the larger tables to read them through.  The character route,
+the Hurwitz series and the character selftest suite read whole rows;
+``character(nu, mu)`` is one lookup in that table, the single value
+``powersum_from_schurs`` asks for.
 """
 
 from __future__ import annotations
@@ -35,11 +36,6 @@ Partition = tuple[int, ...]
 
 class SizeMismatchError(ValueError):
     """Character arguments index different symmetric groups."""
-
-
-class Cell(NamedTuple):
-    row: int  # 1-based
-    col: int  # 1-based
 
 
 @cache
@@ -130,8 +126,8 @@ def conjugate(mu: Partition) -> Partition:
     return tuple(out)
 
 
-def hooks_and_contents(mu: Partition) -> list[tuple[Cell, int, int]]:
-    """(cell, hook length, content) for every cell, row-major.
+def hooks_and_contents(mu: Partition) -> list[tuple[int, int]]:
+    """(hook length, content) for every cell, row-major.
 
     hook = arm + leg + 1, content = col - row.
     """
@@ -141,7 +137,7 @@ def hooks_and_contents(mu: Partition) -> list[tuple[Cell, int, int]]:
         for j in range(1, row_len + 1):
             arm = row_len - j
             leg = conj[j - 1] - i
-            out.append((Cell(i, j), arm + leg + 1, j - i))
+            out.append((arm + leg + 1, j - i))
     return out
 
 

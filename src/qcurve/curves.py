@@ -4,7 +4,8 @@ Three cases.  Each closed form Z = sum z_n x^n is q-hypergeometric:
 z_0 = 1 and z_n = r(n) z_(n-1), with the term ratio r(n) stated once, by
 ``_ratio``.  Each operator A(x^, y^) is the q-difference operator that
 encodes the same recurrence, a tuple of normal-ordered terms built from
-x^ (multiplication by x) and a y^-action realized on series coefficients:
+x^ (multiplication by x) and a y^-action realized on series coefficients,
+applied by ``apply_operator`` through the series' own order:
 
   lambert    r(n) = E^(2(n-1)) lam^(-1) / n, so z_n = E^(n(n-1)) lam^(-n) / n!;
              operator y^ - x^ e^(y^) with y^ = lam * x d/dx, so y^ scales
@@ -22,7 +23,8 @@ sums (``z_from_characters``), with the inner character sum evaluated
 honestly rather than collapsed to its known delta value; agreement of
 the two routes is the computational content of the closed forms.  Each
 shape's sum is its row of ``character_table(n)`` summed against the
-class sizes, so every class of every shape is read.  A shape whose sum
+class sizes, so every class of every shape is read, and each degree is
+one ``RatFun.combine`` of the (sum, weight) pairs.  A shape whose sum
 is exactly 0 contributes nothing and builds no weight; the sums are
 still evaluated in full, so a wrong table entry that makes a multi-row
 sum nonzero brings that shape's weight into Z.  Each weight is built
@@ -55,7 +57,7 @@ from .combinatorics import (
     kappa,
     partitions_of,
 )
-from .ring import LaurentPoly, OrderMismatchError, RatFun, XSeries
+from .ring import LaurentPoly, RatFun, XSeries
 from .symfun import principal_schur, quantum_dimension
 
 
@@ -189,8 +191,8 @@ def _ratio(case: CurveCase, n: int) -> tuple[LaurentPoly, LaurentPoly]:
     return num, LaurentPoly.symbol("u", 2 * n) - LaurentPoly.one()
 
 
-def apply_operator(op: tuple[QOpTerm, ...], series: XSeries, order: int) -> XSeries:
-    """A(x^, y^) applied to a series, exact through x^order.
+def apply_operator(op: tuple[QOpTerm, ...], series: XSeries) -> XSeries:
+    """A(x^, y^) applied to a series, exact through the series' order.
 
     Works one degree at a time.  At a fixed degree n every action
     multiplies by a monomial or a scalar, so it is applied to the term's
@@ -203,14 +205,11 @@ def apply_operator(op: tuple[QOpTerm, ...], series: XSeries, order: int) -> XSer
     degree that vanishes runs no normalization, and a degree that does not
     is normalized only when its value is read.  Terms raise the x-degree
     by at most one (asserted structurally), so a series exact through
-    x^order determines the result through x^order.
+    x^N determines the result through x^N, and the result has the series'
+    order.
     """
     if any(not 0 <= t.xpow <= 1 for t in op):
         raise ValueError("operator terms must have x-power 0 or 1")
-    if order > series.order:
-        raise OrderMismatchError(
-            f"series order {series.order} below requested {order}"
-        )
     z, zero = series.coeffs, LaurentPoly.zero()
 
     def degree(n):
@@ -222,7 +221,7 @@ def apply_operator(op: tuple[QOpTerm, ...], series: XSeries, order: int) -> XSer
                 c1 = c1 + t.action.apply(n - 1, t.coeff)
         return RatFun.combine(((c0, z[n]), (c1, z[n - 1])) if n else ((c0, z[0]),))
 
-    return XSeries(order, [degree(n) for n in range(order + 1)])
+    return XSeries(series.order, [degree(n) for n in range(series.order + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -306,14 +305,15 @@ def _weight(case: CurveCase, nu: tuple, n: int) -> RatFun:
 def z_from_characters(case: CurveCase, order: int) -> XSeries:
     """Z rebuilt from character sums; must equal ``z_closed`` exactly.
 
-    A shape whose character sum is exactly 0 adds 0 * weight, so its
-    weight is not built.
+    Each degree is one ``RatFun.combine`` of the (character sum, weight)
+    pairs.  A shape whose character sum is exactly 0 adds 0 * weight, so
+    its weight is not built.
     """
     coeffs = [RatFun.one()]
     for n in range(1, order + 1):
         sums = _character_sum(n).items()
-        coeffs.append(RatFun.sum(
-            _weight(case, nu, n).scale(s) for nu, s in sums if s
+        coeffs.append(RatFun.combine(
+            (LaurentPoly.term(s), _weight(case, nu, n)) for nu, s in sums if s
         ))
     return XSeries(order, coeffs)
 
@@ -387,7 +387,7 @@ def verify_annihilation(
     start = time.perf_counter()
     op = curve_operator(case, y_direction)
     z = z_closed(case, order)
-    result = apply_operator(op, z, order)
+    result = apply_operator(op, z)
     degrees = tuple(c.is_zero() for c in result.coeffs)
     first = None
     for n, ok in enumerate(degrees):

@@ -64,7 +64,11 @@ class LengthTooSmallError(ValueError):
 
 @dataclass(frozen=True)
 class HurwitzTable:
-    """Exact Hurwitz numbers for |mu| <= degree_cap, g <= genus_cap."""
+    """Exact Hurwitz numbers for 1 <= |mu| <= degree_cap, g <= genus_cap.
+
+    ``entries`` holds every (g, mu) up to the caps, and ``rows`` reads
+    them by genus, then degree, then ``partitions_of`` order.
+    """
 
     entries: dict[tuple[int, Partition], Fraction]
     degree_cap: int
@@ -74,15 +78,13 @@ class HurwitzTable:
         return self.entries[(g, tuple(sorted(mu, reverse=True)))]
 
     def rows(self) -> list[tuple[int, Partition, Fraction]]:
-        """Deterministic row order: genus, then degree, then reverse-lex."""
-        degrees = {sum(mu) for _, mu in self.entries}
-        position = {mu: j for n in degrees for j, mu in enumerate(partitions_of(n))}
-
-        def key(item):
-            (g, mu) = item[0]
-            return (g, sum(mu), position[mu])
-
-        return [(g, mu, v) for (g, mu), v in sorted(self.entries.items(), key=key)]
+        """Every entry, by genus, then degree, then reverse-lex."""
+        return [
+            (g, mu, self.entries[(g, mu)])
+            for g in range(self.genus_cap + 1)
+            for n in range(1, self.degree_cap + 1)
+            for mu in partitions_of(n)
+        ]
 
 
 @dataclass(frozen=True)

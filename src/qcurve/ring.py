@@ -30,8 +30,9 @@ case after the zero and identity shortcuts, so a unit costs one copy and
 a binomial one copy and one merge.  The map is never an operand's:
 ``z_closed`` shares numerators across coefficients, which a write into
 an operand would corrupt silently.  ``LaurentPoly.__add__`` keeps its
-own merge loop (as a zero-shift product it cost the route workload
-about 5 %).  ``RatFun.__mul__`` by a unit, one term c * monomial over
+own merge loop: as a zero-shift product it cost about 3 % of the
+annihilate and routes workloads' throughput (three seeds of 10 s each).
+``RatFun.__mul__`` by a unit, one term c * monomial over
 1, keeps the other denominator and skips normalization: a unit adds no
 univariate factor.  ``scale`` and ``mul_term`` delegate to the two.
 
@@ -63,6 +64,9 @@ numerator over 1) and is built as such, with no Fraction and no gcd.
 Products convolve the numerators and multiply the denominators; the gcd
 (primitive pseudo-remainder sequence) and exact division of
 normalization run on the numerators of dense slices, all in Python ints.
+The gcd is one chain: it starts from the denominator's primitive
+numerators, takes in each numerator slice's primitive part, and stops
+once it is a constant.
 A normalization in which nothing cancels and whose denominator is
 already monic returns that denominator object, not a rebuilt copy.
 Fractions appear only at the edges: the public constructor (and so a
@@ -461,17 +465,6 @@ def _dense_divexact(f: list[int], g: list[int]) -> list[int] | None:
     return q
 
 
-def _content_gcd(slices: list[_Slice]) -> list[int]:
-    """gcd (primitive integer form) of the dense slices."""
-    g: list[int] = []
-    for _, _, cs in slices:
-        gi = _int_primitive(cs)
-        g = gi if not g else _dense_gcd_int(g, gi)
-        if len(g) == 1:
-            break
-    return g
-
-
 def _dense_view(den: LaurentPoly) -> tuple[int | None, list[int]]:
     """The symbol index of den (None for a constant) and its ascending
     numerators, for a den in one symbol with lowest exponent 0, as a
@@ -574,14 +567,6 @@ class RatFun:
         r.num = num
         r.den = den
         r._step = step
-        return r
-
-    @staticmethod
-    def _deferred(num: LaurentPoly, den: LaurentPoly) -> RatFun:
-        """num / den, nonzero, normalized when ``num`` or ``den`` is first read."""
-        r = _DeferredRatFun.__new__(_DeferredRatFun)
-        r._pending = (num, den)
-        r._step = None
         return r
 
     @classmethod
@@ -836,7 +821,8 @@ def _sum_of_products(
 def _accumulated(
     products: list[tuple[LaurentPoly, LaurentPoly]], lcm: LaurentPoly
 ) -> RatFun:
-    """sum a * b over the pairs, over lcm: zero, or deferred when nonzero.
+    """sum a * b over the pairs, over lcm: zero, or a ``_DeferredRatFun``
+    normalized when its ``num`` or ``den`` is first read.
 
     Every product is added by ``_sum_of_products`` straight into one int
     map over the lcm of the products' denominators, so an empty map is a
@@ -846,7 +832,12 @@ def _accumulated(
     acc = _sum_of_products(
         [(a.terms, b.terms, den // (a.den * b.den)) for a, b in products]
     )
-    return RatFun._deferred(_lp(acc, den), lcm) if acc else _RF_ZERO
+    if not acc:
+        return _RF_ZERO
+    r = _DeferredRatFun.__new__(_DeferredRatFun)
+    r._pending = (_lp(acc, den), lcm)
+    r._step = None
+    return r
 
 
 def _normalize_ratfun(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
@@ -873,14 +864,16 @@ def _normalize_ratfun(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, 
     den_dense = dense
     if sidx is not None:
         slices = _slices_by_others(num, sidx)
-        content = _content_gcd(slices)
-        if len(content) > 1:
-            g = _dense_gcd_int(content, _int_primitive(dense))
-            if len(g) > 1:
-                num = _divexact_slices(slices, g, sidx, num.den)
-                den_dense = _dense_divexact(dense, g)
-                if den_dense is None:
-                    raise ArithmeticError("gcd does not divide denominator")
+        g = _int_primitive(dense)
+        for _, _, cs in slices:
+            if len(g) == 1:
+                break
+            g = _dense_gcd_int(g, _int_primitive(cs))
+        if len(g) > 1:
+            num = _divexact_slices(slices, g, sidx, num.den)
+            den_dense = _dense_divexact(dense, g)
+            if den_dense is None:
+                raise ArithmeticError("gcd does not divide denominator")
     # one scalar, the leading coefficient, makes the denominator monic
     lead = den_dense[-1]
     if lead != den.den:
@@ -895,8 +888,8 @@ def _normalize_ratfun(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, 
 
 
 class _DeferredRatFun(RatFun):
-    """A nonzero ``RatFun.combine`` whose ``num`` and ``den`` are set when first
-    read.
+    """A nonzero ``RatFun.combine`` total, built by ``_accumulated``, whose
+    ``num`` and ``den`` are set when first read.
 
     Until then it holds the numerator over the lcm in ``_pending``; the
     first read normalizes it once, through ``RatFun.__init__``.

@@ -268,7 +268,7 @@ def principal_schur(nu: Partition) -> RatFun:
     den = LaurentPoly.one()
     minus_one = LaurentPoly.term(-1)
     shift = 0
-    for _, hook, content in hooks_and_contents(nu):
+    for hook, content in hooks_and_contents(nu):
         den = den * (LaurentPoly.symbol("E", 2 * hook) + minus_one)
         shift += hook - content
     return RatFun._raw(LaurentPoly.term((-1) ** sum(nu), E=shift), den)
@@ -301,7 +301,7 @@ def quantum_dimension(mu: Partition) -> RatFun:
     num = den = LaurentPoly.one()
     minus_qh2, minus_one = LaurentPoly.term(-1, Qh=2), LaurentPoly.term(-1)
     shift = 0
-    for _, hook, content in hooks_and_contents(mu):
+    for hook, content in hooks_and_contents(mu):
         num = num * (LaurentPoly.symbol("u", 2 * content) + minus_qh2)
         den = den * (LaurentPoly.symbol("u", 2 * hook) + minus_one)
         shift += hook - content

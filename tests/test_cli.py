@@ -419,6 +419,16 @@ def test_verify_conifold_forward_all_framings(capsys):
     assert all(r["status"] == "annihilated" for r in reports)
 
 
+@pytest.mark.parametrize("command", ["verify-curve", "recurrence"])
+def test_a_repeated_framing_flag_adds_its_values(capsys, command):
+    code, out = run(
+        capsys, command, "--case", "c3", "--framing", "1", "--framing", "2",
+        "--xorder", "2", "--format", "json",
+    )
+    assert code == 0
+    assert [r["framing"] for r in json.loads(out)] == [1, 2]
+
+
 def test_verify_conifold_inverse_fails(capsys):
     code, out = run(
         capsys, "verify-curve", "--case", "conifold", "--framing", "1",

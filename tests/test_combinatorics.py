@@ -11,7 +11,6 @@ import pytest
 
 from qcurve import combinatorics, curves, hurwitz, ring, symfun
 from qcurve.combinatorics import (
-    Cell,
     SizeMismatchError,
     automorphism_count,
     centralizer_order,
@@ -200,20 +199,20 @@ def test_kappa_even_and_antisymmetric():
 # ---------------------------------------------------------------------------
 
 def test_hooks_contents_single_cell():
-    assert hooks_and_contents((1,)) == [(Cell(1, 1), 1, 0)]
+    assert hooks_and_contents((1,)) == [(1, 0)]
 
 
 def test_hooks_contents_staircase():
     data = hooks_and_contents((2, 1))
-    assert [h for _, h, _ in data] == [3, 1, 1]
-    assert [c for _, _, c in data] == [0, 1, -1]
+    assert [h for h, _ in data] == [3, 1, 1]
+    assert [c for _, c in data] == [0, 1, -1]
 
 
 def test_hooks_contents_single_row():
     for n in range(1, 7):
         data = hooks_and_contents((n,))
-        assert [h for _, h, _ in data] == list(range(n, 0, -1))
-        assert [c for _, _, c in data] == list(range(n))
+        assert [h for h, _ in data] == list(range(n, 0, -1))
+        assert [c for _, c in data] == list(range(n))
 
 
 @cache
@@ -386,7 +385,7 @@ def test_strip_lengths_are_the_hook_lengths():
         for nu in partitions_of(n):
             strips = _border_strips(_beta_mask(nu))
             lengths = Counter({t: len(found) for t, found in strips.items()})
-            assert lengths == Counter(h for _, h, _ in hooks_and_contents(nu)), nu
+            assert lengths == Counter(h for h, _ in hooks_and_contents(nu)), nu
 
 
 def test_strips_equal_the_reference_removals():

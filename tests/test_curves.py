@@ -301,48 +301,56 @@ def test_c3_zero_framing_operator():
 def test_identity_operator_preserves_series():
     op = (QOpTerm(ONE, 0, Dilation("E", 0)),)
     z = z_closed(framed_c3(0), 5)
-    assert apply_operator(op, z, 5) == z
+    assert apply_operator(op, z) == z
 
 
 def test_x_multiplication_shifts():
     op = (QOpTerm(ONE, 1, Dilation("E", 0)),)
     z = z_closed(lambert(), 4)
-    shifted = apply_operator(op, z, 4)
+    shifted = apply_operator(op, z)
     assert shifted.coeff(0).is_zero()
     for n in range(1, 5):
         assert shifted.coeff(n) == z.coeff(n - 1)
 
 
-def random_series(rng, order):
-    coeffs = []
-    for _ in range(order + 1):
-        c = RatFun.term(
+def random_coefficients(rng, count):
+    """count random one-term coefficients, in order of x-degree."""
+    return [
+        LaurentPoly.term(
             Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
             u=rng.randint(-2, 2),
             Qh=rng.randint(0, 2),
         )
-        coeffs.append(c)
-    return XSeries(order, coeffs)
+        for _ in range(count)
+    ]
+
+
+def _acted(action, cs):
+    """The action on each x^n coefficient of a plain coefficient list."""
+    return [action.apply(n, c) for n, c in enumerate(cs)]
+
+
+def _times_x(cs):
+    """x times the series, truncated at the same order."""
+    return [LaurentPoly.zero(), *cs[:-1]]
 
 
 def test_dilation_definition():
     rng = random.Random(8)
-    s = random_series(rng, 5)
-    dil = s.map_coeffs(Dilation("u", 2).apply)
+    cs = random_coefficients(rng, 6)
+    dil = _acted(Dilation("u", 2), cs)
     for n in range(6):
-        assert dil.coeff(n) == s.coeff(n).mul_term(1, u=2 * n)
+        assert dil[n] == cs[n].mul_term(1, u=2 * n)
 
 
 def test_dilation_x_commutation():
     # y^ x^ = s * x^ y^ for a dilation y^ with symbol value s = u^2
     rng = random.Random(17)
+    dil = Dilation("u", 2)
     for _ in range(5):
-        f = random_series(rng, 6)
-        dil = Dilation("u", 2)
-        via_yx = f.shift(1).map_coeffs(dil.apply)
-        via_xy = f.map_coeffs(dil.apply).shift(1).map_coeffs(
-            lambda _, c: c.mul_term(1, u=2)
-        )
+        f = random_coefficients(rng, 7)
+        via_yx = _acted(dil, _times_x(f))
+        via_xy = [c.mul_term(1, u=2) for c in _times_x(_acted(dil, f))]
         assert via_yx == via_xy
 
 
@@ -351,7 +359,7 @@ def test_operator_with_large_xpow_refused():
     for xpow in (2, -1):  # x^-1 would read past the series
         bad = (QOpTerm(ONE, xpow, Dilation("E", 0)),)
         with pytest.raises(ValueError):
-            apply_operator(bad, z, 3)
+            apply_operator(bad, z)
 
 
 def _act(action, m, v):
@@ -361,11 +369,11 @@ def _act(action, m, v):
     return v.mul_term(1, **{action.symbol: action.step * m})
 
 
-def _apply_by_whole_series(op, series, order):
+def _apply_by_whole_series(op, series):
     """Reference on plain coefficient lists: one pass over the series per
     operator term (act on each coefficient, multiply by the term's
     coefficient, shift by x^xpow, add), one pairwise sum per product."""
-    z = series.coeffs[: order + 1]
+    z, order = series.coeffs, series.order
     acc = [RatFun.zero()] * (order + 1)
     for term in op:
         c = RatFun(term.coeff)
@@ -383,9 +391,8 @@ def _apply_by_whole_series(op, series, order):
 )
 def test_operator_matches_whole_series_reference(case, direction):
     op = curve_operator(case, direction)
-    # a series longer than the requested order is cut to it
-    z = z_closed(case, 9)
-    assert apply_operator(op, z, 8) == _apply_by_whole_series(op, z, 8)
+    z = z_closed(case, 8)
+    assert apply_operator(op, z) == _apply_by_whole_series(op, z)
 
 
 def test_operator_on_its_partition_function_runs_no_gcd(monkeypatch):
@@ -397,7 +404,7 @@ def test_operator_on_its_partition_function_runs_no_gcd(monkeypatch):
         ring, "_dense_gcd_int", lambda f, g: calls.append(1) or gcd_int(f, g)
     )
     for op, z in pairs:
-        assert all(c.is_zero() for c in apply_operator(op, z, 14).coeffs)
+        assert all(c.is_zero() for c in apply_operator(op, z).coeffs)
     # every degree sums to zero over its common denominator
     assert calls == []
 
@@ -418,7 +425,7 @@ def test_operator_builds_no_multiple_of_a_series_coefficient(monkeypatch):
     for op, z in pairs:
         series = {id(c) for c in z.coeffs} | {id(c.num) for c in z.coeffs}
         operands.clear()
-        assert all(c.is_zero() for c in apply_operator(op, z, 12).coeffs)
+        assert all(c.is_zero() for c in apply_operator(op, z).coeffs)
         # each z_m enters its degree's numerator once, uncopied
         assert operands and not any(id(x) in series for x in operands)
 
@@ -426,7 +433,7 @@ def test_operator_builds_no_multiple_of_a_series_coefficient(monkeypatch):
 @pytest.mark.parametrize("case", [conifold(1), framed_c3(1), framed_c3(-2), conifold(-3)])
 def test_a_corrupted_cofactor_fails_annihilation_and_evaluation(monkeypatch, request, case):
     op, z = curve_operator(case), z_closed(case, 6)
-    eager = _apply_by_whole_series(op, z, 6)
+    eager = _apply_by_whole_series(op, z)
     # +1 on each cofactor read from a step
     step_lcm = ring._step_lcm
 
@@ -445,7 +452,7 @@ def test_a_corrupted_cofactor_fails_annihilation_and_evaluation(monkeypatch, req
     assert report.status == "failed" and report.first_failure[0] == 1
     assert recurrence_check(case, 6).first_failure == 0
     point = ORACLE_POINTS[0]
-    got = apply_operator(op, z, 6).coeffs[1]
+    got = apply_operator(op, z).coeffs[1]
     assert _value(got, point) != _value(eager.coeffs[1], point) == 0
 
 
@@ -488,8 +495,8 @@ def _unstepped(z):
 )
 def test_the_binomial_lcm_and_the_dense_lcm_give_one_verdict(monkeypatch, case, direction):
     op, z = curve_operator(case, direction), z_closed(case, 14)
-    stepped = apply_operator(op, z, 14)
-    dense = apply_operator(op, _unstepped(z), 14)
+    stepped = apply_operator(op, z)
+    dense = apply_operator(op, _unstepped(z))
     assert [c.is_zero() for c in stepped.coeffs] == [c.is_zero() for c in dense.coeffs]
     if direction == "inverse":
         assert str(stepped.coeffs[1]) == str(dense.coeffs[1])
@@ -652,7 +659,7 @@ def _annihilation_normalizing_every_degree(case, order, y_direction):
     """(degrees_ok, first_failure) with each degree normalized before its
     zero test: the eager reading of ``verify_annihilation``."""
     op = curve_operator(case, y_direction)
-    result = apply_operator(op, z_closed(case, order), order)
+    result = apply_operator(op, z_closed(case, order))
     coeffs = [RatFun(c.num, c.den) for c in result.coeffs]
     degrees = tuple(not c.num.terms for c in coeffs)
     first = next(((n, str(c)) for n, c in enumerate(coeffs) if c.num.terms), None)
@@ -691,8 +698,8 @@ def test_non_unit_coefficients_match_whole_series_reference():
         QOpTerm(LaurentPoly.term(2, u=-1), 1, Dilation("u", 4)),
     )
     z = z_closed(conifold(1), 8)
-    result = apply_operator(op, z, 8)
-    assert result == _apply_by_whole_series(op, z, 8)
+    result = apply_operator(op, z)
+    assert result == _apply_by_whole_series(op, z)
     assert not all(c.is_zero() for c in result.coeffs)
 
 

@@ -304,6 +304,59 @@ def test_gcd_laurent_inputs():
 
 
 # ---------------------------------------------------------------------------
+# normalization: one gcd chain, from the denominator through each slice
+# ---------------------------------------------------------------------------
+
+def _qh_slices(*slices):
+    """sum_k Qh^k * slices[k] for ascending int lists in u, its terms
+    stored slice by slice, so that normalization reads slices[0] first."""
+    return LaurentPoly({
+        (0, k, 0, e): Fraction(c)
+        for k, cs in enumerate(slices) for e, c in enumerate(cs) if c
+    })
+
+
+def _assert_canonical(r):
+    """The denominator is monic in u with no negative exponent and a
+    nonzero constant term, and no factor of it divides every numerator
+    slice in u, by the plain-Fraction Euclid oracle."""
+    assert {i for m in r.den.terms for i, e in enumerate(m) if e} <= {3}
+    assert min(m[3] for m in r.den.terms) == 0
+    den = [Fraction(r.den.terms.get((0, 0, 0, e), 0), r.den.den)
+           for e in range(max(m[3] for m in r.den.terms) + 1)]
+    assert den[-1] == 1
+    g, slices = den, {}
+    for (e, qh, lam, k), c in r.num.terms.items():
+        slices.setdefault((e, qh, lam), {})[k] = c
+    for exps in slices.values():
+        lo, hi = min(exps), max(exps)
+        g = _euclid_fraction_oracle(g, [Fraction(exps.get(k, 0)) for k in range(lo, hi + 1)])
+    assert g == [1]
+
+
+@pytest.mark.parametrize("slices, den, gcds, degree", [
+    # the slices share 1 + u, which the denominator (1 - u)(1 + u^2) lacks;
+    # each slice shares another factor with it
+    (([1, 0, -1], [1, 1, 1, 1]), [1, -1, 1, -1], 2, 3),
+    # the denominator (1 - u)(1 + u) shares 1 - u with the first slice alone
+    (([1, -1], [1, 0, 1]), [1, 0, -1], 2, 2),
+    # the first slice, 1 + u^2, is coprime to the denominator: one gcd
+    (([1, 0, 1], [1, -1]), [1, 0, -1], 1, 2),
+    # every slice and the denominator share 1 + u, which cancels
+    (([2, 3, 1], [3, 3]), [1, 1, 0, -1, -1], 2, 3),
+])
+def test_the_gcd_chain_starts_at_the_denominator(slices, den, gcds, degree):
+    num, den = _qh_slices(*slices), _qh_slices(den)
+    with _counting("_dense_gcd_int") as calls:
+        got = RatFun(num, den)
+    assert len(calls) == gcds
+    _assert_canonical(got)
+    assert max(m[3] for m in got.den.terms) == degree
+    parts = [RatFun(_qh_slices(*[[]] * k, cs), den) for k, cs in enumerate(slices)]
+    assert got == _over_product(parts)
+
+
+# ---------------------------------------------------------------------------
 # integer division kernel
 # ---------------------------------------------------------------------------
 

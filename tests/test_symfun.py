@@ -227,7 +227,7 @@ def test_quantum_dimension_matches_conifold_specialization():
 def per_cell_quantum_dimension(mu):
     """The hook-content product folded one normalizing RatFun per cell."""
     acc = RatFun.one()
-    for _, hook, content in hooks_and_contents(mu):
+    for hook, content in hooks_and_contents(mu):
         num = LaurentPoly.term(1, Qh=-1, u=content) - LaurentPoly.term(1, Qh=1, u=-content)
         acc = acc * RatFun(num, u(hook) - u(-hook))
     return acc
@@ -237,7 +237,7 @@ def per_cell_principal_schur(mu):
     """The hook-content product E^(h-c)/(1 - E^(2h)) folded one
     normalizing RatFun per cell."""
     acc = RatFun.one()
-    for _, hook, content in hooks_and_contents(mu):
+    for hook, content in hooks_and_contents(mu):
         e = LaurentPoly.symbol("E", 2 * hook)
         acc = acc * RatFun(LaurentPoly.term(1, E=hook - content), ONE - e)
     return acc
@@ -303,8 +303,8 @@ def test_quantum_dimension_is_canonical_as_built():
 
 def _hook_off_by_one(mu):
     """hooks_and_contents with the first cell's hook one too large."""
-    (cell, hook, content), *rest = hooks_and_contents(mu)
-    return [(cell, hook + 1, content), *rest]
+    (hook, content), *rest = hooks_and_contents(mu)
+    return [(hook + 1, content), *rest]
 
 
 def test_a_wrong_hook_is_caught(monkeypatch):
