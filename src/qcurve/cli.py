@@ -2,14 +2,15 @@
 
 Subcommands: partitions, hurwitz, zclosed, verify-curve, recurrence,
 cutjoin-check, selftest.  Exit codes: 0 success, 1 a verification
-reported failure, 2 usage error.  All mathematical output is
-deterministic (exact rationals as "p/q" strings, fixed orderings); the
-only non-reproducible field is the ``millis`` timing in verification
-reports.  Each verification report renders itself (``to_json`` and
-``text``); ``_report`` writes either and picks the exit code.  Tables
-are written line by line: JSON is streamed, CSV goes through
-``csv.DictWriter`` and a text table takes its widths from one pass over
-the rows.
+reported failure, 2 usage error, 141 (the shell's 128 + SIGPIPE) when
+the reader closes stdout before the output ends, as ``| head`` does.
+All mathematical output is deterministic (exact rationals as "p/q"
+strings, fixed orderings); the only non-reproducible field is the
+``millis`` timing in verification reports.  Each verification report
+renders itself (``to_json`` and ``text``); ``_report`` writes either and
+picks the exit code.  Tables are written line by line: JSON is
+streamed, CSV goes through ``csv.DictWriter`` and a text table takes its
+widths from one pass over the rows.
 
 Every bounded int argument is declared once, by ``_size``, which records
 its lower bound and cap for ``_validate``.  A value beyond a cap is a
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from contextlib import nullcontext
 from pathlib import Path
@@ -202,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: -3..3 for c3/conifold)")}
     for name, fn, summary, xorder, lo, framing in (
         ("zclosed", cmd_zclosed, "closed-form partition function coefficients", 8, 0,
-         {"default": 0, "help": f"at most {FRAMING_MAX} in absolute value"}),
+         {"action": "append", "default": [],
+          "help": f"at most {FRAMING_MAX} in absolute value"}),
         ("verify-curve", cmd_verify_curve, "check operator * Z == 0 exactly", 12, 0,
          framings),
         ("recurrence", cmd_recurrence, "check the coefficient recurrences", 12, 1,
@@ -248,7 +251,11 @@ def _validate(args) -> None:
             parser.error(f"--out {args.out}: directory {out.parent} does not exist")
     if getattr(args, "golden_dir", None) and not Path(args.golden_dir).is_dir():
         parser.error(f"--golden-dir {args.golden_dir} is not a directory")
-    # zclosed's single --framing defaults to 0, which is no framing
+    # zclosed takes one --framing, which defaults to 0, no framing
+    if args.fn is cmd_zclosed:
+        if len(args.framing) > 1:
+            parser.error("--framing may be given only once")
+        args.framing = args.framing[0] if args.framing else 0
     if getattr(args, "case", None) == "lambert" and args.framing:
         parser.error("the lambert case has no framing parameter")
     if getattr(args, "y_direction", None) == "inverse" and args.case != "conifold":
@@ -274,7 +281,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def main_entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: what is left goes to the null device,
+        # so the exit flush cannot fail, and the exit is the shell's SIGPIPE one
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -6,7 +6,11 @@ and the symfun shapes reject any other tuple through one check,
 ``_shape``.  Centralizer orders and automorphism counts are read off the
 runs of equal parts, and dimensions multiply hook lengths taken from the
 conjugate; ``hooks_and_contents`` gives each cell's (hook, content) pair,
-row-major, for the hook-content products of ``symfun``.
+row-major, for the hook-content products of ``symfun``.  The two moves
+on power-sum monomials that ``symfun`` and ``hurwitz`` share live here:
+``_sorted_merge`` (the partition of a product p_mu * p_nu) and
+``_cut_join_moves`` (the weighted partitions the cut-and-join operator
+sends p_mu to).
 
 Characters come as whole tables: ``character_table(n)`` builds every
 row of S_n in one integer pass of the Murnaghan-Nakayama border-strip
@@ -25,6 +29,8 @@ the Hurwitz series and the character selftest suite read whole rows;
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from fractions import Fraction
 from functools import cache
 from itertools import repeat
 from math import factorial, prod
@@ -108,6 +114,35 @@ def centralizer_order(mu: Partition) -> int:
 def kappa(mu: Partition) -> int:
     """kappa_mu = sum_i mu_i * (mu_i - 2i + 1); always even."""
     return sum(p * (p - 2 * i + 1) for i, p in enumerate(_shape(mu), start=1))
+
+
+def _sorted_merge(mu: Partition, nu: Partition) -> Partition:
+    return tuple(sorted(mu + nu, reverse=True))
+
+
+def _cut_join_moves(mu: Partition) -> Iterator[tuple[Partition, Fraction]]:
+    """The (partition, weight) moves of the cut-and-join operator on p_mu."""
+    parts = list(mu)
+    mult = {a: parts.count(a) for a in set(parts)}
+    distinct = sorted(mult)
+    for ai, a in enumerate(distinct):
+        for b in distinct[ai:]:
+            if a != b:
+                weight = Fraction(a * b * mult[a] * mult[b])
+            elif mult[a] > 1:
+                weight = Fraction(a * a * mult[a] * (mult[a] - 1), 2)
+            else:
+                continue
+            rest = parts.copy()
+            rest.remove(a)
+            rest.remove(b)
+            yield tuple(sorted(rest + [a + b], reverse=True)), weight
+    for k in distinct:
+        base = parts.copy()
+        base.remove(k)
+        weight = Fraction(k * mult[k], 2)
+        for i in range(1, k):
+            yield tuple(sorted(base + [i, k - i], reverse=True)), weight
 
 
 def conjugate(mu: Partition) -> Partition:

@@ -18,13 +18,17 @@ is the short Laurent polynomial
 
 built from the rows of ``character_table(n)`` with equal kappa merged;
 no lam order is chosen and nothing is truncated.  It lies in Q[E^+-1]
-with no denominator in E, so it is held as a map {e: int} over one
-reduced int denominator, and the graded log is computed on those maps
-(the recursion of ``symfun.graded_log``, every product landing on one
-partition added into one int map).  Its coefficients are sums
-sum_e c_e E^e as well, since E -> e^(lam/2) is a ring map and the log
-uses only ring operations.  Reading E^e = sum_b (e/2)^b lam^b / b!
-gives every genus from that one log:
+with no denominator in E, so it is held as a map {e: int} over the
+denominator z_mu * n! that its partition implies, which is never
+stored.  The graded log is computed on those maps (the recursion of
+``symfun.graded_log``) and its p_mu coefficients are held over the
+same z_mu * n!: a product of coefficients on alpha and beta
+(|alpha| = k, mu = alpha + beta) is over z_alpha k! z_beta (n-k)!,
+which divides z_mu n!, so each product is scaled by the quotient
+straight into mu's one int map; no gcd or lcm is taken.  Its
+coefficients are sums sum_e c_e E^e as well, since E -> e^(lam/2) is a
+ring map and the log uses only ring operations.  Reading
+E^e = sum_b (e/2)^b lam^b / b! gives every genus from that one log:
 
   H_{g,mu} = b! * [lam^b p_mu] log = sum_e c_e * (e/2)^b,
 
@@ -36,18 +40,21 @@ at once; the check runs on the maps of ``burnside_series``, and a ring
 value is built only to print a mismatch.  Three closed forms share no
 code with the series: ``elsv_genus0`` (genus 0, at least three parts),
 ``hurwitz_genus1`` (genus 1, every mu) and ``hurwitz_one_part``
-(mu = (d), every genus).
+(mu = (d), every genus); the first two take their common factor
+prod_i mu_i^mu_i / mu_i! / |Aut(mu)| from ``_elsv_prefactor``.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, prod
 from operator import mul
 
 from .combinatorics import (
     Partition,
+    _cut_join_moves,
+    _sorted_merge,
     automorphism_count,
     centralizer_order,
     character_table,
@@ -55,7 +62,6 @@ from .combinatorics import (
     partitions_of,
 )
 from .ring import LaurentPoly
-from .symfun import _cut_join_moves, _sorted_merge
 
 
 class LengthTooSmallError(ValueError):
@@ -75,7 +81,7 @@ class HurwitzTable:
     genus_cap: int
 
     def value(self, g: int, mu: Partition) -> Fraction:
-        return self.entries[(g, tuple(sorted(mu, reverse=True)))]
+        return self.entries[(g, _parts(mu))]
 
     def rows(self) -> list[tuple[int, Partition, Fraction]]:
         """Every entry, by genus, then degree, then reverse-lex."""
@@ -106,19 +112,13 @@ class CutJoinReport:
         return f"cut-and-join through degree {self.degree_cap}, every lam order: {status}"
 
 
-# A coefficient sum_e c_e E^e / den: ({e: c_e}, den), the c_e nonzero ints
-# and gcd(den, c_e...) == 1.  One degree of a series maps each partition
-# to its coefficient; zero coefficients are left out.
-_EPoly = tuple[dict[int, int], int]
+# One degree n of a series maps each partition mu to its coefficient
+# sum_e c_e E^e / (z_mu * n!), held as {e: c_e} with the c_e nonzero
+# ints; zero coefficients are left out.
+_Degree = dict[Partition, dict[int, int]]
 
 
-def _reduced(num: dict[int, int], den: int) -> _EPoly:
-    num = {e: c for e, c in num.items() if c}
-    g = gcd(den, *num.values())
-    return {e: c // g for e, c in num.items()}, den // g
-
-
-def burnside_series(degree_cap: int) -> list[dict[Partition, _EPoly]]:
+def burnside_series(degree_cap: int) -> list[_Degree]:
     """The Schur-side series, one map per degree, every coefficient exact in E.
 
     One pass per degree n over the rows of ``character_table(n)``, the
@@ -128,7 +128,7 @@ def burnside_series(degree_cap: int) -> list[dict[Partition, _EPoly]]:
     """
     if degree_cap < 0:
         raise ValueError("degree cap must be >= 0")
-    comps = [{(): ({0: 1}, 1)}]
+    comps = [{(): {0: 1}}]
     for n in range(1, degree_cap + 1):
         rows = character_table(n).rows
         shapes = [(row[-1], kappa(nu), row) for nu, row in rows.items()]
@@ -138,50 +138,42 @@ def burnside_series(degree_cap: int) -> list[dict[Partition, _EPoly]]:
             for dim, kap, row in shapes:
                 if row[j]:
                     weights[kap] = weights.get(kap, 0) + dim * row[j]
-            num, den = _reduced(weights, centralizer_order(mu) * factorial(n))
-            if num:
-                comp[mu] = (num, den)
+            if weights := {e: c for e, c in weights.items() if c}:
+                comp[mu] = weights
         comps.append(comp)
     return comps
 
 
-def _graded_dlog(comps: list[dict[Partition, _EPoly]]) -> list[dict[Partition, _EPoly]]:
+def _graded_dlog(comps: list[_Degree]) -> list[_Degree]:
     """dlogs[n] = n * L_n, the degree-n part of log F times n.
 
     The recursion of ``symfun.graded_log``,
 
       n L_n = n F_n - sum_{0<k<n} k L_k * F_{n-k},
 
-    one merged partition at a time: every product that lands on it is
-    added into one int map over the lcm of their denominators, which is
-    reduced once.
+    on maps over the implied denominators: a product of the maps of
+    alpha and beta is scaled by z_mu n! / (z_alpha k! z_beta (n-k)!)
+    and added into the one map of mu = alpha + beta.
     """
-    dlogs: list[dict[Partition, _EPoly]] = [{}]
+    dens = {mu: centralizer_order(mu) * factorial(n)
+            for n in range(len(comps)) for mu in partitions_of(n)}
+    dlogs: list[_Degree] = [{}]
     for n in range(1, len(comps)):
-        # merged partition -> its (factor, factor, sign) products; n F_n
-        # is F_n times the constant n
-        products: dict[Partition, list] = {
-            mu: [(c, ({0: n}, 1), 1)] for mu, c in comps[n].items()
-        }
+        # n F_n is F_n times the constant n
+        dlog = {mu: {e: n * c for e, c in f.items()} for mu, f in comps[n].items()}
         for k in range(1, n):
             for alpha, a in dlogs[k].items():
                 for beta, b in comps[n - k].items():
-                    products.setdefault(_sorted_merge(alpha, beta), []).append((a, b, -1))
-        dlog = {}
-        for mu, terms in products.items():
-            den = lcm(*(aden * bden for (_, aden), (_, bden), _ in terms))
-            total: dict[int, int] = {}
-            get = total.get
-            for (anum, aden), (bnum, bden), sign in terms:
-                scale = sign * (den // (aden * bden))
-                bitems = [(eb, scale * cb) for eb, cb in bnum.items()]
-                for ea, ca in anum.items():
-                    for eb, cb in bitems:
-                        total[ea + eb] = get(ea + eb, 0) + ca * cb
-            num, den = _reduced(total, den)
-            if num:
-                dlog[mu] = (num, den)
-        dlogs.append(dlog)
+                    mu = _sorted_merge(alpha, beta)
+                    scale = -(dens[mu] // (dens[alpha] * dens[beta]))
+                    bitems = [(eb, scale * cb) for eb, cb in b.items()]
+                    total = dlog.setdefault(mu, {})
+                    get = total.get
+                    for ea, ca in a.items():
+                        for eb, cb in bitems:
+                            total[ea + eb] = get(ea + eb, 0) + ca * cb
+        # no p_mu coefficient of the log vanishes, as H_{0,mu} > 0
+        dlogs.append({mu: {e: c for e, c in t.items() if c} for mu, t in dlog.items()})
     return dlogs
 
 
@@ -203,8 +195,8 @@ def hurwitz_table(degree_cap: int, genus_cap: int) -> HurwitzTable:
     """Extract H_{g,mu} for 1 <= |mu| <= degree_cap, 0 <= g <= genus_cap.
 
     One graded log of the exact series; each entry is the integer sum
-    H_{g,mu} = sum_e c_e * e^b / (den * n * 2^b) over the E^e terms of
-    the p_mu coefficient of n * L_n, with n = |mu| and
+    H_{g,mu} = sum_e c_e * e^b / (z_mu * n! * n * 2^b) over the E^e
+    terms of the p_mu coefficient of n * L_n, with n = |mu| and
     b = 2g - 2 + l + n >= 0.
     """
     if genus_cap < 0:
@@ -213,10 +205,9 @@ def hurwitz_table(degree_cap: int, genus_cap: int) -> HurwitzTable:
     entries: dict[tuple[int, Partition], Fraction] = {}
     for n in range(1, degree_cap + 1):
         for mu in partitions_of(n):
-            num, den = dlogs[n].get(mu, ({}, 1))
-            b = len(mu) + n - 2
-            for g, m in enumerate(_moments(num, b, genus_cap + 1)):
-                entries[(g, mu)] = Fraction(m, den * n * 2 ** (b + 2 * g))
+            den, b = centralizer_order(mu) * factorial(n) * n, len(mu) + n - 2
+            for g, m in enumerate(_moments(dlogs[n].get(mu, {}), b, genus_cap + 1)):
+                entries[(g, mu)] = Fraction(m, den * 2 ** (b + 2 * g))
     return HurwitzTable(entries, degree_cap, genus_cap)
 
 
@@ -226,6 +217,12 @@ def _parts(mu: Partition) -> Partition:
         raise ValueError(f"every part of mu must be >= 1, got {mu}")
     # the closed forms are symmetric; automorphism_count reads runs of parts
     return tuple(sorted(mu, reverse=True))
+
+
+def _elsv_prefactor(mu: Partition) -> Fraction:
+    """prod_i mu_i^mu_i / mu_i! / |Aut(mu)|, shared by the closed forms."""
+    return Fraction(prod(p**p for p in mu),
+                    automorphism_count(mu) * prod(map(factorial, mu)))
 
 
 def elsv_genus0(mu: Partition) -> Fraction:
@@ -243,10 +240,7 @@ def elsv_genus0(mu: Partition) -> Fraction:
             f"closed form requires l(mu) >= 3, got {len(mu)}"
         )
     b = sum(mu) + len(mu) - 2
-    acc = Fraction(factorial(b), automorphism_count(mu))
-    for p in mu:
-        acc *= Fraction(p**p, factorial(p))
-    return acc * Fraction(sum(mu)) ** (len(mu) - 3)
+    return factorial(b) * _elsv_prefactor(mu) * sum(mu) ** (len(mu) - 3)
 
 
 def hurwitz_genus1(mu: Partition) -> Fraction:
@@ -270,10 +264,7 @@ def hurwitz_genus1(mu: Partition) -> Fraction:
     bracket = d**n - d ** (n - 1) - sum(
         factorial(k - 2) * d ** (n - k) * elementary[k] for k in range(2, n + 1)
     )
-    acc = Fraction(factorial(d + n) * bracket, 24 * automorphism_count(mu))
-    for p in mu:
-        acc *= Fraction(p**p, factorial(p))
-    return acc
+    return Fraction(factorial(d + n) * bracket, 24) * _elsv_prefactor(mu)
 
 
 def hurwitz_one_part(g: int, d: int) -> Fraction:
@@ -295,14 +286,14 @@ def hurwitz_one_part(g: int, d: int) -> Fraction:
     return factorial(2 * g - 1 + d) * Fraction(d) ** (d - 2) / factorial(d) * power[g]
 
 
-def compare_cut_and_join(series: list[dict[Partition, _EPoly]]) -> CutJoinReport:
+def compare_cut_and_join(series: list[_Degree]) -> CutJoinReport:
     """Check d/dlam F == K F exactly in E on the maps of ``burnside_series``.
 
     With E = e^(lam/2), d/dlam = (E/2) d/dE takes c E^e to c e/2 E^e, and
     each move (mu, w) of ``_cut_join_moves(nu)`` adds w times the p_nu
-    coefficient into mu's map.  Degree n is held over D = 2 * lcm of its
-    denominators, so every term is an int: w has denominator 1 or 2, and
-    D / den is even.
+    coefficient into mu's map.  Degree n is held over 2 * (n!)^2, so
+    every term is an int: nu's map, over z_nu * n!, is multiplied by its
+    class size n! / z_nu, and 2w is an int.
     The two sides are compared partition by partition, by degree and then
     in reverse-lex order; the first mismatch is reported as (mu, lhs, rhs).
     ``coefficients_checked`` counts the E terms of the left side, an empty
@@ -310,19 +301,18 @@ def compare_cut_and_join(series: list[dict[Partition, _EPoly]]) -> CutJoinReport
     """
     cap, checked = len(series) - 1, 0
     for n, comp in enumerate(series):
-        big = 2 * lcm(*(den for _, den in comp.values()))
         lhs, rhs = {}, {}
-        for nu, (num, den) in comp.items():
-            scale = big // den
-            lhs[nu] = {e: c * e * scale // 2 for e, c in num.items() if e}
+        for nu, num in comp.items():
+            size = factorial(n) // centralizer_order(nu)
+            lhs[nu] = {e: c * e * size for e, c in num.items() if e}
             for mu, w in _cut_join_moves(nu):
-                factor, total = int(w * scale), rhs.setdefault(mu, {})
+                factor, total = int(2 * w) * size, rhs.setdefault(mu, {})
                 for e, c in num.items():
                     total[e] = total.get(e, 0) + factor * c
         for mu in partitions_of(n):
             a, b = lhs.get(mu, {}), {e: c for e, c in rhs.get(mu, {}).items() if c}
             if a != b:
-                texts = [str(LaurentPoly({(e, 0, 0, 0): Fraction(c, big)
+                texts = [str(LaurentPoly({(e, 0, 0, 0): Fraction(c, 2 * factorial(n) ** 2)
                                           for e, c in m.items()})) for m in (a, b)]
                 return CutJoinReport(cap, False, checked, (mu, *texts))
             checked += len(a) or 1

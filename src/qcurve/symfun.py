@@ -31,14 +31,16 @@ equal after sorting are added; ``coeff`` sorts its argument the same way.
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import cache
 from itertools import chain
 
 from .combinatorics import (
     Partition,
+    _cut_join_moves,
     _shape,
+    _sorted_merge,
     centralizer_order,
     character,
     character_table,
@@ -59,10 +61,6 @@ class BadConstantTermError(ValueError):
 class Specialization(enum.Enum):
     PRINCIPAL = "principal"
     CONIFOLD_Y = "conifold-y"
-
-
-def _sorted_merge(mu: Partition, nu: Partition) -> Partition:
-    return tuple(sorted(mu + nu, reverse=True))
 
 
 class SymFunc:
@@ -190,31 +188,6 @@ def powersum_from_schurs(nu: Partition, cap: int) -> SymFunc:
         for mu in partitions_of(sum(nu))
         if (chi := character(mu, nu))
     ))
-
-
-def _cut_join_moves(mu: Partition) -> Iterator[tuple[Partition, Fraction]]:
-    """The (partition, weight) moves of the cut-and-join operator on p_mu."""
-    parts = list(mu)
-    mult = {a: parts.count(a) for a in set(parts)}
-    distinct = sorted(mult)
-    for ai, a in enumerate(distinct):
-        for b in distinct[ai:]:
-            if a != b:
-                weight = Fraction(a * b * mult[a] * mult[b])
-            elif mult[a] > 1:
-                weight = Fraction(a * a * mult[a] * (mult[a] - 1), 2)
-            else:
-                continue
-            rest = parts.copy()
-            rest.remove(a)
-            rest.remove(b)
-            yield tuple(sorted(rest + [a + b], reverse=True)), weight
-    for k in distinct:
-        base = parts.copy()
-        base.remove(k)
-        weight = Fraction(k * mult[k], 2)
-        for i in range(1, k):
-            yield tuple(sorted(base + [i, k - i], reverse=True)), weight
 
 
 def cut_and_join(f: SymFunc) -> SymFunc:

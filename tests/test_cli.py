@@ -429,6 +429,21 @@ def test_a_repeated_framing_flag_adds_its_values(capsys, command):
     assert [r["framing"] for r in json.loads(out)] == [1, 2]
 
 
+def test_zclosed_refuses_a_second_framing(capsys):
+    # zclosed builds one series, so a second value is not silently kept
+    for extra in (["--framing", "2"], ["--framing=1"], ["--fram", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["zclosed", "--case", "c3", "--framing", "1", *extra])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: qcurve zclosed ")
+        assert "zclosed: error: --framing may be given only once" in err
+    for argv, framing in ((["--framing", "-2"], -2), ([], 0)):
+        code, out = run(capsys, "zclosed", "--case", "conifold", *argv, "--xorder", "1",
+                        "--format", "json")
+        assert (code, json.loads(out)["framing"]) == (0, framing)
+
+
 def test_verify_conifold_inverse_fails(capsys):
     code, out = run(
         capsys, "verify-curve", "--case", "conifold", "--framing", "1",
@@ -826,12 +841,15 @@ def test_unwritable_out_exits_2_before_work(capsys, tmp_path, monkeypatch, argv,
 # python -m qcurve
 # ---------------------------------------------------------------------------
 
-def _python(*args, **env):
+def _env(**env):
     src = str(Path(qcurve.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **env)
+
+
+def _python(*args, **env):
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=path, **env),
+        [sys.executable, *args], capture_output=True, text=True, env=_env(**env),
     )
 
 
@@ -839,6 +857,33 @@ def test_fault_injected_selftest_process_is_pinned():
     proc = _python("-m", "qcurve", "selftest", "--json", QCURVE_FAULT_INJECT="1")
     assert (proc.returncode, proc.stderr) == (1, "")
     assert _mask_millis(proc.stdout) == _json(_selftest_json(True))
+
+
+def test_a_reader_that_closes_stdout_early_gets_the_sigpipe_exit():
+    # about 190 kB of JSON, more than a pipe holds, so the process is
+    # still writing when the reader stops after one line, as `| head -1`
+    argv = ["zclosed", "--case", "conifold", "--framing", "1", "--xorder", "12",
+            "--format", "json"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "qcurve", *argv], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, env=_env(),
+    ) as proc:
+        assert proc.stdout.readline() == "{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        # 128 + SIGPIPE, as the shell reports a process the signal ended,
+        # and no traceback
+        assert (proc.wait(timeout=60), err) == (141, "")
+    # a short output is still in the buffer when the command returns: a
+    # pipe whose reader is gone before the process starts fails its flush
+    read, write = os.pipe()
+    os.close(read)
+    with os.fdopen(write, "wb") as closed:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qcurve", "partitions", "3"], stdout=closed,
+            stderr=subprocess.PIPE, text=True, env=_env(), timeout=60,
+        )
+    assert (proc.returncode, proc.stderr) == (141, "")
 
 
 def test_python_m_qcurve_matches_main(capsys):

@@ -612,7 +612,8 @@ def test_hurwitz_table_runs_no_graded_log_and_no_ratfun(monkeypatch):
         monkeypatch.setattr(cls, "__init__", _counting_init(cls, calls))
     table = hurwitz_table(8, 4)
     assert table.value(1, (2,)) == Fraction(1, 2)
-    # the series and its log are int maps over int denominators
+    # the series and its log are int maps over the z_mu * n! each
+    # partition implies
     assert calls == []
     # so is the cut-and-join check, which builds a ring value only to
     # print a mismatch
@@ -926,3 +927,22 @@ def test_classical_limit_matches_documented_curves():
         cases.append(conifold(a))
     for case in cases:
         assert classical_limit(curve_operator(case)) == classical_curve(case), case
+
+
+@pytest.mark.parametrize("op, message", [
+    ((QOpTerm(ONE, 1, Dilation("E", 3)),), "dilation steps are even"),
+    ((QOpTerm(sym("lam"), 0, Dilation("E", 0)),), "no lam in operator coefficients"),
+    ((QOpTerm(sym("Qh", 3), 1, Dilation("u", 2)),), "odd power of Qh"),
+    # an Euler term does not excuse an odd step
+    ((QOpTerm(ONE, 0, LambdaEuler()), QOpTerm(ONE, 1, Dilation("E", -1))),
+     "dilation steps are even"),
+])
+def test_classical_limit_rejects_a_term_with_no_classical_image(op, message):
+    with pytest.raises(ValueError, match=message):
+        classical_limit(op)
+
+
+@pytest.mark.parametrize("case", [lambert(), framed_c3(1), conifold(-1)])
+def test_recurrence_check_rejects_order_zero(case):
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        recurrence_check(case, 0)

@@ -11,13 +11,13 @@ import hashlib
 import itertools
 import json
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial
 
 import pytest
 
 import qcurve.hurwitz as hurwitz
 import qcurve.selftest as selftest
-from qcurve.combinatorics import irrep_dimension, kappa, partitions_of
+from qcurve.combinatorics import centralizer_order, irrep_dimension, kappa, partitions_of
 from qcurve.hurwitz import (
     CutJoinReport,
     HurwitzTable,
@@ -40,21 +40,26 @@ from qcurve.symfun import SymFunc, cut_and_join, graded_log, schur_to_powersums
 # ---------------------------------------------------------------------------
 
 def _as_symfunc(series):
-    """The int maps of ``burnside_series`` as a ``SymFunc`` of ``RatFun``s."""
+    """The int maps of ``burnside_series`` (or of its log) as a ``SymFunc``
+    of ``RatFun``s, each map divided by the z_mu * n! of its partition."""
     return SymFunc(len(series) - 1, {
-        mu: RatFun(LaurentPoly({(e, 0, 0, 0): Fraction(c, den) for e, c in num.items()}))
-        for comp in series
-        for mu, (num, den) in comp.items()
+        mu: RatFun(LaurentPoly({
+            (e, 0, 0, 0): Fraction(c, centralizer_order(mu) * factorial(n))
+            for e, c in num.items()
+        }))
+        for n, comp in enumerate(series)
+        for mu, num in comp.items()
     })
 
 
 def test_series_degree_zero_is_one():
-    assert burnside_series(0) == [{(): ({0: 1}, 1)}]
+    assert burnside_series(0) == [{(): {0: 1}}]
     assert _as_symfunc(burnside_series(0)) == SymFunc.one(0)
 
 
 def test_series_p1_coefficient_is_one():
-    assert burnside_series(1)[1] == {(1,): ({0: 1}, 1)}
+    # z_(1) * 1! = 1
+    assert burnside_series(1)[1] == {(1,): {0: 1}}
 
 
 def _schur_sum(degree_cap, prefactor):
@@ -92,8 +97,8 @@ def _schur_sum_series(degree_cap, lam_order):
 
 def test_series_p2_lambda_coefficient():
     # the p_2 coefficient is (E^2 - E^-2)/4 = (e^lam - e^-lam)/4
-    # = lam/2 + lam^3/12 + ...
-    assert burnside_series(2)[2][(2,)] == ({2: 1, -2: -1}, 4)
+    # = lam/2 + lam^3/12 + ..., its map over z_(2) * 2! = 4
+    assert burnside_series(2)[2][(2,)] == {2: 1, -2: -1}
     c = _schur_sum_series(2, 4).coeff((2,)).num
     assert c.coefficient_of("lam", 0).is_zero()
     assert c.coefficient_of("lam", 1) == LaurentPoly.term(Fraction(1, 2))
@@ -117,6 +122,29 @@ def test_hurwitz_basic_values():
     assert tbl.value(0, (2,)) == Fraction(1, 2)
     for g in (1, 2, 3):
         assert tbl.value(g, (1,)) == 0
+
+
+def test_value_rejects_parts_below_one():
+    # the closed forms' check, not a KeyError from the table
+    tbl = hurwitz_table(3, 1)
+    assert tbl.value(0, (1, 2)) == tbl.value(0, (2, 1))
+    for mu in ((2, 0), (0,), (1, 1, -1)):
+        with pytest.raises(ValueError, match="every part of mu must be >= 1"):
+            tbl.value(0, mu)
+
+
+def test_log_maps_are_the_ring_log_over_the_implied_denominators():
+    # n * L_n of _graded_dlog, each map over z_mu * n!, against
+    # symfun.graded_log of the same series as RatFuns
+    for degree_cap in range(7):
+        series = burnside_series(degree_cap)
+        dlogs = hurwitz._graded_dlog(series)
+        log = graded_log(_as_symfunc(series))
+        assert _as_symfunc(dlogs) == SymFunc(degree_cap, {
+            mu: c.scale(sum(mu)) for mu, c in log.terms.items()
+        }), degree_cap
+        # no zero coefficient is stored
+        assert all(num and all(num.values()) for comp in dlogs for num in comp.values())
 
 
 def test_empty_and_negative_caps():
@@ -405,23 +433,24 @@ def _ring_cut_and_join(series):
 
 
 def _perturbed(degree_cap, target, extra):
-    """burnside_series(degree_cap) with sum_e extra[e] E^e added to the
-    p_target coefficient, kept as a reduced int map."""
+    """burnside_series(degree_cap) with the ints extra[e] added into the
+    p_target map, that is sum_e extra[e] E^e / (z * n!) added to its
+    coefficient."""
     series = burnside_series(degree_cap)
-    num, den = series[sum(target)][target]
-    coeff = {e: Fraction(c, den) for e, c in num.items()}
+    num = series[sum(target)][target]
     for e, c in extra.items():
-        coeff[e] = coeff.get(e, 0) + c
-    den = lcm(*(c.denominator for c in coeff.values()))
-    series[sum(target)][target] = ({e: int(c * den) for e, c in coeff.items() if c}, den)
+        num[e] = num.get(e, 0) + c
+    series[sum(target)][target] = {e: c for e, c in num.items() if c}
     return series
 
 
-# (E - 1/E)^9 / 7 = (2 sinh(lam/2))^9 / 7 starts at lam^9
+# (E - 1/E)^9 = (2 sinh(lam/2))^9 starts at lam^9
 _SINH9 = {9 - 2 * k: (-1) ** k * comb(9, k) for k in range(10)}
 _PERTURBED = (
-    (4, (2, 1), {2: Fraction(1, 7)}),
-    (2, (2,), {e: Fraction(c, 7) for e, c in _SINH9.items()}),
+    # E^2 / 12 on p_(2,1), over z_(2,1) * 3! = 12
+    (4, (2, 1), {2: 1}),
+    # (E - 1/E)^9 / 4 on p_(2), over z_(2) * 2! = 4
+    (2, (2,), _SINH9),
 )
 
 
@@ -446,7 +475,7 @@ def test_cut_and_join_detects_injected_fault():
 
 
 def test_cut_and_join_detects_a_fault_beyond_lam_order_8():
-    # _SINH9 / 7 starts at lam^9 and its lam-derivative at lam^8, so
+    # _SINH9 / 4 starts at lam^9 and its lam-derivative at lam^8, so
     # comparing both sides through lam^7, all that a series expanded
     # through lam^8 allows, does not see it
     moments = [sum(c * e**b for e, c in _SINH9.items()) for b in range(10)]
