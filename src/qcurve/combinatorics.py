@@ -285,8 +285,10 @@ def character(nu: Partition, mu: Partition) -> int:
     """Irreducible character of shape nu on the conjugacy class mu.
 
     Both are partitions in the package's form (weakly decreasing tuples);
-    the value is one lookup in ``character_table(|mu|)``.
+    the value is one lookup in ``character_table(|mu|)``.  Each argument
+    is read through ``_shape``, so a non-partition is a ``ValueError``.
     """
+    nu, mu = _shape(nu), _shape(mu)
     n = sum(mu)
     if sum(nu) != n:
         raise SizeMismatchError(f"|{nu}| != |{mu}|")

@@ -81,7 +81,12 @@ class HurwitzTable:
     genus_cap: int
 
     def value(self, g: int, mu: Partition) -> Fraction:
-        return self.entries[(g, _parts(mu))]
+        mu = _parts(mu)
+        if not (mu and sum(mu) <= self.degree_cap and 0 <= g <= self.genus_cap):
+            raise ValueError(f"no entry for g = {g}, mu = {mu}: the table holds 0 <= g <="
+                             f" {self.genus_cap} (its genus cap) and nonempty mu with"
+                             f" |mu| <= {self.degree_cap} (its degree cap)")
+        return self.entries[(g, mu)]
 
     def rows(self) -> list[tuple[int, Partition, Fraction]]:
         """Every entry, by genus, then degree, then reverse-lex."""

@@ -61,14 +61,22 @@ Storage: a LaurentPoly holds int numerators over one positive int
 denominator, with no common factor, built through one canonicalizing
 constructor.  An int term or a symbol is already canonical (its
 numerator over 1) and is built as such, with no Fraction and no gcd.
+Every integer content is one variadic ``math.gcd``.  The public
+constructor and the keyword builders reject a malformed monomial (a key
+that is not four int exponents, an unknown symbol, a non-int exponent)
+with a ValueError; ``_lp`` and the internal paths do not check.
 Products convolve the numerators and multiply the denominators; the gcd
 (primitive pseudo-remainder sequence) and exact division of
 normalization run on the numerators of dense slices, all in Python ints.
-The gcd is one chain: it starts from the denominator's primitive
-numerators, takes in each numerator slice's primitive part, and stops
-once it is a constant.
+A slice in symbol s is keyed by its monomial without the s entry,
+``mono[:s] + mono[s + 1:]``.  The gcd is one chain: it starts from the
+denominator's primitive numerators, takes in each numerator slice's
+primitive part, and stops once it is a constant.
 A normalization in which nothing cancels and whose denominator is
 already monic returns that denominator object, not a rebuilt copy.
+``RatFun.__pow__`` and ``XSeries.mul`` are compositions of the above:
+the powers of the canonical parts, with no normalization, and one
+``RatFun.sum`` per degree.
 Fractions appear only at the edges: the public constructor (and so a
 Fraction term), ``sorted_terms`` (and so text and JSON) and the one
 scalar that makes a denominator monic.  Invariant: every divisor handed to
@@ -82,7 +90,6 @@ from collections.abc import Iterable
 from fractions import Fraction
 from math import gcd as _int_gcd
 from math import lcm as _int_lcm
-from operator import itemgetter
 
 SYMBOLS = ("E", "Qh", "lam", "u")
 _NSYM = len(SYMBOLS)
@@ -113,6 +120,8 @@ def _coerce(c) -> Fraction:
 def _mono_key(powers: dict[str, int]) -> tuple[int, ...]:
     exps = [0] * _NSYM
     for name, e in powers.items():
+        if name not in _SYM_INDEX or type(e) is not int:
+            raise ValueError(f"{name}^{e!r}: symbols are {SYMBOLS}, exponents ints")
         exps[_SYM_INDEX[name]] = e
     return tuple(exps)
 
@@ -139,6 +148,9 @@ class LaurentPoly:
 
     def __init__(self, terms: dict[tuple[int, ...], Fraction] | None = None):
         clean = {m: _coerce(c) for m, c in (terms or {}).items()}
+        for m in clean:
+            if type(m) is not tuple or len(m) != _NSYM or {type(e) for e in m} != {int}:
+                raise ValueError(f"monomial {m!r} is not {_NSYM} int exponents")
         # over the lcm of the denominators the numerators are already coprime
         den = _int_lcm(*(c.denominator for c in clean.values()))
         self.terms = {
@@ -337,11 +349,7 @@ def _lp(terms: dict[tuple[int, ...], int], den: int) -> LaurentPoly:
     """LaurentPoly from nonzero int numerators over a positive den, with
     the common factor of den and the numerators divided out."""
     if den != 1:
-        g = den
-        for v in terms.values():
-            g = _int_gcd(g, v)
-            if g == 1:
-                break
+        g = _int_gcd(den, *terms.values())
         if g != 1:
             den //= g
             terms = {m: v // g for m, v in terms.items()}
@@ -361,8 +369,6 @@ _LP_ONE = LaurentPoly.term(1)
 
 # (exponents of the other symbols, lowest exponent, ascending numerators)
 _Slice = tuple[tuple[int, ...], int, list[int]]
-# the exponents of the other symbols, per symbol index
-_OTHERS = [itemgetter(*(j for j in range(_NSYM) if j != i)) for i in range(_NSYM)]
 
 
 def _dense_strip(cs: list) -> None:
@@ -371,23 +377,15 @@ def _dense_strip(cs: list) -> None:
 
 
 def _from_dense(cs: list[int], sidx: int, den: int = 1) -> LaurentPoly:
-    terms = {}
-    for k, c in enumerate(cs):
-        if c:
-            mono = [0] * _NSYM
-            mono[sidx] = k
-            terms[tuple(mono)] = c
-    return _lp(terms, den)
+    head, tail = _ZERO_MONO[:sidx], _ZERO_MONO[sidx + 1:]
+    return _lp({head + (k,) + tail: c for k, c in enumerate(cs) if c}, den)
 
 
 def _int_primitive(ints: list[int]) -> list[int]:
-    """ints divided by their content; the scan stops once the gcd is 1."""
-    g = 0
-    for v in ints:
-        g = _int_gcd(g, v)
-        if g == 1:
-            return ints
-    return [v // g for v in ints] if g else ints
+    """ints divided by their content, ``math.gcd`` of them all; an empty
+    or all-zero list (content 0) and a primitive one come back as they are."""
+    g = _int_gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
 
 
 def _dense_prem_int(f: list[int], g: list[int]) -> list[int]:
@@ -493,10 +491,9 @@ def _slices_by_others(p: LaurentPoly, sidx: int) -> list[_Slice]:
     Shifting to exponent 0 drops a unit factor, which cannot affect
     divisibility by polynomials with nonzero constant term.
     """
-    others = _OTHERS[sidx]
     groups: dict[tuple[int, ...], dict[int, int]] = {}
     for mono, c in p.terms.items():
-        groups.setdefault(others(mono), {})[mono[sidx]] = c
+        groups.setdefault(mono[:sidx] + mono[sidx + 1:], {})[mono[sidx]] = c
     out = []
     for key, exps in groups.items():
         lo, hi = min(exps), max(exps)
@@ -674,12 +671,12 @@ class RatFun:
         return RatFun(self.num * other.den, self.den * other.num)
 
     def __pow__(self, n: int) -> RatFun:
+        """self ** n from the powers of the canonical parts, with no
+        normalization: powers of coprime parts stay coprime, and a power of
+        a monic denominator in one symbol with nonzero constant term is one."""
         if n < 0:
             raise ValueError("use __truediv__ for inverses")
-        res = _RF_ONE
-        for _ in range(n):
-            res = res * self
-        return res
+        return RatFun._raw(self.num ** n, self.den ** n)
 
     def scale(self, c) -> RatFun:
         return self * RatFun.term(c)
@@ -841,6 +838,13 @@ def _accumulated(
 
 
 def _normalize_ratfun(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    """The canonical (num, den) of num / den (see the module docstring).
+
+    The monomial content of den moves to the numerator as one unit u, the
+    inverse of den's lowest monomial, multiplied into both.  The gcd of
+    den with every slice of num in den's symbol is divided out of both,
+    and one scalar, den's leading coefficient, makes den monic.
+    """
     if den.is_zero():
         raise ZeroDenominatorError("zero denominator")
     if num.is_zero():
@@ -854,12 +858,9 @@ def _normalize_ratfun(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, 
             f"denominator mixes symbols {varying}: {den}"
         )
     if lo != _ZERO_MONO:
-        # the monomial content moves to the numerator as one unit
-        num = num * _lp({tuple(-e for e in lo): 1}, 1)
-        den = _lp(
-            {tuple(e - s for e, s in zip(m, lo)): c for m, c in den.terms.items()},
-            den.den,
-        )
+        # the monomial content moves to the numerator: one unit multiplies both
+        u = _lp({tuple(-e for e in lo): 1}, 1)
+        num, den = num * u, den * u
     sidx, dense = _dense_view(den)
     den_dense = dense
     if sidx is not None:
@@ -973,19 +974,15 @@ class XSeries:
         )
 
     def mul(self, other: XSeries, order: int | None = None) -> XSeries:
+        """The Cauchy product through degree ``order``: one ``RatFun.sum``
+        of the products a_i * b_(k-i) per degree k."""
         n = self._common_order(other, order)
-        out = [_RF_ZERO] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs[: n + 1 - i]):
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return XSeries(n, out)
+        a, b = self.coeffs, other.coeffs
+        return XSeries(n, [
+            RatFun.sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(n + 1)
+        ])
 
     def scale(self, f: RatFun) -> XSeries:
-        if f.is_zero():
-            return XSeries(self.order)
         return XSeries(self.order, [c * f for c in self.coeffs])
 
     def shift(self, k: int = 1) -> XSeries:

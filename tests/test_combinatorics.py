@@ -332,6 +332,13 @@ def test_character_size_mismatch():
         character((2,), (1,))
 
 
+def test_character_reads_both_arguments_as_partitions():
+    # the ValueError that kappa and irrep_dimension raise, not a KeyError
+    for nu, mu in (((1, 2), (3,)), ((3,), (1, 2)), ((2, 0), (2,)), ((2,), (1, 1, 0))):
+        with pytest.raises(ValueError, match="is not a partition"):
+            character(nu, mu)
+
+
 # ---------------------------------------------------------------------------
 # the whole table, against the per-entry recursion
 # ---------------------------------------------------------------------------

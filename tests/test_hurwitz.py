@@ -133,6 +133,15 @@ def test_value_rejects_parts_below_one():
             tbl.value(0, mu)
 
 
+def test_value_outside_the_caps_is_a_value_error():
+    # not a KeyError from the table: the message names the caps
+    tbl = hurwitz_table(3, 1)
+    for g, mu in ((2, (1,)), (-1, (1,)), (0, (4,)), (0, (2, 2)), (0, ())):
+        with pytest.raises(ValueError, match="genus cap.*nonempty mu.*degree cap"):
+            tbl.value(g, mu)
+    assert tbl.value(1, (3,)) == tbl.entries[(1, (3,))]
+
+
 def test_log_maps_are_the_ring_log_over_the_implied_denominators():
     # n * L_n of _graded_dlog, each map over z_mu * n!, against
     # symfun.graded_log of the same series as RatFuns

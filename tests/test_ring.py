@@ -7,6 +7,7 @@ import json
 import operator
 import pickle
 import random
+import re
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
@@ -238,6 +239,32 @@ def _kernel_gcd_monic(a, b):
     assert ia == a and ib == b
     g = ring._dense_gcd_int(ring._int_primitive(ia), ring._int_primitive(ib))
     return [Fraction(c, g[-1]) for c in g]
+
+
+@pytest.mark.parametrize("ints, want", [
+    ([], []),
+    ([0, 0, 0], [0, 0, 0]),
+    ([3, -5], [3, -5]),
+    ([-4, 6, 0], [-2, 3, 0]),
+    ([-3, -6], [-1, -2]),
+    ([0, -7], [0, -1]),
+])
+def test_int_primitive_divides_by_the_content(ints, want):
+    got = ring._int_primitive(ints)
+    assert got == want
+    if want == ints:  # content 0 or 1: the list itself, not a copy
+        assert got is ints
+
+
+@pytest.mark.parametrize("terms, den, want", [
+    ({}, 1, ({}, 1)),
+    ({}, 6, ({}, 1)),
+    ({(0, 0, 0, 1): -4, (0, 0, 0, 0): 6}, 10, ({(0, 0, 0, 1): -2, (0, 0, 0, 0): 3}, 5)),
+    ({(1, 0, 0, 0): -6}, 4, ({(1, 0, 0, 0): -3}, 2)),
+    ({(1, 0, 0, 0): -3, (0, 1, 0, 0): 5}, 7, ({(1, 0, 0, 0): -3, (0, 1, 0, 0): 5}, 7)),
+])
+def test_lp_divides_out_the_common_content(terms, den, want):
+    assert _fields(ring._lp(dict(terms), den)) == want
 
 
 def test_gcd_basic():
@@ -579,6 +606,21 @@ def test_symbol_is_the_fraction_construction(name, power):
     _same_value_object(LaurentPoly.symbol(name, power), want)
 
 
+@pytest.mark.parametrize("build, named", [
+    (lambda: LaurentPoly({(1, 0, 0): 1}), "(1, 0, 0)"),
+    (lambda: LaurentPoly({(0, 0, 0, 1.5): 1}), "1.5"),
+    (lambda: LaurentPoly.from_json_terms([{"coeff": "1", "mono": {"x": 1}}]), "x^1"),
+    (lambda: LaurentPoly.term(1, x=1), "x^1"),
+    (lambda: LaurentPoly.from_json_terms([{"coeff": "1", "mono": {"E": 1.5}}]), "E^1.5"),
+    (lambda: LaurentPoly.symbol("E", 2.0), "E^2.0"),
+])
+def test_a_malformed_monomial_is_a_value_error_that_names_it(build, named):
+    # a short key used to print E^1 twice beside E, fail a product with a
+    # bare unpacking error and a denominator with an IndexError
+    with pytest.raises(ValueError, match=re.escape(named)):
+        build()
+
+
 def test_bool_and_fraction_terms_keep_the_public_constructor():
     _same_value_object(LaurentPoly.term(True, u=1), sym("u"))
     _same_value_object(LaurentPoly.term(False, u=1), LaurentPoly.zero())
@@ -686,6 +728,8 @@ def test_unit_product_keeps_the_other_denominator(unit, fa):
 @given(laurent_polys, rational_polys, names, units)
 # E^3 (u^2 - 1): the content is in a symbol the denominator does not vary in
 @example(ONE + U, [-1, 0, 1], "u", (Fraction(1), {"E": 3}))
+# Qh^2 u^3 (u^2 - 1): content in two symbols, one of them the varying one
+@example(ONE + U, [-1, 0, 1], "u", (Fraction(1), {"Qh": 2, "u": 3}))
 def test_monomial_content_of_a_denominator_moves_to_the_numerator(n, cs, name, unit):
     # m * d, m a unit in all four symbols and d canonical in one symbol
     c, powers = unit
@@ -1064,6 +1108,31 @@ def test_a_deferred_total_is_normalized_once(monkeypatch, reads):
     assert not hasattr(total, "_pending")  # the numerator over the lcm is dropped
 
 
+def _repeated_product(r, n):
+    out = RatFun.one()
+    for _ in range(n):
+        out = out * r
+    return out
+
+
+@pytest.mark.parametrize("make", [
+    RatFun.zero,
+    lambda: RatFun(U * HALF - sym("E", -2) * THIRD),  # denominator 1
+    lambda: _B,
+    lambda: RatFun(sym("Qh", 2) - U * HALF, (U + ONE * HALF) * (ONE + U * U)),
+    lambda: RatFun.sum([_A, _B]),  # a deferred combine total
+])
+@pytest.mark.parametrize("n", [0, 1, 2, 5])
+def test_pow_is_the_repeated_product_with_no_normalization(monkeypatch, make, n):
+    base = make()
+    base.num  # a deferred total is normalized here, once
+    calls = _count_normalizations(monkeypatch)
+    got = base**n
+    assert calls == []
+    want = _repeated_product(base, n)
+    assert (_fields(got.num), _fields(got.den)) == (_fields(want.num), _fields(want.den))
+
+
 @pytest.mark.parametrize("copy_of", [
     copy.deepcopy, copy.copy, lambda x: pickle.loads(pickle.dumps(x)),
 ])
@@ -1122,6 +1191,37 @@ def test_xseries_agrees_with_polynomial_convolution():
         a = XSeries(N, [RatFun.term(c) for c in pa] + [RatFun.zero()] * (N - N // 2))
         b = XSeries(N, [RatFun.term(c) for c in pb] + [RatFun.zero()] * (N - N // 2))
         assert a * b == XSeries(N, [RatFun.term(c) for c in conv])
+
+
+def _pairwise_product(a, b, n):
+    """Reference for ``XSeries.mul``: each degree summed pairwise with ``+``."""
+    out = [RatFun.zero()] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            out[i + j] = out[i + j] + a.coeffs[i] * b.coeffs[j]
+    return out
+
+
+def test_xseries_product_is_the_pairwise_sum(monkeypatch):
+    rng = random.Random(35)
+    values = [
+        RatFun.zero(), RatFun.zero(), RatFun.term(THIRD, E=1), _A, _B,
+        RatFun(sym("Qh", 2) - U * HALF, ONE + U * U), RatFun(U, U + ONE * HALF),
+    ]
+    sums = []
+    total = RatFun.sum
+    monkeypatch.setattr(RatFun, "sum", staticmethod(lambda ts: sums.append(1) or total(ts)))
+    for _ in range(12):
+        a = XSeries(5, [rng.choice(values) for _ in range(6)])
+        b = XSeries(6, [rng.choice(values) for _ in range(7)])
+        for order in (None, 0, 3):
+            sums.clear()
+            got = a.mul(b, order)
+            assert len(sums) == got.order + 1  # one sum per degree
+            want = _pairwise_product(a, b, got.order)
+            assert [(_fields(c.num), _fields(c.den)) for c in got.coeffs] == [
+                (_fields(c.num), _fields(c.den)) for c in want
+            ]
 
 
 def test_xseries_order_discipline():
