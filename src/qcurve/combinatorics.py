@@ -3,10 +3,12 @@
 Partitions are plain tuples of weakly decreasing positive integers; the
 empty tuple is the unique partition of 0; ``kappa``, ``irrep_dimension``
 and the symfun shapes reject any other tuple through one check,
-``_shape``.  Centralizer orders and automorphism counts are read off the
-runs of equal parts, and dimensions multiply hook lengths taken from the
-conjugate; ``hooks_and_contents`` gives each cell's (hook, content) pair,
-row-major, for the hook-content products of ``symfun``.  The two moves
+``_shape``; the cached ``character`` and ``quantum_dimension`` read a
+list as its tuple (``_cache_by_shape``).  Centralizer orders and
+automorphism counts are read off the runs of equal parts, and dimensions
+multiply hook lengths taken from the conjugate; ``hooks_and_contents``
+gives each cell's (hook, content) pair, row-major, for the hook-content
+products of ``symfun``.  The two moves
 on power-sum monomials that ``symfun`` and ``hurwitz`` share live here:
 ``_sorted_merge`` (the partition of a product p_mu * p_nu) and
 ``_cut_join_moves`` (the weighted partitions the cut-and-join operator
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache, wraps
 from itertools import repeat
 from math import factorial, prod
 from operator import add, neg, sub
@@ -44,7 +46,7 @@ class SizeMismatchError(ValueError):
     """Character arguments index different symmetric groups."""
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)  # typed: 2.0 is no key for 2
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n in reverse lexicographic order.
 
@@ -54,6 +56,8 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     the last part k > 1 by one, and refill what was taken away with parts
     k - 1 and a remainder.
     """
+    if type(n) is not int:
+        raise TypeError(f"n must be an int, got {n!r}")
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
@@ -84,6 +88,25 @@ def _shape(nu: Partition) -> Partition:
         raise ValueError(f"{nu} is not a partition: its parts must be"
                          " positive and weakly decreasing")
     return nu
+
+
+def _cache_by_shape(fn):
+    """``functools.cache`` of fn, a function of partitions, under fn's
+    name and with its ``cache_clear`` and ``cache_info``.  A tuple
+    argument is its own key; any other (a list) is made a tuple first, so
+    it gives the tuple's value.
+    """
+    cached = cache(fn)
+
+    @wraps(fn)
+    def call(*shapes):
+        for s in shapes:
+            if type(s) is not tuple:
+                return cached(*map(tuple, shapes))
+        return cached(*shapes)
+
+    call.cache_clear, call.cache_info = cached.cache_clear, cached.cache_info
+    return call
 
 
 def format_partition(mu: Partition) -> str:
@@ -149,14 +172,18 @@ def conjugate(mu: Partition) -> Partition:
     """The column lengths of mu, in one pass up from its smallest part.
 
     Where a run of equal parts p ends, i parts are >= p, so each column
-    from the previous, smaller part up to p has length i.
+    from the previous, smaller part up to p has length i.  The same pass
+    rejects a non-partition, a part below the one after it or a smallest
+    part below 1, with the ``ValueError`` of ``_shape``.
     """
     out: list[int] = []
     prev, i = 0, len(mu)
     for p in reversed(mu):
-        if p != prev:
+        if p > prev:
             out += [i] * (p - prev)
             prev = p
+        elif p < prev or not p:
+            _shape(mu)  # raises: a part below the one after it, or below 1
         i -= 1
     return tuple(out)
 
@@ -280,7 +307,7 @@ def character_table(n: int) -> CharacterTable:
     return CharacterTable(index, rows, shapes)
 
 
-@cache
+@_cache_by_shape
 def character(nu: Partition, mu: Partition) -> int:
     """Irreducible character of shape nu on the conjugacy class mu.
 

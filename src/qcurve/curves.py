@@ -197,13 +197,17 @@ def apply_operator(op: tuple[QOpTerm, ...], series: XSeries) -> XSeries:
     Works one degree at a time.  At a fixed degree n every action
     multiplies by a monomial or a scalar, so it is applied to the term's
     polynomial coefficient, and the series coefficient is never copied:
-    the applied coefficients of each x-power are added (for the c3 and
-    conifold operators 1 - s^(2n) on z_n), and the x^n coefficient of the
-    result is one ``RatFun.combine`` of the two pairs (the x^0 sum, z_n)
-    and (the x^1 sum, z_(n-1)).  So each z_m is multiplied once, by its
-    sum times its cofactor, into the degree's numerator over the lcm; a
-    degree that vanishes runs no normalization, and a degree that does not
-    is normalized only when its value is read.  Terms raise the x-degree
+    the applied coefficients of each x-power are added, and the x^n
+    coefficient of the result is one ``RatFun.combine`` of the two pairs
+    (the x^0 sum, z_n) and (the x^1 sum, z_(n-1)).  For the c3 and
+    conifold operators the x^0 sum, 1 - s^(2n) forward and 1 - s^(-2n)
+    inverse, is a one-term multiple of the factor s^(2n) - 1 that z_n's
+    denominator steps from z_(n-1)'s by, so ``combine`` cancels that
+    factor: z_n's numerator is multiplied by the one-term quotient and
+    z_(n-1)'s by its bare x^1 sum, into one numerator over z_(n-1)'s
+    denominator.  A degree that vanishes runs no normalization, and a
+    degree that does not is normalized only when its value is read.
+    Terms raise the x-degree
     by at most one (asserted structurally), so a series exact through
     x^N determines the result through x^N, and the result has the series'
     order.
@@ -250,9 +254,11 @@ def z_closed(case: CurveCase, order: int) -> XSeries:
       denominator in u alone.
 
     Each c3 and conifold coefficient also records its denominator's step
-    (z_(n-1)'s den object, the factor), the very objects multiplied, so
-    that ``RatFun.combine`` takes the lcm of z_(n-1) and z_n, z_n's den,
-    and the cofactor, the factor, with no division.  A wrong factor is
+    (z_(n-1)'s den object, the factor), the very objects multiplied.  So
+    ``RatFun.combine`` of z_(n-1) and z_n needs no division: it cancels
+    the factor from z_n's coefficient where that is a one-term multiple
+    of it and sums over z_(n-1)'s den, and otherwise takes z_n's den as
+    the lcm and the factor as z_(n-1)'s cofactor.  A wrong factor is
     recorded as it is, and the degree it enters fails.  Lambert's factor
     is 1, so its coefficients record no step.
     """

@@ -38,24 +38,31 @@ univariate factor.  ``scale`` and ``mul_term`` delegate to the two.
 
 Adding is one rule, ``RatFun.combine``, the linear combination sum c * r
 with LaurentPoly coefficients c; ``RatFun.sum`` is its case with every c
-equal to 1, and ``+`` the two-term case of that.  The lcm of the distinct
-denominators is built once, and each numerator is multiplied once, by
-its coefficient times its cofactor lcm / d, into one int map over the
-lcm, by the same ``_sum_of_products``.  Where there are two denominators
-and one carries a step from the other (``RatFun._step``, den == prev *
-factor with prev the other's very object, recorded by ``z_closed``), that
-denominator is the lcm and the factor the other's cofactor: no dense
-view and no division.  Any other set of denominators takes the dense
-fold, lcm = lcm * (d / gcd(lcm, d)), and one exact division per
-cofactor.  So a caller that would add unit multiples of a value (a curve
+equal to 1, and ``+`` the two-term case of that.  Every numerator is
+multiplied once, into one int map over one common denominator, by the
+same ``_sum_of_products``.  Where there are two denominators and one
+carries a step from the other (``RatFun._step``, den == prev * factor
+with prev the other's very object, recorded by ``z_closed``), no dense
+view and no division is needed.  If each coefficient c of the stepped
+group is a one-term multiple m * factor, the group cancels the factor
+itself, c * num / den == m * num / prev, and the sum runs over prev with
+the multipliers m and the other group's bare coefficients: no cofactor
+and no factor is multiplied in.  The curve operators' x^0 sum on z_n is
+such a multiple: -factor forward, s^(-2n) * factor inverse.  Otherwise
+the stepped denominator is the lcm and the factor the other's cofactor
+(``_step_lcm``).  Any other set of denominators takes the dense fold,
+lcm = lcm * (d / gcd(lcm, d)), and one exact division per cofactor lcm /
+d; each numerator is multiplied by its coefficient times its cofactor.
+So a caller that would add unit multiples of a value (a curve
 operator's shifted copies of one series coefficient) passes the units as
 coefficients instead, and no copy is built.  An empty map is a zero
 total and the answer, so no normalization runs (an annihilated degree of
 a ``z_closed`` series costs no division at all); any other total is
 normalized once, when its ``num`` or ``den`` is first read, and the
 canonical form makes the result the same as a pairwise fold would give.
-Zero-ness needs no read: the numerator over the lcm decides it exactly,
-so a failing degree that nobody prints costs no normalization either.
+Zero-ness needs no read: the numerator over the common denominator
+decides it exactly, so a failing degree that nobody prints costs no
+normalization either.
 
 Storage: a LaurentPoly holds int numerators over one positive int
 denominator, with no common factor, built through one canonicalizing
@@ -606,17 +613,23 @@ class RatFun:
         common denominator.
 
         Each c is a LaurentPoly.  A term whose coefficient or value is zero
-        is dropped; one term with coefficient 1 is returned as is.  The lcm
-        of the distinct denominators and each cofactor lcm / d are read
-        from a step when there are two denominators and one steps from the
-        other (``_step_lcm``, no division: neighbours in a ``z_closed``
-        series), and are otherwise folded by ``_dense_lcm``.  Each
-        numerator is multiplied once, by its coefficient times its
-        cofactor, into one int map over the lcm.  An empty map is a zero
-        sum, returned before any normalization.  Any other sum is returned
-        deferred: it holds the numerator over the lcm and is normalized
-        once, when ``num`` or ``den`` is first read, so ``is_zero`` of it
-        costs no gcd.
+        is dropped; one term with coefficient 1 is returned as is.  Where
+        there are two denominators and one steps from the other
+        (``_step_of``: neighbours in a ``z_closed`` series) and each
+        coefficient of the stepped group is a one-term multiple m of the
+        step factor (``_one_term_quotient``), the sum is taken over the
+        other denominator, prev: each stepped numerator is multiplied by
+        its m and each other numerator by its coefficient, and nothing by
+        the factor.  Otherwise the lcm of the distinct denominators and
+        each cofactor lcm / d are read from the step (``_step_lcm``) or
+        folded by ``_dense_lcm``, and each numerator is multiplied once,
+        by its coefficient times its cofactor.  Either way the products
+        go into one int map over one denominator.  An empty map is a zero
+        sum (prev and the factor are nonzero), returned before any
+        normalization.  Any other sum is returned deferred: it holds the
+        numerator over that denominator and is normalized once, when
+        ``num`` or ``den`` is first read, so ``is_zero`` of it costs no
+        gcd.
         """
         ts = [(r, c) for c, r in pairs if c.terms and r.num.terms]
         if not ts:
@@ -634,6 +647,12 @@ class RatFun:
         if len(groups) == 1:
             lcm, products, _ = groups[0]
             return _accumulated(products, lcm)
+        step = _step_of(groups)
+        if step is not None:
+            newer, older, factor = step
+            quotients = [(n, _one_term_quotient(c, factor)) for n, c in newer[1]]
+            if all(m is not None for _, m in quotients):
+                return _accumulated(quotients + older[1], older[0])
         lcm, cofactors = _step_lcm(groups) or _dense_lcm(groups)
         products = []
         for (_, members, _), k in zip(groups, cofactors):
@@ -711,6 +730,9 @@ class RatFun:
 
     @classmethod
     def from_json(cls, data: dict) -> RatFun:
+        for key in ("num", "den"):
+            if key not in data:
+                raise ValueError(f"RatFun JSON has no {key!r} key")
         return cls(
             LaurentPoly.from_json_terms(data["num"]),
             LaurentPoly.from_json_terms(data["den"]),
@@ -748,22 +770,65 @@ def _dense_lcm(groups: list[list]) -> tuple[LaurentPoly, list[LaurentPoly]]:
     ]
 
 
+def _step_of(groups: list[list]) -> tuple[list, list, LaurentPoly] | None:
+    """(newer, older, factor) if there are two groups and newer's
+    denominator steps from older's, den == prev * factor with prev older's
+    very object; otherwise None."""
+    if len(groups) != 2:
+        return None
+    g0, g1 = groups
+    if g1[2] is not None and g1[2][0] is g0[0]:
+        return g1, g0, g1[2][1]
+    if g0[2] is not None and g0[2][0] is g1[0]:
+        return g0, g1, g0[2][1]
+    return None
+
+
 def _step_lcm(
     groups: list[list],
 ) -> tuple[LaurentPoly, list[LaurentPoly | None]] | None:
-    """``_dense_lcm`` read from a step, with no division: None unless there
-    are two groups and one's denominator steps from the other's, den ==
-    prev * factor with prev the other's very object.  That den is the lcm,
-    and the factor is the other's cofactor.
+    """``_dense_lcm`` read from a step (``_step_of``), with no division:
+    the newer group's denominator is the lcm, and the factor is the older
+    group's cofactor.  ``combine`` takes this lcm only when some
+    coefficient of the newer group is not a one-term multiple of the
+    factor.
     """
-    if len(groups) != 2:
+    step = _step_of(groups)
+    if step is None:
         return None
-    (d0, _, step0), (d1, _, step1) = groups
-    if step1 is not None and step1[0] is d0:
-        return d1, [step1[1], None]
-    if step0 is not None and step0[0] is d1:
-        return d0, [None, step0[1]]
-    return None
+    newer, _, factor = step
+    return newer[0], [None if g is newer else factor for g in groups]
+
+
+def _one_term_quotient(c: LaurentPoly, f: LaurentPoly) -> LaurentPoly | None:
+    """The one-term m with c == m * f, or None if there is none.
+
+    A monomial shift keeps the lexicographic order of exponent vectors, so
+    m's monomial is max(c) - max(f), and c is m * f when it has f's number
+    of terms and each term of f, shifted, meets c's term in the ratio of
+    the two tops (compared cross-multiplied, in int).
+    """
+    ct, ft = c.terms, f.terms
+    if len(ct) != len(ft):
+        return None
+    top_c, top_f = max(ct), max(ft)
+    a, b = ct[top_c], ft[top_f]
+    if top_c == top_f:
+        shift = _ZERO_MONO
+        for mono, v in ft.items():
+            if ct.get(mono, 0) * b != v * a:
+                return None
+    else:
+        shift = tuple([x - y for x, y in zip(top_c, top_f)])
+        s0, s1, s2, s3 = shift
+        for (e0, e1, e2, e3), v in ft.items():
+            if ct.get((e0 + s0, e1 + s1, e2 + s2, e3 + s3), 0) * b != v * a:
+                return None
+    # m = (a / c.den) / (b / f.den)
+    num, den = a * f.den, b * c.den
+    if den < 0:
+        num, den = -num, -den
+    return _lp({shift: num}, den)
 
 
 def _cofactor(q: list[int], sidx: int, d_den: int, lcm_den: int) -> LaurentPoly:
@@ -816,14 +881,15 @@ def _sum_of_products(
 
 
 def _accumulated(
-    products: list[tuple[LaurentPoly, LaurentPoly]], lcm: LaurentPoly
+    products: list[tuple[LaurentPoly, LaurentPoly]], common: LaurentPoly
 ) -> RatFun:
-    """sum a * b over the pairs, over lcm: zero, or a ``_DeferredRatFun``
-    normalized when its ``num`` or ``den`` is first read.
+    """sum a * b over the pairs, over ``common`` (the lcm, or a step's
+    prev): zero, or a ``_DeferredRatFun`` normalized when its ``num`` or
+    ``den`` is first read.
 
     Every product is added by ``_sum_of_products`` straight into one int
-    map over the lcm of the products' denominators, so an empty map is a
-    zero sum.
+    map over the lcm of the products' integer denominators, so an empty
+    map is a zero sum.
     """
     den = _int_lcm(*(a.den * b.den for a, b in products))
     acc = _sum_of_products(
@@ -832,7 +898,7 @@ def _accumulated(
     if not acc:
         return _RF_ZERO
     r = _DeferredRatFun.__new__(_DeferredRatFun)
-    r._pending = (_lp(acc, den), lcm)
+    r._pending = (_lp(acc, den), common)
     r._step = None
     return r
 
@@ -892,8 +958,9 @@ class _DeferredRatFun(RatFun):
     """A nonzero ``RatFun.combine`` total, built by ``_accumulated``, whose
     ``num`` and ``den`` are set when first read.
 
-    Until then it holds the numerator over the lcm in ``_pending``; the
-    first read normalizes it once, through ``RatFun.__init__``.
+    Until then it holds the numerator over the common denominator in
+    ``_pending``; the first read normalizes it once, through
+    ``RatFun.__init__``.
     ``__getattr__`` lives here, not on RatFun: defining it on a class turns
     off CPython's specialized attribute reads for every instance of it.
     """

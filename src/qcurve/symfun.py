@@ -38,6 +38,7 @@ from itertools import chain
 
 from .combinatorics import (
     Partition,
+    _cache_by_shape,
     _cut_join_moves,
     _shape,
     _sorted_merge,
@@ -254,7 +255,7 @@ def specialize(f: SymFunc, kind: Specialization) -> RatFun:
     )
 
 
-@cache
+@_cache_by_shape
 def quantum_dimension(mu: Partition) -> RatFun:
     """Hook-content product form of the quantum dimension.
 

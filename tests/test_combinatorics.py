@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 from collections import Counter
 from fractions import Fraction
 from functools import cache
@@ -180,6 +181,13 @@ def test_conjugate_against_column_counts():
             assert conjugate(conj) == mu, mu
 
 
+@pytest.mark.parametrize("mu", [(1, 2), (2, 0), (0,), (-1,), (3, 1, 2), (2, 2, -1)])
+def test_conjugate_rejects_a_non_partition(mu):
+    # (1, 2) gave (2, 2) and (2, 0) gave (1, 1)
+    with pytest.raises(ValueError, match=re.escape(f"{mu} is not a partition")):
+        conjugate(mu)
+
+
 def test_kappa_examples():
     assert kappa(()) == 0
     for n in range(1, 7):
@@ -330,6 +338,28 @@ def test_collapse_identity():
 def test_character_size_mismatch():
     with pytest.raises(SizeMismatchError):
         character((2,), (1,))
+
+
+def test_partition_arguments_given_as_lists_give_the_tuple_values():
+    # list arguments made the cache raise "unhashable type: 'list'"
+    assert character([2, 1], [1, 1, 1]) == character((2, 1), (1, 1, 1)) == 2
+    assert character([3, 1], (2, 2)) == character((3, 1), (2, 2)) == -1
+    assert symfun.quantum_dimension([2, 1]) == symfun.quantum_dimension((2, 1))
+    assert symfun.quantum_dimension([]) == symfun.quantum_dimension(())
+    with pytest.raises(ValueError, match="is not a partition"):
+        character([1, 2], [3])
+    # the names and caches the benchmark clears and traces are kept
+    for fn, name in ((character, "character"), (symfun.quantum_dimension, "quantum_dimension")):
+        assert fn.__qualname__ == name
+        fn.cache_clear()
+        assert fn.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("n", [2.0, "2", None, True])
+def test_partitions_of_a_non_int_is_a_type_error_that_names_n(n):
+    partitions_of(2)  # 2.0 == 2, so a cache keyed by value would return it
+    with pytest.raises(TypeError, match="n must be an int"):
+        partitions_of(n)
 
 
 def test_character_reads_both_arguments_as_partitions():

@@ -32,7 +32,7 @@ from qcurve.hurwitz import hurwitz_table
 from qcurve.ring import SYMBOLS, LaurentPoly, RatFun, XSeries
 
 from test_hurwitz import _as_symfunc
-from test_ring import _count_normalizations
+from test_ring import _count_normalizations, _fields
 
 ONE = LaurentPoly.one()
 
@@ -434,17 +434,15 @@ def test_operator_builds_no_multiple_of_a_series_coefficient(monkeypatch):
 def test_a_corrupted_cofactor_fails_annihilation_and_evaluation(monkeypatch, request, case):
     op, z = curve_operator(case), z_closed(case, 6)
     eager = _apply_by_whole_series(op, z)
-    # +1 on each cofactor read from a step
-    step_lcm = ring._step_lcm
+    # +1 on each one-term quotient of a step factor, which forward
+    # annihilation multiplies into z_n's numerator in place of the factor
+    quotient = ring._one_term_quotient
 
-    def corrupted(groups):
-        found = step_lcm(groups)
-        if found is None:
-            return None
-        lcm, cofactors = found
-        return lcm, [k if k is None else k + ONE for k in cofactors]
+    def corrupted(c, f):
+        m = quotient(c, f)
+        return m if m is None else m + ONE
 
-    monkeypatch.setattr(ring, "_step_lcm", corrupted)
+    monkeypatch.setattr(ring, "_one_term_quotient", corrupted)
     z_closed.cache_clear()
     request.addfinalizer(z_closed.cache_clear)
     # x^0 holds z_0 alone; x^1 is the first degree with two denominators
@@ -457,6 +455,52 @@ def test_a_corrupted_cofactor_fails_annihilation_and_evaluation(monkeypatch, req
 
 
 _STEPPED_CASES = [framed_c3(a) for a in range(-3, 4)] + [conifold(a) for a in range(-3, 4)]
+
+
+@pytest.mark.parametrize("direction", ["forward", "inverse"])
+@pytest.mark.parametrize("a", [-3, 1, 2])
+def test_each_degree_multiplies_each_member_once_with_no_step_factor(monkeypatch, a, direction):
+    case = conifold(a)
+    op, z = curve_operator(case, direction), z_closed(case, 12)
+    sums = []
+    accumulated = ring._accumulated
+    monkeypatch.setattr(
+        ring, "_accumulated", lambda p, d: sums.append((p, d)) or accumulated(p, d)
+    )
+    with monkeypatch.context() as mp:
+        mp.setattr(ring, "_step_lcm", lambda groups: pytest.fail("took the cofactor path"))
+        result = apply_operator(op, z)
+    assert [c.is_zero() for c in result.coeffs[1:]] == [direction == "forward"] * 12
+    # degree n sums z_n's numerator times one term and z_(n-1)'s times its
+    # bare two-term x^1 sum, over z_(n-1)'s denominator
+    assert len(sums) == 12
+    for n, (products, den) in enumerate(sums, start=1):
+        (a_n, m), (a_prev, c1) = products
+        assert a_n is z.coeff(n).num and a_prev is z.coeff(n - 1).num
+        assert den is z.coeff(n - 1).den
+        assert len(m.terms) == 1 and len(c1.terms) == 2
+        # the term products a _sum_of_products makes: one per term of a_n,
+        # two per term of a_(n-1); the factor would double both
+        term_products = sum(len(x.terms) * len(y.terms) for x, y in products)
+        assert term_products == len(a_n.terms) + 2 * len(a_prev.terms)
+
+
+@pytest.mark.parametrize("case", [conifold(1), framed_c3(-2)])
+def test_a_corrupted_step_cofactor_fails_where_no_quotient_is_taken(monkeypatch, case):
+    # with no one-term quotient every degree takes _step_lcm's lcm and
+    # cofactor; +1 on that cofactor must fail annihilation at x^1
+    step_lcm = ring._step_lcm
+
+    def corrupted(groups):
+        lcm, cofactors = step_lcm(groups)
+        return lcm, [k if k is None else k + ONE for k in cofactors]
+
+    monkeypatch.setattr(ring, "_one_term_quotient", lambda c, f: None)
+    assert verify_annihilation(case, 6).ok
+    monkeypatch.setattr(ring, "_step_lcm", corrupted)
+    report = verify_annihilation(case, 6)
+    assert report.status == "failed" and report.first_failure[0] == 1
+    assert recurrence_check(case, 6).first_failure == 0
 
 
 def _assert_steps(z):
@@ -498,6 +542,10 @@ def test_the_binomial_lcm_and_the_dense_lcm_give_one_verdict(monkeypatch, case, 
     stepped = apply_operator(op, z)
     dense = apply_operator(op, _unstepped(z))
     assert [c.is_zero() for c in stepped.coeffs] == [c.is_zero() for c in dense.coeffs]
+    # every degree, the nonzero inverse ones too, field by field
+    assert [(_fields(c.num), _fields(c.den)) for c in stepped.coeffs] == [
+        (_fields(c.num), _fields(c.den)) for c in dense.coeffs
+    ]
     if direction == "inverse":
         assert str(stepped.coeffs[1]) == str(dense.coeffs[1])
     checks = [recurrence_check(case, 14)]

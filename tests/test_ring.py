@@ -621,6 +621,13 @@ def test_a_malformed_monomial_is_a_value_error_that_names_it(build, named):
         build()
 
 
+@pytest.mark.parametrize("data, key", [({}, "num"), ({"den": []}, "num"), ({"num": []}, "den")])
+def test_ratfun_json_without_a_part_is_a_value_error_that_names_it(data, key):
+    # {} raised a bare KeyError: 'num'
+    with pytest.raises(ValueError, match=f"no '{key}' key"):
+        RatFun.from_json(data)
+
+
 def test_bool_and_fraction_terms_keep_the_public_constructor():
     _same_value_object(LaurentPoly.term(True, u=1), sym("u"))
     _same_value_object(LaurentPoly.term(False, u=1), LaurentPoly.zero())
@@ -1028,6 +1035,76 @@ def test_a_binomial_lcm_equals_the_dense_one(pairs):
     products = [RatFun(c) * r for c, r in pairs]
     assert total == dense == _over_product(products)
     assert str(total) == str(dense)
+
+
+# (prev, factor) steps whose product is a canonical denominator: factors
+# as z_closed records them, one with lead 1 over a denominator 2 (u^3 +
+# 1/2), and prevs of 1, a binomial and a non-integer denominator
+_STEPS = [
+    (ONE, _E2), (ONE, _U2), (_U2, _U4), (_U2 * (U + ONE * HALF), sym("u", 3) + ONE * HALF),
+    (ONE + U + sym("u", 2), _U2),
+]
+# a one-term multiplier: an int or Fraction times a monomial whose
+# exponents may be negative
+multipliers = st.builds(
+    lambda c, powers: LaurentPoly.term(c, **powers),
+    st.one_of(st.integers(-4, 4).filter(bool), nonzero_fracs), unit_powers,
+)
+nonzero_polys = laurent_polys.filter(lambda p: p.terms)
+nonzero_coefficients = coefficients.filter(lambda c: c.terms)
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from(_STEPS), st.lists(nonzero_polys, min_size=1, max_size=2),
+    st.lists(st.tuples(nonzero_coefficients, nonzero_polys), min_size=1, max_size=2),
+    st.data(),
+)
+def test_a_step_quotient_sum_equals_the_dense_one(step, nums, older, data):
+    prev, factor = step
+    # each stepped coefficient is a one-term multiple of the factor or any poly
+    cs = [data.draw(st.one_of(multipliers.map(lambda m: m * factor), nonzero_coefficients))
+          for _ in nums]
+    pairs = [(c, _stepped(n, prev, factor)) for c, n in zip(cs, nums)]
+    pairs += [(c, RatFun._raw(n, prev)) for c, n in older]
+    pairs = data.draw(st.permutations(pairs))
+    with _counting("_step_lcm", "_dense_view") as calls:
+        total = RatFun.combine(pairs)
+    # an independent reading of "c is m * factor": c / factor reduces to one term over 1
+    quotients = [RatFun(c, factor) for c in cs]
+    divided = all(q.den.is_one() and len(q.num.terms) == 1 for q in quotients)
+    assert calls == ([] if divided else ["_step_lcm"])
+    dense = RatFun.combine(_unstepped(pairs))
+    assert total.is_zero() == dense.is_zero()
+    assert total == dense == _over_product([RatFun(c) * r for c, r in pairs])
+    assert str(total) == str(dense)
+
+
+def test_a_one_term_quotient_is_read_cross_multiplied():
+    quotient = ring._one_term_quotient
+    f = sym("u", 3) + ONE * HALF
+    for m in (LaurentPoly.term(-1), LaurentPoly.term(THIRD, u=-4, Qh=2), LaurentPoly.term(-6, E=1)):
+        assert _fields(quotient(m * f, f)) == _fields(m)
+    # the same terms in another ratio, another count, or another shape
+    for c in (sym("u", 3) + ONE, f + sym("u"), sym("u", 3) * HALF + ONE, sym("u", 2) + ONE * HALF):
+        assert quotient(c, f) is None
+
+
+def test_a_corrupted_step_cofactor_changes_the_value(monkeypatch):
+    # the stepped coefficient 2 is no multiple of u^4 - 1, so the sum takes
+    # _step_lcm's lcm and cofactor; +1 on that cofactor must show
+    pairs = _STEPPED[0]
+    pt = {"E": Fraction(2), "Qh": Fraction(3), "lam": Fraction(5), "u": Fraction(1, 3)}
+    want = sum(_ev(c, pt) * _ev(r, pt) for c, r in pairs)
+    assert _ev(RatFun.combine(pairs), pt) == want
+    step_lcm = ring._step_lcm
+
+    def corrupted(groups):
+        lcm, cofactors = step_lcm(groups)
+        return lcm, [k if k is None else k + ONE for k in cofactors]
+
+    monkeypatch.setattr(ring, "_step_lcm", corrupted)
+    assert _ev(RatFun.combine(pairs), pt) != want
 
 
 def test_maps_in_two_symbols_take_the_dense_branch():
