@@ -17,15 +17,15 @@ its lower bound and cap for ``_validate``.  A value beyond a cap is a
 usage error caught before any work.  Each cap keeps one run within
 seconds on a 2.1 GHz x86 core: ``partitions N`` 40 (every partition of
 40 listed in 1.0-1.8 s at 38 MB; n = 50 takes 6.8 s at 139 MB in text),
-``--xorder`` 40 (annihilation of the conifold 0.3-0.5 s per framing,
-1.6-2.0 s for the default seven, holding one framing's series at a time),
-``--dmax`` 14 and ``--gmax`` 8 (the Hurwitz table at both caps 0.5-0.8 s;
-``cutjoin-check --dmax 14``, exact in E, 0.2-0.3 s at 19 MB) and
-``--framing`` 10 in absolute value, for every value of a
+``--xorder`` 40 (annihilation of the conifold 0.2-0.4 s per framing,
+1.0-1.2 s at 57 MB for the default seven, holding one framing's series
+at a time), ``--dmax`` 14 and ``--gmax`` 8 (the Hurwitz table at both
+caps 0.5-0.8 s; ``cutjoin-check --dmax 14``, exact in E, 0.2-0.3 s at
+19 MB) and ``--framing`` 10 in absolute value, for every value of a
 multi-value ``--framing`` (the failing inverse reading of the conifold
 tests every degree for zero without a gcd and normalizes only the
-degree-1 coefficient its report prints: at x^40 it takes 0.3-0.5 s at
-66 MB for a = 3 and 0.4-0.5 s at 74 MB for a = 10).  Times are whole
+degree-1 coefficient its report prints: at x^40 it takes 0.3 s at
+72 MB for a = 3 and 0.3-0.4 s at 76 MB for a = 10).  Times are whole
 processes, three runs each; other load on the host has stretched them
 to about twice these.
 """

@@ -205,12 +205,12 @@ def apply_operator(op: tuple[QOpTerm, ...], series: XSeries) -> XSeries:
     denominator steps from z_(n-1)'s by, so ``combine`` cancels that
     factor: z_n's numerator is multiplied by the one-term quotient and
     z_(n-1)'s by its bare x^1 sum, into one numerator over z_(n-1)'s
-    denominator.  A degree that vanishes runs no normalization, and a
-    degree that does not is normalized only when its value is read.
-    Terms raise the x-degree
-    by at most one (asserted structurally), so a series exact through
-    x^N determines the result through x^N, and the result has the series'
-    order.
+    denominator.  An operator whose x^0 sum is no such multiple takes
+    ``combine``'s dense fold.  A degree that vanishes runs no
+    normalization, and a degree that does not is normalized only when its
+    value is read.  Terms raise the x-degree by at most one (asserted
+    structurally), so a series exact through x^N determines the result
+    through x^N, and the result has the series' order.
     """
     if any(not 0 <= t.xpow <= 1 for t in op):
         raise ValueError("operator terms must have x-power 0 or 1")
@@ -232,12 +232,19 @@ def apply_operator(op: tuple[QOpTerm, ...], series: XSeries) -> XSeries:
 # the partition functions
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=1)
+def _check_order(order) -> None:
+    """Raise a TypeError naming ``order`` unless it is an int (a bool is
+    not one)."""
+    if type(order) is not int:
+        raise TypeError(f"order must be an int, got {order!r}")
+
+
+@lru_cache(maxsize=1, typed=True)  # typed: 2.0 is no key for 2
 def z_closed(case: CurveCase, order: int) -> XSeries:
     """Closed-form series for the case, exact through x^order.
 
     Only the last series is cached, so a run over many framings holds one
-    series at a time.
+    series at a time.  An order that is not an int raises a TypeError.
 
     z_n is z_(n-1) times the term ratio: its numerator and denominator
     are the products of the factors ``_ratio`` gives for 1..n, and each
@@ -255,13 +262,13 @@ def z_closed(case: CurveCase, order: int) -> XSeries:
 
     Each c3 and conifold coefficient also records its denominator's step
     (z_(n-1)'s den object, the factor), the very objects multiplied.  So
-    ``RatFun.combine`` of z_(n-1) and z_n needs no division: it cancels
-    the factor from z_n's coefficient where that is a one-term multiple
-    of it and sums over z_(n-1)'s den, and otherwise takes z_n's den as
-    the lcm and the factor as z_(n-1)'s cofactor.  A wrong factor is
-    recorded as it is, and the degree it enters fails.  Lambert's factor
-    is 1, so its coefficients record no step.
+    ``RatFun.combine`` of z_(n-1) and z_n, where z_n's coefficient is a
+    one-term multiple of the factor, cancels the factor and sums over
+    z_(n-1)'s den with no division; any other such sum takes the dense
+    fold.  A wrong factor is recorded as it is, and the degree it enters
+    fails.  Lambert's factor is 1, so its coefficients record no step.
     """
+    _check_order(order)
     coeffs = [RatFun.one()]
     num = den = LaurentPoly.one()
     for n in range(1, order + 1):
@@ -313,8 +320,10 @@ def z_from_characters(case: CurveCase, order: int) -> XSeries:
 
     Each degree is one ``RatFun.combine`` of the (character sum, weight)
     pairs.  A shape whose character sum is exactly 0 adds 0 * weight, so
-    its weight is not built.
+    its weight is not built.  An order that is not an int raises a
+    TypeError.
     """
+    _check_order(order)
     coeffs = [RatFun.one()]
     for n in range(1, order + 1):
         sums = _character_sum(n).items()
@@ -428,6 +437,7 @@ def recurrence_check(case: CurveCase, order: int) -> RecurrenceReport:
     vanishes runs no gcd, and neither does the failing line, as only its
     index is reported.
     """
+    _check_order(order)
     if order < 1:
         raise ValueError("order must be >= 1")
     a = case.framing

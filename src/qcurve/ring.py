@@ -40,17 +40,16 @@ Adding is one rule, ``RatFun.combine``, the linear combination sum c * r
 with LaurentPoly coefficients c; ``RatFun.sum`` is its case with every c
 equal to 1, and ``+`` the two-term case of that.  Every numerator is
 multiplied once, into one int map over one common denominator, by the
-same ``_sum_of_products``.  Where there are two denominators and one
-carries a step from the other (``RatFun._step``, den == prev * factor
-with prev the other's very object, recorded by ``z_closed``), no dense
-view and no division is needed.  If each coefficient c of the stepped
+same ``_sum_of_products``.  A sum over two or more denominators takes
+one of two paths.  Where there are two and one carries a step from the
+other (``RatFun._step``, den == prev * factor with prev the other's very
+object, recorded by ``z_closed``) and each coefficient c of the stepped
 group is a one-term multiple m * factor, the group cancels the factor
 itself, c * num / den == m * num / prev, and the sum runs over prev with
-the multipliers m and the other group's bare coefficients: no cofactor
-and no factor is multiplied in.  The curve operators' x^0 sum on z_n is
-such a multiple: -factor forward, s^(-2n) * factor inverse.  Otherwise
-the stepped denominator is the lcm and the factor the other's cofactor
-(``_step_lcm``).  Any other set of denominators takes the dense fold,
+the multipliers m and the other group's bare coefficients: no dense
+view, no division, no cofactor and no factor is multiplied in.  The
+curve operators' x^0 sum on z_n is such a multiple: -factor forward,
+s^(-2n) * factor inverse.  Every other sum takes the dense fold,
 lcm = lcm * (d / gcd(lcm, d)), and one exact division per cofactor lcm /
 d; each numerator is multiplied by its coefficient times its cofactor.
 So a caller that would add unit multiples of a value (a curve
@@ -615,21 +614,20 @@ class RatFun:
         Each c is a LaurentPoly.  A term whose coefficient or value is zero
         is dropped; one term with coefficient 1 is returned as is.  Where
         there are two denominators and one steps from the other
-        (``_step_of``: neighbours in a ``z_closed`` series) and each
-        coefficient of the stepped group is a one-term multiple m of the
-        step factor (``_one_term_quotient``), the sum is taken over the
-        other denominator, prev: each stepped numerator is multiplied by
-        its m and each other numerator by its coefficient, and nothing by
-        the factor.  Otherwise the lcm of the distinct denominators and
-        each cofactor lcm / d are read from the step (``_step_lcm``) or
-        folded by ``_dense_lcm``, and each numerator is multiplied once,
-        by its coefficient times its cofactor.  Either way the products
-        go into one int map over one denominator.  An empty map is a zero
-        sum (prev and the factor are nonzero), returned before any
-        normalization.  Any other sum is returned deferred: it holds the
-        numerator over that denominator and is normalized once, when
-        ``num`` or ``den`` is first read, so ``is_zero`` of it costs no
-        gcd.
+        (neighbours in a ``z_closed`` series) and each coefficient of the
+        stepped group is a one-term multiple m of the step factor
+        (``_one_term_quotient``), the sum is taken over the other
+        denominator, prev: each stepped numerator is multiplied by its m
+        and each other numerator by its coefficient, and nothing by the
+        factor.  Every other sum over two or more denominators takes
+        ``_dense_lcm``'s lcm and cofactors lcm / d, and each numerator is
+        multiplied once, by its coefficient times its cofactor.  Either
+        way the products go into one int map over one denominator.  An
+        empty map is a zero sum (prev and the factor are nonzero),
+        returned before any normalization.  Any other sum is returned
+        deferred: it holds the numerator over that denominator and is
+        normalized once, when ``num`` or ``den`` is first read, so
+        ``is_zero`` of it costs no gcd.
         """
         ts = [(r, c) for c, r in pairs if c.terms and r.num.terms]
         if not ts:
@@ -647,17 +645,19 @@ class RatFun:
         if len(groups) == 1:
             lcm, products, _ = groups[0]
             return _accumulated(products, lcm)
-        step = _step_of(groups)
-        if step is not None:
-            newer, older, factor = step
-            quotients = [(n, _one_term_quotient(c, factor)) for n, c in newer[1]]
-            if all(m is not None for _, m in quotients):
-                return _accumulated(quotients + older[1], older[0])
-        lcm, cofactors = _step_lcm(groups) or _dense_lcm(groups)
-        products = []
-        for (_, members, _), k in zip(groups, cofactors):
-            products += members if k is None else [(n, c * k) for n, c in members]
-        return _accumulated(products, lcm)
+        if len(groups) == 2:
+            g0, g1 = groups
+            for newer, older in ((g0, g1), (g1, g0)):
+                step = newer[2]
+                if step is not None and step[0] is older[0]:
+                    quotients = [(n, _one_term_quotient(c, step[1])) for n, c in newer[1]]
+                    if all(m is not None for _, m in quotients):
+                        return _accumulated(quotients + older[1], older[0])
+        lcm, cofactors = _dense_lcm(groups)
+        return _accumulated(
+            [(n, c * k) for (_, members, _), k in zip(groups, cofactors) for n, c in members],
+            lcm,
+        )
 
     def __add__(self, other: RatFun) -> RatFun:
         if not isinstance(other, RatFun):
@@ -768,36 +768,6 @@ def _dense_lcm(groups: list[list]) -> tuple[LaurentPoly, list[LaurentPoly]]:
         _cofactor(_dense_divexact(big, cs), sidx, d.den, lcm.den)
         for (d, *_), cs in zip(groups, dense)
     ]
-
-
-def _step_of(groups: list[list]) -> tuple[list, list, LaurentPoly] | None:
-    """(newer, older, factor) if there are two groups and newer's
-    denominator steps from older's, den == prev * factor with prev older's
-    very object; otherwise None."""
-    if len(groups) != 2:
-        return None
-    g0, g1 = groups
-    if g1[2] is not None and g1[2][0] is g0[0]:
-        return g1, g0, g1[2][1]
-    if g0[2] is not None and g0[2][0] is g1[0]:
-        return g0, g1, g0[2][1]
-    return None
-
-
-def _step_lcm(
-    groups: list[list],
-) -> tuple[LaurentPoly, list[LaurentPoly | None]] | None:
-    """``_dense_lcm`` read from a step (``_step_of``), with no division:
-    the newer group's denominator is the lcm, and the factor is the older
-    group's cofactor.  ``combine`` takes this lcm only when some
-    coefficient of the newer group is not a one-term multiple of the
-    factor.
-    """
-    step = _step_of(groups)
-    if step is None:
-        return None
-    newer, _, factor = step
-    return newer[0], [None if g is newer else factor for g in groups]
 
 
 def _one_term_quotient(c: LaurentPoly, f: LaurentPoly) -> LaurentPoly | None:

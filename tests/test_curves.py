@@ -457,10 +457,7 @@ def test_a_corrupted_cofactor_fails_annihilation_and_evaluation(monkeypatch, req
 _STEPPED_CASES = [framed_c3(a) for a in range(-3, 4)] + [conifold(a) for a in range(-3, 4)]
 
 
-@pytest.mark.parametrize("direction", ["forward", "inverse"])
-@pytest.mark.parametrize("a", [-3, 1, 2])
-def test_each_degree_multiplies_each_member_once_with_no_step_factor(monkeypatch, a, direction):
-    case = conifold(a)
+def _assert_each_degree_cancels_the_factor(monkeypatch, case, direction):
     op, z = curve_operator(case, direction), z_closed(case, 12)
     sums = []
     accumulated = ring._accumulated
@@ -468,36 +465,45 @@ def test_each_degree_multiplies_each_member_once_with_no_step_factor(monkeypatch
         ring, "_accumulated", lambda p, d: sums.append((p, d)) or accumulated(p, d)
     )
     with monkeypatch.context() as mp:
-        mp.setattr(ring, "_step_lcm", lambda groups: pytest.fail("took the cofactor path"))
+        mp.setattr(ring, "_dense_lcm", lambda groups: pytest.fail("took the dense fold"))
         result = apply_operator(op, z)
     assert [c.is_zero() for c in result.coeffs[1:]] == [direction == "forward"] * 12
     # degree n sums z_n's numerator times one term and z_(n-1)'s times its
-    # bare two-term x^1 sum, over z_(n-1)'s denominator
+    # bare x^1 sum (two terms for the conifold, one for c3), over z_(n-1)'s
+    # denominator
+    width = 2 if case.kind is CurveKind.CONIFOLD else 1
     assert len(sums) == 12
     for n, (products, den) in enumerate(sums, start=1):
         (a_n, m), (a_prev, c1) = products
         assert a_n is z.coeff(n).num and a_prev is z.coeff(n - 1).num
         assert den is z.coeff(n - 1).den
-        assert len(m.terms) == 1 and len(c1.terms) == 2
+        assert len(m.terms) == 1 and len(c1.terms) == width
         # the term products a _sum_of_products makes: one per term of a_n,
-        # two per term of a_(n-1); the factor would double both
+        # width per term of a_(n-1); the factor would double both
         term_products = sum(len(x.terms) * len(y.terms) for x, y in products)
-        assert term_products == len(a_n.terms) + 2 * len(a_prev.terms)
+        assert term_products == len(a_n.terms) + width * len(a_prev.terms)
+
+
+@pytest.mark.parametrize("direction", ["forward", "inverse"])
+@pytest.mark.parametrize("a", [-3, 1, 2])
+def test_each_degree_multiplies_each_member_once_with_no_step_factor(monkeypatch, a, direction):
+    _assert_each_degree_cancels_the_factor(monkeypatch, conifold(a), direction)
+
+
+@pytest.mark.parametrize("a", [-2, 0, 3])
+def test_each_c3_degree_multiplies_each_member_once_with_no_step_factor(monkeypatch, a):
+    _assert_each_degree_cancels_the_factor(monkeypatch, framed_c3(a), "forward")
 
 
 @pytest.mark.parametrize("case", [conifold(1), framed_c3(-2)])
 def test_a_corrupted_step_cofactor_fails_where_no_quotient_is_taken(monkeypatch, case):
-    # with no one-term quotient every degree takes _step_lcm's lcm and
-    # cofactor; +1 on that cofactor must fail annihilation at x^1
-    step_lcm = ring._step_lcm
-
-    def corrupted(groups):
-        lcm, cofactors = step_lcm(groups)
-        return lcm, [k if k is None else k + ONE for k in cofactors]
-
+    # with no one-term quotient every degree takes the dense fold; +1 on
+    # one quotient coefficient of each of its cofactors must fail
+    # annihilation at x^1
     monkeypatch.setattr(ring, "_one_term_quotient", lambda c, f: None)
     assert verify_annihilation(case, 6).ok
-    monkeypatch.setattr(ring, "_step_lcm", corrupted)
+    cofactor = ring._cofactor
+    monkeypatch.setattr(ring, "_cofactor", lambda q, *a: cofactor([q[0] + 1, *q[1:]], *a))
     report = verify_annihilation(case, 6)
     assert report.status == "failed" and report.first_failure[0] == 1
     assert recurrence_check(case, 6).first_failure == 0
@@ -579,13 +585,14 @@ def test_a_wrong_denominator_factor_is_caught(monkeypatch, request, case, k):
 
 def test_annihilation_takes_every_lcm_from_the_binomial_maps(monkeypatch):
     calls = []
-    for name in ("_dense_view", "_dense_divexact", "_cofactor", "_normalize_ratfun"):
+    for name in ("_dense_lcm", "_dense_view", "_dense_divexact", "_cofactor", "_normalize_ratfun"):
         fn = getattr(ring, name)
         monkeypatch.setattr(
             ring, name, lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a)
         )
     z_closed.cache_clear()
-    # no dense call, so every degree with two denominators took the step
+    # no dense call, so every degree and every recurrence line with two
+    # denominators cancelled the step factor
     for case in _STEPPED_CASES:
         assert verify_annihilation(case, 14).ok
         assert recurrence_check(case, 14).ok
@@ -641,7 +648,7 @@ def test_a_corrupted_dense_cofactor_fails_the_specializations_but_no_curve_check
     request.addfinalizer(_clear_caches)
     # specialize adds p_mu images over distinct denominators
     assert selftest._suite_specializations() == "principal identity fails at n=2"
-    # a curve check takes each lcm from a step or adds over one denominator
+    # a curve check cancels a step factor or adds over one denominator
     _assert_no_curve_check_fails()
 
 
@@ -994,3 +1001,14 @@ def test_classical_limit_rejects_a_term_with_no_classical_image(op, message):
 def test_recurrence_check_rejects_order_zero(case):
     with pytest.raises(ValueError, match="order must be >= 1"):
         recurrence_check(case, 0)
+
+
+@pytest.mark.parametrize("order", [2.5, 2.0, None, "3", True])
+@pytest.mark.parametrize(
+    "check", [z_closed, z_from_characters, recurrence_check, verify_annihilation]
+)
+def test_an_order_that_is_not_an_int_is_a_type_error_that_names_it(check, order):
+    case = conifold(1)
+    z_closed(case, 2)  # 2.0 == 2, so a cache keyed by value would return it
+    with pytest.raises(TypeError, match="order must be an int"):
+        check(case, order)

@@ -987,7 +987,7 @@ def test_a_corrupted_cofactor_changes_the_value(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# lcms read from steps
+# sums that cancel a step factor
 # ---------------------------------------------------------------------------
 
 def _stepped(num, prev, factor):
@@ -1000,14 +1000,18 @@ def _unstepped(pairs):
 
 
 _U2, _U4, _E2 = sym("u", 2) - ONE, sym("u", 4) - ONE, sym("E", 2) - ONE
+_U6, _E4 = sym("u", 6) - ONE, sym("E", 4) - ONE
+# each stepped coefficient is a one-term multiple of its step factor
 _STEPPED = [
     # the later group steps from the earlier, and the earlier from the later
-    [(U, RatFun._raw(ONE, _U2)), (_k(2), _stepped(U, _U2, _U4))],
-    [(ONE + U, _stepped(ONE, _U2, _U4)), (_k(HALF), RatFun._raw(U, _U2))],
+    [(U, RatFun._raw(ONE, _U2)), (_k(2) * _U4, _stepped(U, _U2, _U4))],
+    [(sym("u", -3) * _U4, _stepped(ONE, _U2, _U4)), (_k(HALF), RatFun._raw(U, _U2))],
     # z_0-like 1, a repeated binomial, and two members over the prev den
-    [(ONE, RatFun.one()), (_k(-HALF), _stepped(U, ONE, sym("u", 6) - ONE))],
-    [(U, _stepped(ONE, _U2, _U2)), (ONE, RatFun._raw(ONE, _U2)), (_k(2), RatFun._raw(U, _U2))],
-    [(sym("E"), RatFun._raw(ONE, _E2)), (ONE, _stepped(ONE, _E2, sym("E", 4) - ONE))],
+    [(ONE, RatFun.one()), (_k(-HALF) * _U6, _stepped(U, ONE, _U6))],
+    [(U * _U2, _stepped(ONE, _U2, _U2)), (ONE, RatFun._raw(ONE, _U2)),
+     (_k(2), RatFun._raw(U, _U2))],
+    # the operators' forward x^0 coefficient, minus the factor
+    [(sym("E"), RatFun._raw(ONE, _E2)), (-_E4, _stepped(ONE, _E2, _E4))],
 ]
 _NOT_STEPPED = [
     # a step from an equal prev that is not the other's very object
@@ -1020,6 +1024,9 @@ _NOT_STEPPED = [
     # a step from 1, and a denominator that is not 1
     [(ONE, _stepped(ONE, ONE, _U2)), (_k(2), _A)],
     [(U, _A), (_k(2), _B)],
+    # a step whose coefficient is no one-term multiple of the factor
+    [(U, RatFun._raw(ONE, _U2)), (_k(2), _stepped(U, _U2, _U4))],
+    [(sym("E"), RatFun._raw(ONE, _E2)), (ONE, _stepped(ONE, _E2, _E4))],
 ]
 
 
@@ -1027,7 +1034,8 @@ _NOT_STEPPED = [
 def test_a_binomial_lcm_equals_the_dense_one(pairs):
     with _counting("_dense_view", "_dense_divexact", "_cofactor") as calls:
         total = RatFun.combine(pairs)
-        # the step branch runs only where one of two groups steps from the other
+        # the quotient runs only where one of two groups steps from the
+        # other with one-term multiples of the factor; the rest fold dense
         assert (calls == []) == any(pairs is p for p in _STEPPED)
     with _counting("_dense_view") as calls_unstepped:
         dense = RatFun.combine(_unstepped(pairs))
@@ -1068,12 +1076,13 @@ def test_a_step_quotient_sum_equals_the_dense_one(step, nums, older, data):
     pairs = [(c, _stepped(n, prev, factor)) for c, n in zip(cs, nums)]
     pairs += [(c, RatFun._raw(n, prev)) for c, n in older]
     pairs = data.draw(st.permutations(pairs))
-    with _counting("_step_lcm", "_dense_view") as calls:
+    with _counting("_dense_view") as calls:
         total = RatFun.combine(pairs)
     # an independent reading of "c is m * factor": c / factor reduces to one term over 1
     quotients = [RatFun(c, factor) for c in cs]
     divided = all(q.den.is_one() and len(q.num.terms) == 1 for q in quotients)
-    assert calls == ([] if divided else ["_step_lcm"])
+    # the dense fold views both denominators
+    assert calls == ([] if divided else ["_dense_view"] * 2)
     dense = RatFun.combine(_unstepped(pairs))
     assert total.is_zero() == dense.is_zero()
     assert total == dense == _over_product([RatFun(c) * r for c, r in pairs])
@@ -1088,23 +1097,6 @@ def test_a_one_term_quotient_is_read_cross_multiplied():
     # the same terms in another ratio, another count, or another shape
     for c in (sym("u", 3) + ONE, f + sym("u"), sym("u", 3) * HALF + ONE, sym("u", 2) + ONE * HALF):
         assert quotient(c, f) is None
-
-
-def test_a_corrupted_step_cofactor_changes_the_value(monkeypatch):
-    # the stepped coefficient 2 is no multiple of u^4 - 1, so the sum takes
-    # _step_lcm's lcm and cofactor; +1 on that cofactor must show
-    pairs = _STEPPED[0]
-    pt = {"E": Fraction(2), "Qh": Fraction(3), "lam": Fraction(5), "u": Fraction(1, 3)}
-    want = sum(_ev(c, pt) * _ev(r, pt) for c, r in pairs)
-    assert _ev(RatFun.combine(pairs), pt) == want
-    step_lcm = ring._step_lcm
-
-    def corrupted(groups):
-        lcm, cofactors = step_lcm(groups)
-        return lcm, [k if k is None else k + ONE for k in cofactors]
-
-    monkeypatch.setattr(ring, "_step_lcm", corrupted)
-    assert _ev(RatFun.combine(pairs), pt) != want
 
 
 def test_maps_in_two_symbols_take_the_dense_branch():
